@@ -22,6 +22,9 @@ from .errors import (ConfigError, ContractError, DataError, LengthError,
                      VocabError)
 
 NEG_INF = -1e30
+# Rows per batched forward. Caps the [rows, T, vocab] logits block, so
+# memory does not grow with the number of sequences scored.
+MAX_BATCH_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -269,10 +272,31 @@ def _forward_np(entries: dict[str, np.ndarray], arch: ArchConfig,
     return x @ entries["head"]
 
 
+def batch_logits(store: ParamStore, tokens) -> np.ndarray:
+    """Teacher-forced logits of equal-length rows: [B, T] ids -> [B, T, V].
+
+    The batch only adds a leading axis to every op, so each row gets the
+    logits a one-row forward gives it, bit for bit (tests pin this).
+    Right-padded rows of unequal length would not: the attention softmax
+    then sums over more key positions, which regroups its terms.
+    """
+    tokens = _check_tokens(store.arch, tokens)
+    return _forward_np(store.entries, store.arch, tokens)
+
+
 def forward_logits(store: ParamStore, tokens) -> np.ndarray:
     """Teacher-forced logits, one row per position: [T, V]."""
-    tokens = _check_tokens(store.arch, tokens)
-    return _forward_np(store.entries, store.arch, tokens)[0]
+    return batch_logits(store, tokens)[0]
+
+
+def length_groups(seqs) -> list[list[int]]:
+    """Indices of `seqs` grouped by length, at most MAX_BATCH_ROWS per
+    group: the row sets `batch_logits` can take without padding."""
+    by_len: dict[int, list[int]] = {}
+    for i, s in enumerate(seqs):
+        by_len.setdefault(len(s), []).append(i)
+    return [idx[start:start + MAX_BATCH_ROWS] for idx in by_len.values()
+            for start in range(0, len(idx), MAX_BATCH_ROWS)]
 
 
 def next_token_dist(store: ParamStore, tokens) -> np.ndarray:
@@ -339,6 +363,38 @@ def decode(store: ParamStore, prompt, strategy, max_len: int,
     return [(out, total)]
 
 
+def greedy_batch(store: ParamStore, prompts, max_len: int,
+                 eos_id: int | None = None) -> list[list[int]]:
+    """Greedy continuations of many prompts: for each prompt, the tokens
+    `decode(store, prompt, Greedy(), max_len, eos_id)` returns.
+
+    Prompts of one length decode in lock-step, one forward per step, and a
+    row that emits `eos_id` leaves the batch.
+    """
+    prompts = [list(p) for p in prompts]
+    if not all(prompts):
+        raise ContractError("prompt must be non-empty")
+    if max_len < 1:
+        raise ConfigError("max_len must be >= 1")
+    outs: list[list[int]] = [[] for _ in prompts]
+    ctx = store.arch.context_len
+    for rows in length_groups(prompts):
+        live = np.asarray(rows)
+        seqs = np.asarray([prompts[i] for i in rows], dtype=np.int64)
+        for _ in range(min(max_len, ctx - seqs.shape[1])):
+            lp = _log_softmax_np(batch_logits(store, seqs)[:, -1])
+            nxt = lp.argmax(axis=-1)
+            for i, tok in zip(live.tolist(), nxt.tolist()):
+                outs[i].append(tok)
+            seqs = np.concatenate([seqs, nxt[:, None]], axis=1)
+            if eos_id is not None:
+                keep = nxt != eos_id
+                live, seqs = live[keep], seqs[keep]
+                if not live.size:
+                    break
+    return outs
+
+
 def _beam_decode(store, prompt, width, max_len, eos_id):
     ctx = store.arch.context_len
     beams = [((), 0.0, False)]  # (tokens, logprob, finished)
@@ -369,6 +425,9 @@ def _beam_decode(store, prompt, width, max_len, eos_id):
 # Checkpoint file ------------------------------------------------------------
 
 
+_WRITE_SLICE = 1 << 16
+
+
 def save_checkpoint(store: ParamStore, path):
     doc = {
         "arch": asdict(store.arch),
@@ -376,9 +435,13 @@ def save_checkpoint(store: ParamStore, path):
         "params": {k: {"shape": list(v.shape), "data": v.ravel().tolist()}
                    for k, v in store.entries.items()},
     }
+    # json.dumps runs the C encoder; json.dump streams through the pure-Python
+    # one. The bytes are the same. Writing in slices keeps the encoded copy
+    # small instead of doubling the ~3 MB text.
+    text = json.dumps(doc, sort_keys=True) + "\n"
     with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True)
-        f.write("\n")
+        for start in range(0, len(text), _WRITE_SLICE):
+            f.write(text[start:start + _WRITE_SLICE])
 
 
 def load_checkpoint(path) -> ParamStore:
@@ -389,7 +452,15 @@ def load_checkpoint(path) -> ParamStore:
         raise DataError(f"checkpoint file not found: {e.filename}")
     except json.JSONDecodeError as e:
         raise DataError(f"checkpoint file is malformed: {e}")
-    arch = ArchConfig(**doc["arch"])
+    if not isinstance(doc, dict):
+        raise DataError("checkpoint file must hold a JSON object")
+    for key in ("arch", "params", "seed"):
+        if key not in doc:
+            raise DataError(f"checkpoint file is missing {key!r}")
+    try:
+        arch = ArchConfig(**doc["arch"])
+    except TypeError as e:
+        raise DataError(f"checkpoint 'arch' is malformed: {e}")
     arch.validate()
     expected = param_shapes(arch)
     entries = {}

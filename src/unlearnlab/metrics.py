@@ -18,6 +18,7 @@ folded into three harmonic-mean composites:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +38,8 @@ class MetricsReport:
     utility: float
     aggregate: float
     relative_to_ref: dict[str, float] | None = None
+    # Raw greedy tokens per forget record, for the judge; not serialized.
+    forget_generations: list[list[int]] | None = None
 
     def to_dict(self):
         doc = {
@@ -85,40 +88,81 @@ def rouge_l_f1(ref, hyp) -> float:
     return 2 * p * r / (p + r)
 
 
+class TeacherForced(NamedTuple):
+    """Scores of one (prompt, answer) pair from its teacher-forced forward."""
+    norm_prob: float
+    exact_mem: float
+    extraction_strength: float
+
+
+def teacher_forced_scores(store: lm.ParamStore, pairs) -> list[TeacherForced]:
+    """Normalized probability, exact memorization and extraction strength of
+    each (prompt, answer) pair, from one forward of prompt + answer.
+
+    Pairs of equal total length share a batched forward (`lm.length_groups`),
+    so every value equals the one a single-pair forward gives.
+
+    Extraction strength needs no decoding. A greedy continuation of
+    prompt + answer[:k] reproduces answer[k:] exactly when the teacher-forced
+    greedy choice hits every answer position from k on, so k* is |y| minus
+    the trailing run of hits. The greedy choice is the log-softmax argmax,
+    lowest id on ties, as in `lm.decode`; exact memorization keeps its logit
+    argmax (subtracting the log-normalizer can round two logits to one value).
+    """
+    pairs = [(list(p), list(a)) for p, a in pairs]
+    for prompt, answer in pairs:
+        if not answer:
+            raise DataError("answer must be non-empty")
+        if not prompt:
+            raise ContractError("prompt must be non-empty")
+    seqs = [p + a for p, a in pairs]
+    out: list[TeacherForced | None] = [None] * len(pairs)
+    for rows in lm.length_groups(seqs):
+        logits = lm.batch_logits(store, [seqs[i] for i in rows])
+        lp = lm._log_softmax_np(logits)
+        for r, i in enumerate(rows):
+            prompt, answer = pairs[i]
+            n = len(answer)
+            pos = np.arange(len(prompt) - 1, len(seqs[i]) - 1)
+            ans = np.asarray(answer)
+            logprob = float(lp[r][pos, ans].sum())
+            hits = (lp[r][pos].argmax(axis=-1) == ans).tolist()
+            k = n
+            while k > 0 and hits[k - 1]:
+                k -= 1
+            out[i] = TeacherForced(
+                norm_prob=float(np.exp(logprob / n)),
+                exact_mem=float((logits[r][pos].argmax(axis=-1)
+                                 == ans).mean()),
+                # As the decode loop computed it: (n - k) / n can differ
+                # from 1 - k / n in the last ulp.
+                extraction_strength=1.0 - k / n)
+    return out
+
+
 def normalized_probability(store: lm.ParamStore, prompt, answer) -> float:
     """Per-token geometric-mean probability: exp(logprob / |answer|)."""
-    answer = list(answer)
-    if not answer:
-        raise DataError("answer must be non-empty")
-    return float(np.exp(lm.sequence_logprob(store, prompt, answer) / len(answer)))
+    return teacher_forced_scores(store, [(prompt, answer)])[0].norm_prob
 
 
 def exact_memorization(store: lm.ParamStore, prompt, answer) -> float:
     """Fraction of answer positions whose teacher-forced argmax matches."""
-    answer = list(answer)
-    if not answer:
-        raise DataError("answer must be non-empty")
-    seq = list(prompt) + answer
-    logits = lm.forward_logits(store, seq)
-    pos = np.arange(len(prompt) - 1, len(seq) - 1)
-    pred = logits[pos].argmax(axis=-1)
-    return float((pred == np.asarray(answer)).mean())
+    return teacher_forced_scores(store, [(prompt, answer)])[0].exact_mem
 
 
 def extraction_strength(store: lm.ParamStore, prompt, answer) -> float:
     """1 - k*/|y| where k* is the shortest answer prefix whose greedy
-    continuation reproduces the rest of the answer (k* = |y| vacuously)."""
-    answer = list(answer)
-    if not answer:
-        raise DataError("answer must be non-empty")
-    n = len(answer)
-    for k in range(n):
-        rest = answer[k:]
-        out, _ = lm.decode(store, list(prompt) + answer[:k], lm.Greedy(),
-                           max_len=len(rest))[0]
-        if out == rest:
-            return 1.0 - k / n
-    return 0.0
+    continuation reproduces the rest of the answer (k* = |y| vacuously).
+    Read off teacher-forced hits; see `teacher_forced_scores`."""
+    return teacher_forced_scores(
+        store, [(prompt, answer)])[0].extraction_strength
+
+
+def _truth_ratio(correct: float, perturbed: list[float]) -> tuple[float, float]:
+    if not perturbed:
+        raise DataError("need at least one perturbed answer")
+    r = float(np.mean(perturbed) / correct)
+    return r, max(0.0, 1.0 - r)
 
 
 def truth_ratio(store: lm.ParamStore, question_paraphrase, correct_answer,
@@ -129,13 +173,10 @@ def truth_ratio(store: lm.ParamStore, question_paraphrase, correct_answer,
     correct answer dominates its perturbations and falls toward 0 as they
     even out.
     """
-    if not perturbed_answers:
-        raise DataError("need at least one perturbed answer")
-    correct = normalized_probability(store, question_paraphrase, correct_answer)
-    perturbed = [normalized_probability(store, question_paraphrase, a)
-                 for a in perturbed_answers]
-    r = float(np.mean(perturbed) / correct)
-    return r, max(0.0, 1.0 - r)
+    scores = teacher_forced_scores(
+        store, [(question_paraphrase, a)
+                for a in [correct_answer, *perturbed_answers]])
+    return _truth_ratio(scores[0].norm_prob, [s.norm_prob for s in scores[1:]])
 
 
 def degeneracy_score(tokens) -> float:
@@ -181,42 +222,93 @@ def _strip_specials(vocab: cp.Vocabulary, tokens):
     return [t for t in tokens if t not in special]
 
 
-def _record_scores(store, vocab, rec: cp.QaRecord, max_len: int):
-    prompt, answer = cp.qa_pair_tokens(vocab, rec.question, rec.answer)
-    out, _ = lm.decode(store, prompt, lm.Greedy(), max_len, eos_id=vocab.eos)[0]
-    para_prompt, _ = cp.qa_pair_tokens(vocab, rec.paraphrases[0], rec.answer)
-    _, tr_inv = truth_ratio(
-        store, para_prompt, answer,
-        [cp.encode(vocab, a) for a in rec.perturbed_answers])
-    gen = _strip_specials(vocab, out)
-    return {
-        "rouge_l": rouge_l_f1(_strip_specials(vocab, answer), gen),
-        "norm_prob": normalized_probability(store, prompt, answer),
-        "para_prob": normalized_probability(store, para_prompt, answer),
-        "exact_mem": exact_memorization(store, prompt, answer),
-        "extraction_strength": extraction_strength(store, prompt, answer),
-        "truth_ratio_inv": tr_inv,
-        "degeneracy": degeneracy_score(out),
-    }
+def _split_records(corp: cp.Corpus, splits=SPLITS):
+    records = {split: corp.split(split) for split in splits}
+    for split, recs in records.items():
+        if not recs:
+            raise DataError(f"corpus is missing split {split!r}")
+    return records
+
+
+def score_records(store: lm.ParamStore, vocab: cp.Vocabulary, records,
+                  max_len: int = 16):
+    """Per-record scores (a dict of PER_SPLIT_FIELDS each) and the raw greedy
+    generations behind ROUGE-L and degeneracy.
+
+    Every teacher-forced pair of every record goes through one
+    `teacher_forced_scores` call: prompt + answer, paraphrase + answer (both
+    the paraphrase probability and the truth-ratio denominator) and
+    paraphrase + each perturbed answer. Generation is one `lm.greedy_batch`.
+    """
+    prompts, answers, pairs = [], [], []
+    for rec in records:
+        prompt, answer = cp.qa_pair_tokens(vocab, rec.question, rec.answer)
+        para_prompt, _ = cp.qa_pair_tokens(vocab, rec.paraphrases[0],
+                                           rec.answer)
+        prompts.append(prompt)
+        answers.append(answer)
+        pairs += [(prompt, answer), (para_prompt, answer)]
+        pairs += [(para_prompt, cp.encode(vocab, a))
+                  for a in rec.perturbed_answers]
+    scores = teacher_forced_scores(store, pairs)
+    gens = lm.greedy_batch(store, prompts, max_len, eos_id=vocab.eos)
+    rows, at = [], 0
+    for rec, answer, gen in zip(records, answers, gens):
+        main, para = scores[at], scores[at + 1]
+        end = at + 2 + len(rec.perturbed_answers)
+        _, tr_inv = _truth_ratio(para.norm_prob,
+                                 [s.norm_prob for s in scores[at + 2:end]])
+        at = end
+        rows.append({
+            "rouge_l": rouge_l_f1(_strip_specials(vocab, answer),
+                                  _strip_specials(vocab, gen)),
+            "norm_prob": main.norm_prob,
+            "para_prob": para.norm_prob,
+            "exact_mem": main.exact_mem,
+            "extraction_strength": main.extraction_strength,
+            "truth_ratio_inv": tr_inv,
+            "degeneracy": degeneracy_score(gen),
+        })
+    return rows, gens
+
+
+def reference_norm_probs(ref_store: lm.ParamStore,
+                         corp: cp.Corpus) -> dict[str, float]:
+    """Mean retain and holdout normalized probability under the reference
+    (pre-unlearning) store: the denominators `evaluate_model` divides by.
+    Computed once, they serve every checkpoint of a run."""
+    records = _split_records(corp, ("retain", "holdout"))
+    pairs = [cp.qa_pair_tokens(corp.vocab, r.question, r.answer)
+             for recs in records.values() for r in recs]
+    probs = [s.norm_prob for s in teacher_forced_scores(ref_store, pairs)]
+    out, at = {}, 0
+    for split, recs in records.items():
+        out[split] = float(np.mean(probs[at:at + len(recs)]))
+        at += len(recs)
+    return out
 
 
 def evaluate_model(store: lm.ParamStore, corp: cp.Corpus,
-                   ref_store: lm.ParamStore | None = None,
+                   ref_norm_probs: dict[str, float] | None = None,
                    max_len: int = 16) -> MetricsReport:
     """Full metric sweep over all three splits plus the HM composites.
 
-    When a reference store is given (the pre-unlearning checkpoint), the
-    report carries the retain/holdout normalized-probability ratios against
-    it, which is what the degradation gates read.
+    With `ref_norm_probs` (from `reference_norm_probs` of the
+    pre-unlearning checkpoint), the report carries the retain/holdout
+    normalized-probability ratios against it, which is what the degradation
+    gates read. The report also keeps the forget-split greedy generations
+    (not serialized) for the judge.
     """
     vocab = corp.vocab
-    per_split = {}
-    for split in SPLITS:
-        records = corp.split(split)
-        if not records:
-            raise DataError(f"corpus is missing split {split!r}")
-        rows = [_record_scores(store, vocab, r, max_len) for r in records]
-        per_split[split] = {k: float(np.mean([row[k] for row in rows]))
+    by_split = _split_records(corp)
+    rows, gens = score_records(
+        store, vocab, [r for recs in by_split.values() for r in recs],
+        max_len)
+    per_split, at = {}, 0
+    for split, recs in by_split.items():
+        part = rows[at:at + len(recs)]
+        at += len(recs)
+        per_split[split] = {k: float(np.mean([row[k] for row in part]))
                             for k in PER_SPLIT_FIELDS}
 
     f = per_split["forget"]
@@ -240,12 +332,10 @@ def evaluate_model(store: lm.ParamStore, corp: cp.Corpus,
         memorization=float(memorization),
         utility=float(utility),
         aggregate=float(harmonic_mean([memorization, utility])),
+        forget_generations=gens[:len(by_split["forget"])],
     )
-    if ref_store is not None:
-        ref = {split: float(np.mean([
-            normalized_probability(ref_store, *cp.qa_pair_tokens(
-                vocab, r.question, r.answer))
-            for r in corp.split(split)])) for split in ("retain", "holdout")}
+    ref = ref_norm_probs
+    if ref is not None:
         report.relative_to_ref = {
             f"{split}_norm_prob_ratio":
                 (per_split[split]["norm_prob"] / ref[split]

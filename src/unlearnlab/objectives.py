@@ -131,9 +131,7 @@ def _seq_logprob_graph(store, pairs, tensors):
 def batch_sequence_logprobs(store: lm.ParamStore, pairs: list[Pair]) -> np.ndarray:
     """Plain-numpy per-sequence log-likelihoods (no graph)."""
     tokens, tgt_pos, tgt_ids, mask = _pad_batch(pairs)
-    logits = lm._forward_np(store.entries, store.arch,
-                            lm._check_tokens(store.arch, tokens))
-    lp = lm._log_softmax_np(logits)
+    lp = lm._log_softmax_np(lm.batch_logits(store, tokens))
     bidx = np.arange(len(pairs))[:, None]
     lp_y = lp[bidx, tgt_pos, tgt_ids]
     return (lp_y * mask).sum(axis=1)

@@ -375,14 +375,13 @@ def run_unlearn(config: RunConfig, reference_checkpoint,
 # Evaluation ------------------------------------------------------------------
 
 
-def _judge_scores(store, corp, judge_mode, endpoint=None):
-    """Mean judge scores over the forget split; transport failures are
-    recorded per record and the run continues."""
+def _judge_scores(generations, corp, judge_mode, endpoint=None):
+    """Mean judge scores over the forget split, judging the greedy
+    generations evaluation already made (`MetricsReport.forget_generations`);
+    transport failures are recorded per record and the run continues."""
     vocab = corp.vocab
     sims, nats, errors = [], [], 0
-    for rec in corp.split("forget"):
-        prompt, _ = cp.qa_pair_tokens(vocab, rec.question, rec.answer)
-        out, _ = lm.decode(store, prompt, lm.Greedy(), 16, eos_id=vocab.eos)[0]
+    for rec, out in zip(corp.split("forget"), generations):
         gen_text = cp.decode_text(vocab, out) or "<empty>"
         sim_p = jd.render_similarity_prompt(rec.question, rec.answer, gen_text)
         nat_p = jd.render_naturalness_prompt(gen_text)
@@ -412,15 +411,16 @@ def run_eval(config: RunConfig, checkpoint_paths, ref_checkpoint=None,
     corp = load_run_corpus(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ref_store = (lm.load_checkpoint(ref_checkpoint)
-                 if ref_checkpoint else None)
+    ref_norm_probs = (mt.reference_norm_probs(
+        lm.load_checkpoint(ref_checkpoint), corp) if ref_checkpoint else None)
     reports, rows, report_files = [], [], []
     for ck in checkpoint_paths:
         store = lm.load_checkpoint(ck)
-        report = mt.evaluate_model(store, corp, ref_store)
+        report = mt.evaluate_model(store, corp, ref_norm_probs)
         doc = report.to_dict()
         if judge_mode != "none":
-            doc["judge"] = _judge_scores(store, corp, judge_mode, endpoint)
+            doc["judge"] = _judge_scores(report.forget_generations, corp,
+                                         judge_mode, endpoint)
         stem = Path(ck).stem
         fname = f"metrics_{stem}.json"
         _write_json(doc, out / fname)

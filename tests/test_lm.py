@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import json
 
 import numpy as np
@@ -5,7 +7,8 @@ import pytest
 
 from unlearnlab import corpus as cp
 from unlearnlab import lm
-from unlearnlab.errors import ConfigError, ContractError, LengthError, VocabError
+from unlearnlab.errors import (ConfigError, ContractError, DataError,
+                               LengthError, VocabError)
 
 
 def test_init_is_deterministic(tiny_arch):
@@ -115,6 +118,41 @@ def test_scored_span_invariant_to_trailing_padding(tiny_store):
     assert np.array_equal(base, again)
 
 
+def test_batch_logits_rows_equal_single_row_forwards(tiny_store):
+    rng = np.random.default_rng(3)
+    seqs = [list(rng.integers(0, 12, rng.integers(2, 9))) for _ in range(30)]
+    groups = lm.length_groups(seqs)
+    assert sorted(i for g in groups for i in g) == list(range(len(seqs)))
+    for rows in groups:
+        assert len({len(seqs[i]) for i in rows}) == 1
+        batch = lm.batch_logits(tiny_store, [seqs[i] for i in rows])
+        for r, i in enumerate(rows):
+            assert np.array_equal(batch[r], lm.forward_logits(tiny_store,
+                                                              seqs[i]))
+
+
+def test_length_groups_cap_rows():
+    groups = lm.length_groups([[1, 2]] * (2 * lm.MAX_BATCH_ROWS + 1))
+    assert [len(g) for g in groups] == [lm.MAX_BATCH_ROWS,
+                                        lm.MAX_BATCH_ROWS, 1]
+
+
+def test_greedy_batch_matches_per_prompt_decode(tiny_store):
+    rng = np.random.default_rng(4)
+    prompts = [list(rng.integers(0, 12, rng.integers(1, 6)))
+               for _ in range(40)]
+    prompts += [[1] * 14, [2] * 16]  # two steps of context left, then none
+    for eos in (None, 0, 5):
+        got = lm.greedy_batch(tiny_store, prompts, 6, eos_id=eos)
+        want = [lm.decode(tiny_store, p, lm.Greedy(), 6, eos_id=eos)[0][0]
+                for p in prompts]
+        assert got == want
+    with pytest.raises(ContractError):
+        lm.greedy_batch(tiny_store, [[1], []], 4)
+    with pytest.raises(ConfigError):
+        lm.greedy_batch(tiny_store, [[1]], 0)
+
+
 def test_greedy_decode_deterministic(tiny_store):
     a = lm.decode(tiny_store, [1, 2, 3], lm.Greedy(), 6, eos_id=0)
     b = lm.decode(tiny_store, [1, 2, 3], lm.Greedy(), 6, eos_id=0)
@@ -192,6 +230,34 @@ def test_checkpoint_roundtrip_and_byte_identity(tiny_store, tmp_path):
                          - lm.forward_logits(tiny_store, toks))) <= 1e-12
     lm.save_checkpoint(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_bytes_equal_streamed_json_dump(tiny_store, tmp_path):
+    p = tmp_path / "a.json"
+    lm.save_checkpoint(tiny_store, p)
+    doc = {"arch": dataclasses.asdict(tiny_store.arch),
+           "seed": tiny_store.seed,
+           "params": {k: {"shape": list(v.shape), "data": v.ravel().tolist()}
+                      for k, v in tiny_store.entries.items()}}
+    streamed = io.StringIO()
+    json.dump(doc, streamed, sort_keys=True)
+    streamed.write("\n")
+    assert p.read_text() == streamed.getvalue()
+
+
+@pytest.mark.parametrize("case", ["arch", "params", "seed", "top_level"])
+def test_checkpoint_missing_field_is_data_error(case, tiny_store, tmp_path):
+    p = tmp_path / "bad.json"
+    lm.save_checkpoint(tiny_store, p)
+    doc = json.loads(p.read_text())
+    if case == "top_level":
+        doc = [doc]
+    else:
+        del doc[case]
+    p.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="object" if case == "top_level"
+                       else repr(case)):
+        lm.load_checkpoint(p)
 
 
 def test_checkpoint_shape_mismatch_rejected(tiny_store, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from unlearnlab import corpus as cp
 from unlearnlab import lm
 from unlearnlab import metrics as mt
-from unlearnlab.errors import ContractError, DataError
+from unlearnlab.errors import ContractError, DataError, LengthError
 
 
 def brute_lcs(a, b):
@@ -232,3 +232,117 @@ def test_evaluate_model_missing_split_is_data_error():
                          n_layers=1, n_heads=2)
     with pytest.raises(DataError):
         mt.evaluate_model(lm.init_model(arch, 0), corp)
+
+
+def test_scalar_metrics_raise_length_error_past_context():
+    arch = lm.ArchConfig(vocab_size=16, context_len=6, d_model=8,
+                         n_layers=1, n_heads=2)
+    store = lm.init_model(arch, 0)
+    prompt, answer = [1, 2, 3], [4, 5, 6, 7]
+    for fn in (mt.extraction_strength, mt.exact_memorization,
+               mt.normalized_probability):
+        with pytest.raises(LengthError):
+            fn(store, prompt, answer)
+
+
+# Per-record oracle -------------------------------------------------------------
+# The evaluation loop as it ran before batching: one forward per metric per
+# record, and extraction strength from up to |y| greedy decodes. The batched
+# scorer must reproduce it: hit-based fields exactly, probabilities to 1e-12.
+
+HIT_FIELDS = ("rouge_l", "exact_mem", "extraction_strength", "degeneracy")
+PROB_FIELDS = ("norm_prob", "para_prob", "truth_ratio_inv")
+
+
+def _norm_prob_oracle(store, prompt, answer):
+    return float(np.exp(lm.sequence_logprob(store, prompt, answer)
+                        / len(answer)))
+
+
+def _exact_mem_oracle(store, prompt, answer):
+    seq = list(prompt) + list(answer)
+    logits = lm.forward_logits(store, seq)
+    pos = np.arange(len(prompt) - 1, len(seq) - 1)
+    return float((logits[pos].argmax(axis=-1) == np.asarray(answer)).mean())
+
+
+def _extraction_strength_by_decode(store, prompt, answer):
+    answer = list(answer)
+    n = len(answer)
+    for k in range(n):
+        rest = answer[k:]
+        out, _ = lm.decode(store, list(prompt) + answer[:k], lm.Greedy(),
+                           max_len=len(rest))[0]
+        if out == rest:
+            return 1.0 - k / n
+    return 0.0
+
+
+def _record_scores(store, vocab, rec, max_len):
+    prompt, answer = cp.qa_pair_tokens(vocab, rec.question, rec.answer)
+    out, _ = lm.decode(store, prompt, lm.Greedy(), max_len,
+                       eos_id=vocab.eos)[0]
+    para_prompt, _ = cp.qa_pair_tokens(vocab, rec.paraphrases[0], rec.answer)
+    correct = _norm_prob_oracle(store, para_prompt, answer)
+    perturbed = [_norm_prob_oracle(store, para_prompt, cp.encode(vocab, a))
+                 for a in rec.perturbed_answers]
+    r = float(np.mean(perturbed) / correct)
+    gen = mt._strip_specials(vocab, out)
+    return {
+        "rouge_l": mt.rouge_l_f1(mt._strip_specials(vocab, answer), gen),
+        "norm_prob": _norm_prob_oracle(store, prompt, answer),
+        "para_prob": correct,
+        "exact_mem": _exact_mem_oracle(store, prompt, answer),
+        "extraction_strength": _extraction_strength_by_decode(
+            store, prompt, answer),
+        "truth_ratio_inv": max(0.0, 1.0 - r),
+        "degeneracy": mt.degeneracy_score(out),
+    }, out
+
+
+def _assert_matches_oracle(store, vocab, records):
+    rows, gens = mt.score_records(store, vocab, records, 16)
+    assert len(rows) == len(gens) == len(records)
+    for rec, row, gen in zip(records, rows, gens):
+        want, want_gen = _record_scores(store, vocab, rec, 16)
+        assert gen == want_gen, rec.id
+        for k in HIT_FIELDS:
+            assert row[k] == want[k], (rec.id, k)
+        for k in PROB_FIELDS:
+            assert row[k] == pytest.approx(want[k], rel=1e-12, abs=0.0), \
+                (rec.id, k)
+
+
+@pytest.mark.parametrize("fixture", ["theta_o", "bst_unlearned"])
+def test_batched_scores_match_per_record_oracle(fixture, request,
+                                                desk_corpus):
+    _, store, _ = request.getfixturevalue(fixture)
+    _assert_matches_oracle(store, desk_corpus.vocab, desk_corpus.records)
+
+
+def test_batched_scores_match_oracle_on_zero_head_ties():
+    corp = _tiny_eval_corpus()
+    arch = lm.ArchConfig(vocab_size=400, context_len=32, d_model=16,
+                         n_layers=1, n_heads=2)
+    store = lm.init_model(arch, 4)  # zero head: every logit ties at 0
+    _assert_matches_oracle(store, corp.vocab, corp.records)
+    # Answers with id 0 hit exactly where the lowest-id tie rule says.
+    pairs = [([5, 6], [0, 0, 0]), ([5, 6], [7, 0, 0]), ([5], [0, 7, 0]),
+             ([5, 6, 7], [7, 8])]
+    got = mt.teacher_forced_scores(store, pairs)
+    assert [s.extraction_strength for s in got] == [
+        _extraction_strength_by_decode(store, p, a) for p, a in pairs]
+    assert [s.extraction_strength for s in got] == [1.0, 1.0 - 1 / 3,
+                                                    1.0 - 2 / 3, 0.0]
+    assert [s.exact_mem for s in got] == [
+        _exact_mem_oracle(store, p, a) for p, a in pairs]
+
+
+def test_batched_scores_match_oracle_on_random_head():
+    corp = _tiny_eval_corpus()
+    arch = lm.ArchConfig(vocab_size=400, context_len=32, d_model=16,
+                         n_layers=1, n_heads=2)
+    store = lm.init_model(arch, 4)
+    store.entries["head"] = np.random.default_rng(7).normal(
+        0.0, 1.0, store.entries["head"].shape)
+    _assert_matches_oracle(store, corp.vocab, corp.records)

@@ -218,6 +218,28 @@ def test_eval_reports_and_schema(small_setup, small_theta_o, tmp_path):
     assert (out / "sweep.csv").exists()
 
 
+def test_eval_judge_reuses_generations_unchanged(small_setup, small_theta_o,
+                                                tmp_path):
+    root, corp, make = small_setup
+    reports = runner.run_eval(make(tmp_path / "evg"), [small_theta_o],
+                              judge_mode="mock")
+    store = lm.load_checkpoint(small_theta_o)
+    vocab = corp.vocab
+    sims, nats = [], []
+    for rec in corp.split("forget"):
+        prompt, _ = cp.qa_pair_tokens(vocab, rec.question, rec.answer)
+        out, _ = lm.decode(store, prompt, lm.Greedy(), 16,
+                           eos_id=vocab.eos)[0]
+        text = cp.decode_text(vocab, out) or "<empty>"
+        sims.append(jd.mock_judge(jd.render_similarity_prompt(
+            rec.question, rec.answer, text)).value)
+        nats.append(jd.mock_judge(jd.render_naturalness_prompt(text)).value)
+    assert reports[0]["judge"] == {
+        "mode": "mock", "errors": 0, "n": len(sims),
+        "similarity": float(np.mean(sims)),
+        "naturalness": float(np.mean(nats))}
+
+
 def test_eval_with_unreachable_judge_continues(small_setup, small_theta_o,
                                                tmp_path):
     root, corp, make = small_setup
@@ -342,3 +364,22 @@ def test_cli_eval_exit_4_when_judge_unavailable(small_setup, small_theta_o,
                            "max_retries": 0, "timeout": 0.05},
     })
     assert cli.main(["eval", "--config", cfgp, "--judge", "http"]) == 4
+
+
+def test_cli_eval_checkpoint_without_arch_exits_3(small_setup, small_theta_o,
+                                                  tmp_path):
+    root, corp, make = small_setup
+    doc = json.loads(Path(small_theta_o).read_text())
+    del doc["arch"]
+    bad = tmp_path / "no_arch.json"
+    bad.write_text(json.dumps(doc))
+    cfgp = _write_config(tmp_path / "ev3.json", {
+        "run": {"corpus_path": str(root / "corpus.jsonl"),
+                "vocab_path": str(root / "vocab.json"),
+                "arch": {"vocab_size": 400, "context_len": 32, "d_model": 16,
+                         "n_layers": 1, "n_heads": 2,
+                         "tie_output_head": False},
+                "out_dir": str(tmp_path / "ev3")},
+        "eval_checkpoints": [str(bad)],
+    })
+    assert cli.main(["eval", "--config", cfgp]) == 3
