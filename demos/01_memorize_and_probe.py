@@ -5,12 +5,10 @@ Runs in well under a minute on a laptop CPU. For the full desk-scale
 pipeline use the CLI (see README).
 """
 
-import numpy as np
-
 from unlearnlab import corpus as cp
 from unlearnlab import lm, metrics as mt, runner
-from unlearnlab.objectives import LossConfig, loss_retain
-from unlearnlab.optim import AdamW, OptimizerConfig, SchedulerConfig, lr_at
+from unlearnlab.objectives import loss_retain
+from unlearnlab.optim import OptimizerConfig, SchedulerConfig
 
 
 def main():
@@ -25,18 +23,17 @@ def main():
     arch = lm.ArchConfig(vocab_size=400, context_len=32, d_model=32,
                          n_layers=1, n_heads=2)
     store = lm.init_model(arch, 1)
-    opt = AdamW(store.entries, OptimizerConfig(lr=2e-3))
-    sched = SchedulerConfig(kind="linear", warmup_fraction=0.05)
-    epochs, bs = 150, 16
-    total = epochs * (-(-len(corp.records) // bs))
-    step = 0
-    for epoch in range(epochs):
-        for batch in runner._shuffled_batches(corp.records, bs, 0, epoch):
-            lv = loss_retain(store, runner._pairs(corp.vocab, batch))
-            opt.step(runner._named_grads(lv), lr_at(sched, 2e-3, step, total))
-            step += 1
-        if (epoch + 1) % 50 == 0:
-            print(f"epoch {epoch + 1}: NLL {lv.value:.3f}")
+    epochs = 150
+    rows = runner.train(store, corp.records, corp.vocab, loss_retain,
+                        runner.RunConfig(
+                            arch=arch, optimizer=OptimizerConfig(lr=2e-3),
+                            scheduler=SchedulerConfig(kind="linear",
+                                                      warmup_fraction=0.05),
+                            epochs=epochs, batch_size=16, seed=0))
+    steps_per_epoch = len(rows) // epochs
+    for epoch in range(50, epochs + 1, 50):
+        # losses.csv row: (step, forget, retain, aug, total)
+        print(f"epoch {epoch}: NLL {rows[epoch * steps_per_epoch - 1][4]:.3f}")
 
     vocab = corp.vocab
     prompt, answer = cp.qa_pair_tokens(vocab, rec.question, rec.answer)

@@ -7,31 +7,24 @@ re-scored after every unlearning epoch. The high band rises first: the mass
 pushed off the target lands on the nearest high-confidence neighbors.
 """
 
-import numpy as np
-
 from unlearnlab import corpus as cp
 from unlearnlab import dynamics as dy
 from unlearnlab import lm, runner
-from unlearnlab.objectives import LossConfig, loss_ga
-from unlearnlab.optim import AdamW, OptimizerConfig, lr_at, SchedulerConfig
+from unlearnlab.objectives import loss_ga, loss_retain
+from unlearnlab.optim import OptimizerConfig, SchedulerConfig
+
+ARCH = lm.ArchConfig(vocab_size=400, context_len=32, d_model=32, n_layers=1,
+                     n_heads=2)
 
 
 def train_memorizer(corp, seed=1):
-    from unlearnlab.objectives import loss_retain
-
-    arch = lm.ArchConfig(vocab_size=400, context_len=32, d_model=32,
-                         n_layers=1, n_heads=2)
-    store = lm.init_model(arch, seed)
-    opt = AdamW(store.entries, OptimizerConfig(lr=2e-3))
-    sched = SchedulerConfig(kind="linear", warmup_fraction=0.05)
-    epochs, bs = 200, 16
-    total = epochs * (-(-len(corp.records) // bs))
-    step = 0
-    for epoch in range(epochs):
-        for batch in runner._shuffled_batches(corp.records, bs, 0, epoch):
-            lv = loss_retain(store, runner._pairs(corp.vocab, batch))
-            opt.step(runner._named_grads(lv), lr_at(sched, 2e-3, step, total))
-            step += 1
+    store = lm.init_model(ARCH, seed)
+    runner.train(store, corp.records, corp.vocab, loss_retain,
+                 runner.RunConfig(
+                     arch=ARCH, optimizer=OptimizerConfig(lr=2e-3),
+                     scheduler=SchedulerConfig(kind="linear",
+                                               warmup_fraction=0.05),
+                     epochs=200, batch_size=16, seed=0))
     return store
 
 
@@ -50,18 +43,14 @@ def main():
         refs.append(a)
 
     # unlearn with plain ascent, snapshotting each epoch
-    opt = AdamW(store.entries, OptimizerConfig(lr=1e-4))
-    sched = SchedulerConfig(kind="constant", warmup_fraction=0.0)
     snaps = [store.snapshot()]
-    epochs, bs = 10, 4
-    step = 0
-    total = epochs * (-(-len(forget) // bs))
-    for epoch in range(epochs):
-        for batch in runner._shuffled_batches(forget, bs, 0, epoch):
-            lv = loss_ga(store, runner._pairs(vocab, batch))
-            opt.step(runner._named_grads(lv), lr_at(sched, 1e-4, step, total))
-            step += 1
-        snaps.append(store.snapshot())
+    runner.train(store, forget, vocab, loss_ga,
+                 runner.RunConfig(
+                     arch=ARCH, optimizer=OptimizerConfig(lr=1e-4),
+                     scheduler=SchedulerConfig(kind="constant",
+                                               warmup_fraction=0.0),
+                     epochs=10, batch_size=4, seed=0),
+                 on_epoch=lambda _: snaps.append(store.snapshot()))
 
     _, agg = dy.squeeze_trace(snaps, prompts, ("beam", 15), max_len=12,
                               eos_id=vocab.eos, exclude_responses=refs)

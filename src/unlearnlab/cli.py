@@ -22,11 +22,14 @@ from .errors import (CapabilityError, ConfigError, ContractError, DataError,
 def _load_doc(path) -> dict:
     try:
         with open(path) as f:
-            return json.load(f)
+            doc = json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file is not valid JSON: {e}")
+    if not isinstance(doc, dict):
+        raise ConfigError("config file must hold a JSON object")
+    return doc
 
 
 def _run_config(doc: dict, args) -> runner.RunConfig:
@@ -41,7 +44,8 @@ def _run_config(doc: dict, args) -> runner.RunConfig:
 
 def _endpoint(doc: dict) -> jd.EndpointConfig | None:
     ep = doc.get("judge_endpoint")
-    return jd.EndpointConfig(**ep) if ep else None
+    return (runner.config_section(jd.EndpointConfig, ep, "judge_endpoint")
+            if ep else None)
 
 
 def _reference(doc: dict, args):
@@ -69,7 +73,8 @@ def main(argv=None) -> int:
         doc = _load_doc(args.config)
         cfg = _run_config(doc, args)
         if args.command == "gen-corpus":
-            gen = cp.GenConfig(**doc.get("gen", {}))
+            gen = runner.config_section(cp.GenConfig, doc.get("gen", {}),
+                                        "gen")
             corp = cp.generate_corpus(gen, cfg.seed)
             out = Path(cfg.out_dir)
             out.mkdir(parents=True, exist_ok=True)
@@ -85,9 +90,7 @@ def main(argv=None) -> int:
         elif args.command == "squeeze":
             runner.run_squeeze(cfg, _reference(doc, args))
         elif args.command == "dynamics":
-            runner.run_dynamics(cfg, checkpoint=(
-                args.checkpoint[0] if args.checkpoint
-                else doc.get("reference_checkpoint")))
+            runner.run_dynamics(cfg, checkpoint=_reference(doc, args))
         elif args.command == "sweep":
             grid = doc.get("sweep")
             if isinstance(grid, str):
@@ -102,6 +105,8 @@ def main(argv=None) -> int:
             if not ckpts:
                 raise ConfigError("eval needs --checkpoint or eval_checkpoints")
             judge_mode = args.judge or doc.get("judge", "none")
+            if judge_mode == "http" and not doc.get("judge_endpoint"):
+                raise ConfigError("--judge http needs a judge_endpoint")
             reports = runner.run_eval(
                 cfg, ckpts, ref_checkpoint=doc.get("reference_checkpoint"),
                 judge_mode=judge_mode, endpoint=_endpoint(doc))

@@ -386,19 +386,6 @@ def qa_pair_tokens(vocab: Vocabulary, question: str,
     return prompt, response
 
 
-def batches(corpus: Corpus, split: str, batch_size: int, seed: int, epoch: int):
-    """Per-epoch shuffled batches; the last partial batch is kept."""
-    if batch_size < 1:
-        raise ConfigError("batch_size must be >= 1")
-    records = corpus.split(split)
-    if not records:
-        raise DataError(f"split {split!r} is empty")
-    rng = np.random.default_rng([seed, epoch])
-    order = rng.permutation(len(records))
-    for start in range(0, len(records), batch_size):
-        yield [records[i] for i in order[start:start + batch_size]]
-
-
 # Files ----------------------------------------------------------------------
 
 

@@ -127,12 +127,9 @@ def _loss_for(store, chi_u: Chi, loss_cfg):
     batch = [(list(chi_u.prompt), list(chi_u.response))]
     if callable(loss_cfg):
         return loss_cfg(store, batch)
-    if loss_cfg.kind == "ga":
-        return objectives.loss_ga(store, batch)
-    if loss_cfg.kind == "bst":
-        return objectives.loss_bst(store, batch, loss_cfg.lambda_bst,
-                                   loss_cfg.k, loss_cfg.belief_smoothing_tau)
-    raise ConfigError("akg_check supports loss kinds 'ga' and 'bst'")
+    if loss_cfg.kind not in ("ga", "bst"):
+        raise ConfigError("akg_check supports loss kinds 'ga' and 'bst'")
+    return objectives.forget_loss(loss_cfg, store, batch)
 
 
 def _scored_logprob_rows(store, chi: Chi) -> np.ndarray:
@@ -213,14 +210,20 @@ def _residual_rows(store, chi_u: Chi, loss_cfg) -> np.ndarray:
 
 def eta_scaling_slope(store: lm.ParamStore, chi_u: Chi, chi_o: Chi, loss_cfg,
                       etas=(1e-3, 5e-4, 2.5e-4),
-                      param_cap: int = PARAM_CAP_DEFAULT) -> float:
-    """Least-squares slope of log(max first-order error) vs log(eta)."""
-    errs = []
+                      param_cap: int = PARAM_CAP_DEFAULT
+                      ) -> tuple[float, list[dict]]:
+    """Least-squares slope of log(max first-order error) vs log(eta), and
+    per eta a dict of its max error and serialized per-position reports
+    (serialized before the next eta runs, so the arrays are not kept)."""
+    errs, per_eta = [], []
     for eta in etas:
         reports = akg_check(store, chi_u, chi_o, loss_cfg, eta, param_cap)
-        errs.append(max(r.first_order_error for r in reports))
+        err = max(r.first_order_error for r in reports)
+        errs.append(err)
+        per_eta.append({"eta": eta, "max_first_order_error": err,
+                        "positions": [r.to_dict() for r in reports]})
     slope = np.polyfit(np.log(np.asarray(etas)), np.log(np.asarray(errs)), 1)[0]
-    return float(slope)
+    return float(slope), per_eta
 
 
 # Squeezing-band tracer -------------------------------------------------------

@@ -10,9 +10,10 @@ outputs.
 
 from __future__ import annotations
 
-import copy
+import contextlib
 import json
 import math
+import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -428,6 +429,21 @@ def _beam_decode(store, prompt, width, max_len, eos_id):
 _WRITE_SLICE = 1 << 16
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """Write text to `<path>.tmp` and rename it over `path` when the block
+    ends; if the block raises, the temporary file is removed and `path`
+    keeps its old contents."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "w") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_checkpoint(store: ParamStore, path):
     doc = {
         "arch": asdict(store.arch),
@@ -439,7 +455,7 @@ def save_checkpoint(store: ParamStore, path):
     # one. The bytes are the same. Writing in slices keeps the encoded copy
     # small instead of doubling the ~3 MB text.
     text = json.dumps(doc, sort_keys=True) + "\n"
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         for start in range(0, len(text), _WRITE_SLICE):
             f.write(text[start:start + _WRITE_SLICE])
 
@@ -471,8 +487,6 @@ def load_checkpoint(path) -> ParamStore:
         if tuple(rec["shape"]) != shape:
             raise ConfigError(f"checkpoint shape mismatch for {name!r}")
         entries[name] = np.asarray(rec["data"], dtype=np.float64).reshape(shape)
+        if not np.isfinite(entries[name]).all():
+            raise DataError(f"checkpoint parameter {name!r} is not finite")
     return ParamStore(entries, arch, int(doc["seed"]))
-
-
-def copy_store(store: ParamStore) -> ParamStore:
-    return copy.deepcopy(store)

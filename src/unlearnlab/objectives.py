@@ -22,9 +22,6 @@ from . import autodiff as ad
 from . import beliefs, lm
 from .errors import ConfigError, DataError
 
-LOSS_KINDS = ("ga", "graddiff", "npo", "wga", "bst", "bss")
-BASE_KINDS = ("ga", "bst", "npo", "wga")
-
 Pair = tuple[list[int], list[int]]  # (prompt tokens, response tokens)
 
 
@@ -166,25 +163,6 @@ def loss_retain(store: lm.ParamStore, retain_batch: list[Pair],
                      tensors)
 
 
-def loss_graddiff(store: lm.ParamStore, forget_batch: list[Pair],
-                  retain_batch: list[Pair], lambda_retain: float,
-                  tensors=None) -> LossValue:
-    """Ascent loss plus lambda-weighted retain NLL."""
-    if lambda_retain < 0:
-        raise ConfigError("lambda_retain must be >= 0")
-    _check_batch(forget_batch)
-    _check_batch(retain_batch)
-    tensors = _tensors_or(store, tensors)
-    forget = loss_ga(store, forget_batch, tensors)
-    retain = loss_retain(store, retain_batch, tensors)
-    scalar = ad.add(forget.scalar, ad.scale(retain.scalar, lambda_retain))
-    return LossValue(scalar,
-                     {"forget_term": forget.value,
-                      "retain_term": lambda_retain * retain.value,
-                      "aug_term": 0.0},
-                     tensors)
-
-
 def loss_npo(store: lm.ParamStore, ref_store: lm.ParamStore,
              forget_batch: list[Pair], beta: float,
              tensors=None) -> LossValue:
@@ -195,6 +173,8 @@ def loss_npo(store: lm.ParamStore, ref_store: lm.ParamStore,
     """
     if beta <= 0:
         raise ConfigError("beta must be > 0")
+    if ref_store is None:
+        raise ConfigError("npo needs a reference store")
     _check_batch(forget_batch)
     tensors = _tensors_or(store, tensors)
     seq_lp, *_ = _seq_logprob_graph(store, forget_batch, tensors)
@@ -264,21 +244,6 @@ def loss_bst(store: lm.ParamStore, forget_batch: list[Pair],
                      tensors)
 
 
-def _base_loss(kind: str, store, batch, cfg: LossConfig, ref_store, tensors):
-    if kind == "ga":
-        return loss_ga(store, batch, tensors)
-    if kind == "bst":
-        return loss_bst(store, batch, cfg.lambda_bst, cfg.k,
-                        cfg.belief_smoothing_tau, tensors)
-    if kind == "wga":
-        return loss_wga(store, batch, cfg.alpha, tensors)
-    if kind == "npo":
-        if ref_store is None:
-            raise ConfigError("npo base loss requires a reference store")
-        return loss_npo(store, ref_store, batch, cfg.beta, tensors)
-    raise ConfigError(f"unsupported base loss {kind!r}")
-
-
 def loss_bss(store: lm.ParamStore, forget_batch: list[Pair],
              augmented: list[beliefs.AugmentedSet], lambda_bss: float,
              base_loss: LossConfig, ref_store: lm.ParamStore | None = None,
@@ -299,11 +264,12 @@ def loss_bss(store: lm.ParamStore, forget_batch: list[Pair],
             raise DataError("augmented set has no responses")
         for resp in aug.responses:
             aug_pairs.append((prompt, list(resp)))
+    if base_loss.base_loss not in BASE_KINDS:
+        raise ConfigError(f"unsupported base loss {base_loss.base_loss!r}")
+    base = _TABLE[base_loss.base_loss]
     tensors = _tensors_or(store, tensors)
-    orig = _base_loss(base_loss.base_loss, store, forget_batch, base_loss,
-                      ref_store, tensors)
-    aug = _base_loss(base_loss.base_loss, store, aug_pairs, base_loss,
-                     ref_store, tensors)
+    orig = base(store, forget_batch, base_loss, ref_store, None, tensors)
+    aug = base(store, aug_pairs, base_loss, ref_store, None, tensors)
     orig_part = ad.scale(orig.scalar, 1.0 - lambda_bss)
     aug_part = ad.scale(aug.scalar, lambda_bss)
     scalar = ad.add(orig_part, aug_part)
@@ -312,3 +278,54 @@ def loss_bss(store: lm.ParamStore, forget_batch: list[Pair],
                       "retain_term": 0.0,
                       "aug_term": float(aug_part.value)},
                      tensors)
+
+
+# Loss table ------------------------------------------------------------------
+
+# kind -> builder(store, batch, cfg, ref_store, augmented, tensors). The
+# entries look their loss function up in the module globals at call time, so
+# a wrapper set on the module attribute (a tracer, a test double) sees it.
+_TABLE = {
+    "ga": lambda s, b, c, ref, aug, t: loss_ga(s, b, t),
+    "bst": lambda s, b, c, ref, aug, t: loss_bst(
+        s, b, c.lambda_bst, c.k, c.belief_smoothing_tau, t),
+    "npo": lambda s, b, c, ref, aug, t: loss_npo(s, ref, b, c.beta, t),
+    "wga": lambda s, b, c, ref, aug, t: loss_wga(s, b, c.alpha, t),
+    "bss": lambda s, b, c, ref, aug, t: loss_bss(
+        s, b, aug, c.lambda_bss, c, ref, t),
+}
+# graddiff is ga plus the lambda_retain term that step_loss adds to any kind.
+_TABLE["graddiff"] = _TABLE["ga"]
+LOSS_KINDS = tuple(_TABLE)
+BASE_KINDS = tuple(k for k in _TABLE if k not in ("bss", "graddiff"))
+
+
+def forget_loss(cfg: LossConfig, store: lm.ParamStore,
+                forget_batch: list[Pair], ref_store=None, augmented=None,
+                tensors=None) -> LossValue:
+    """The forget-side loss of `cfg.kind`, built by its table entry.
+    `ref_store` is the frozen npo reference; `augmented` holds bss's sampled
+    sets, one per forget pair."""
+    if cfg.kind not in _TABLE:
+        raise ConfigError(f"unknown loss kind {cfg.kind!r}")
+    return _TABLE[cfg.kind](store, forget_batch, cfg, ref_store, augmented,
+                            _tensors_or(store, tensors))
+
+
+def step_loss(cfg: LossConfig, store: lm.ParamStore,
+              forget_batch: list[Pair], retain_batch: list[Pair] | None = None,
+              ref_store=None, augmented=None, tensors=None) -> LossValue:
+    """One unlearning step's loss: the forget loss of `cfg.kind` plus
+    `lambda_retain` times the retain NLL. At lambda_retain 0 no retain graph
+    is built and `retain_batch` is not read."""
+    if cfg.lambda_retain < 0:
+        raise ConfigError("lambda_retain must be >= 0")
+    tensors = _tensors_or(store, tensors)
+    lv = forget_loss(cfg, store, forget_batch, ref_store, augmented, tensors)
+    if cfg.lambda_retain == 0:
+        return lv
+    retain = loss_retain(store, retain_batch, tensors)
+    scalar = ad.add(lv.scalar, ad.scale(retain.scalar, cfg.lambda_retain))
+    diag = dict(lv.diagnostics)
+    diag["retain_term"] = cfg.lambda_retain * retain.value
+    return LossValue(scalar, diag, tensors)

@@ -10,13 +10,17 @@ carry no timestamps, so identical inputs give byte-identical files.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
+import math
 import time
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import beliefs, corpus as cp, dynamics, judge as jd, metrics as mt
 from . import lm, objectives as ob
 from .errors import ConfigError, DataError, JudgeUnavailableError
@@ -60,18 +64,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        doc = dict(doc)
-        for key, klass in [("arch", lm.ArchConfig),
-                           ("optimizer", OptimizerConfig),
-                           ("scheduler", SchedulerConfig),
-                           ("loss", ob.LossConfig)]:
-            if key in doc and isinstance(doc[key], dict):
-                doc[key] = klass(**doc[key])
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**doc)
+        return config_section(cls, doc, "run")
 
 
 @dataclass
@@ -86,13 +79,9 @@ class RunManifest:
     def to_dict(self):
         # wall clock deliberately excluded: output files must be
         # byte-identical across reruns of the same config+seed.
-        return {
-            "artifact_version": self.artifact_version,
-            "config": self.config,
-            "checkpoints": self.checkpoints,
-            "loss_csv": self.loss_csv,
-            "metrics_reports": self.metrics_reports,
-        }
+        doc = dataclasses.asdict(self)
+        del doc["wall_clock_seconds"]
+        return doc
 
 
 def desk_arch() -> lm.ArchConfig:
@@ -100,6 +89,32 @@ def desk_arch() -> lm.ArchConfig:
     enough to memorize a 200-entity corpus."""
     return lm.ArchConfig(vocab_size=512, context_len=32, d_model=64,
                          n_layers=2, n_heads=4, tie_output_head=False)
+
+
+def config_section(klass, doc, section: str):
+    """Build the config dataclass `klass` from the JSON object `doc`.
+
+    Nested dataclass fields are built the same way. A non-object, an unknown
+    or missing key, or a value of the wrong JSON type raises ConfigError
+    naming the section or dotted key, e.g. `run.loss.bogus`."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{section} must be a JSON object")
+    hints = typing.get_type_hints(klass)
+    kwargs = {}
+    for name, value in doc.items():
+        hint, key = hints.get(name), f"{section}.{name}"
+        if hint is None:
+            raise ConfigError(f"unknown config key {key}")
+        if dataclasses.is_dataclass(hint):
+            value = config_section(hint, value, key)
+        elif not (isinstance(value, (int, float) if hint is float else hint)
+                  and isinstance(value, bool) == (hint is bool)):
+            raise ConfigError(f"{key} must be {hint.__name__}, got {value!r}")
+        kwargs[name] = value
+    try:
+        return klass(**kwargs)
+    except TypeError as e:  # a required key is missing
+        raise ConfigError(f"{section}: {e}")
 
 
 # Sweep presets: grid ranges for each objective's knobs.
@@ -119,13 +134,13 @@ PRESET_GRIDS = {
 
 
 def _write_json(doc, path):
-    with open(path, "w") as f:
+    with lm.atomic_write(path) as f:
         json.dump(doc, f, sort_keys=True)
         f.write("\n")
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w") as f:
+    with lm.atomic_write(path) as f:
         f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join(repr(v) if isinstance(v, float) else str(v)
@@ -164,61 +179,70 @@ def _shuffled_batches(records, batch_size, seed, epoch):
         yield [records[i] for i in order[start:start + batch_size]]
 
 
-class _RetainCycler:
-    """Endless retain batches with their own per-epoch shuffle stream."""
-
-    def __init__(self, records, batch_size, seed):
-        if not records:
-            raise DataError("retain split is empty")
-        self.records = records
-        self.batch_size = batch_size
-        self.seed = seed
-        self.epoch = 0
-        self._iter = self._fresh()
-
-    def _fresh(self):
-        return _shuffled_batches(self.records, self.batch_size,
-                                 self.seed + 1, self.epoch)
-
-    def next(self):
-        try:
-            return next(self._iter)
-        except StopIteration:
-            self.epoch += 1
-            self._iter = self._fresh()
-            return next(self._iter)
+def _endless_batches(records, batch_size, seed):
+    for epoch in itertools.count():
+        yield from _shuffled_batches(records, batch_size, seed, epoch)
 
 
-# Training loops --------------------------------------------------------------
+# Training --------------------------------------------------------------------
 
 
-def _nll_training(config: RunConfig, records, corp, label: str) -> RunManifest:
-    t0 = time.time()
+def train(store: lm.ParamStore, records, vocab, loss_fn, config: RunConfig,
+          on_epoch=None) -> list[tuple]:
+    """The training loop of every run: AdamW on `loss_fn(store, pairs)`
+    over shuffled batches of `records`, updating `store` in place.
+
+    Calls `on_epoch(epochs_done)` after each epoch and returns the losses.csv
+    rows. A non-finite loss or gradient raises ConfigError naming the step,
+    before that step changes the parameters.
+    """
     config.validate()
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    store = lm.init_model(config.arch, config.seed)
+    if not records:
+        raise DataError("no records to train on (empty split?)")
     opt = AdamW(store.entries, config.optimizer)
-    n_batches = -(-len(records) // config.batch_size)
-    total_steps = config.epochs * n_batches
-    rows, ckpts = [], []
-    step = 0
+    total_steps = config.epochs * -(-len(records) // config.batch_size)
+    rows = []
     for epoch in range(config.epochs):
         for batch in _shuffled_batches(records, config.batch_size,
                                        config.seed, epoch):
-            pairs = _pairs(corp.vocab, batch)
-            lv = ob.loss_retain(store, pairs)
-            grads = _named_grads(lv)
-            opt.step(grads, lr_at(config.scheduler, config.optimizer.lr,
-                                  step, total_steps))
+            step = len(rows)
+            lv = loss_fn(store, _pairs(vocab, batch))
+            names = sorted(lv.param_tensors)
+            grads = ad.grad(lv.scalar, [lv.param_tensors[n] for n in names])
+            if not (math.isfinite(lv.value)
+                    and all(np.isfinite(g).all() for g in grads)):
+                raise ConfigError(
+                    f"loss or gradient is not finite at step {step}")
+            opt.step(dict(zip(names, grads)),
+                     lr_at(config.scheduler, config.optimizer.lr, step,
+                           total_steps))
             d = lv.diagnostics
             rows.append((step, d["forget_term"], d["retain_term"],
                          d["aug_term"], lv.value))
-            step += 1
-        if (epoch + 1) % config.checkpoint_every == 0:
-            name = f"ckpt_{epoch + 1:04d}.json"
+        if on_epoch is not None:
+            on_epoch(epoch + 1)
+    return rows
+
+
+def _train_and_write(config: RunConfig, store, records, vocab, loss_fn,
+                     label: str, snapshots=None) -> RunManifest:
+    """Run `train`, writing periodic and final checkpoints, losses.csv and
+    the manifest under `config.out_dir`; appends a copy of `store` to
+    `snapshots`, when given, after each epoch."""
+    t0 = time.time()
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    ckpts = []
+
+    def epoch_end(done):
+        if snapshots is not None:
+            snapshots.append(store.snapshot())
+        if done % config.checkpoint_every == 0:
+            name = f"ckpt_{done:04d}.json"
             lm.save_checkpoint(store, out / name)
             ckpts.append(name)
+
+    rows = train(store, records, vocab, loss_fn, config, epoch_end)
     lm.save_checkpoint(store, out / "ckpt_final.json")
     ckpts.append("ckpt_final.json")
     _write_csv(out / "losses.csv",
@@ -229,13 +253,6 @@ def _nll_training(config: RunConfig, records, corp, label: str) -> RunManifest:
                            wall_clock_seconds=time.time() - t0)
     _finish_manifest(manifest, out, label)
     return manifest
-
-
-def _named_grads(lv: ob.LossValue) -> dict[str, np.ndarray]:
-    names = sorted(lv.param_tensors)
-    from . import autodiff as ad
-    gs = ad.grad(lv.scalar, [lv.param_tensors[n] for n in names])
-    return dict(zip(names, gs))
 
 
 def _finish_manifest(manifest: RunManifest, out: Path, label: str):
@@ -249,127 +266,72 @@ def _finish_manifest(manifest: RunManifest, out: Path, label: str):
           f"({manifest.wall_clock_seconds:.1f}s)")
 
 
+def _nll_run(config: RunConfig, splits, label: str) -> RunManifest:
+    corp = load_run_corpus(config)
+    config.validate()
+    records = [r for split in splits for r in corp.split(split)]
+    return _train_and_write(config, lm.init_model(config.arch, config.seed),
+                            records, corp.vocab, ob.loss_retain, label)
+
+
 def run_finetune(config: RunConfig) -> RunManifest:
     """Standard NLL training; its final checkpoint is the unlearning
     reference. Holdout entities are included so they can play the
     world-facts role in the utility probe (unlearning never touches them)."""
-    corp = load_run_corpus(config)
-    records = (corp.split("forget") + corp.split("retain")
-               + corp.split("holdout"))
-    return _nll_training(config, records, corp, "finetune")
+    return _nll_run(config, ("forget", "retain", "holdout"), "finetune")
 
 
 def run_retrain(config: RunConfig) -> RunManifest:
     """Gold-standard comparator: identical training without the forget split."""
-    corp = load_run_corpus(config)
-    records = corp.split("retain") + corp.split("holdout")
-    return _nll_training(config, records, corp, "retrain")
-
-
-def _step_loss(config: RunConfig, store, ref_store, forget_pairs,
-               retain_pairs, aug_counter) -> tuple[ob.LossValue, int]:
-    cfg = config.loss
-    tensors = lm.param_tensors(store)
-    if cfg.kind == "graddiff":
-        return ob.loss_graddiff(store, forget_pairs, retain_pairs,
-                                cfg.lambda_retain, tensors), aug_counter
-    if cfg.kind == "ga":
-        lv = ob.loss_ga(store, forget_pairs, tensors)
-    elif cfg.kind == "npo":
-        lv = ob.loss_npo(store, ref_store, forget_pairs, cfg.beta, tensors)
-    elif cfg.kind == "wga":
-        lv = ob.loss_wga(store, forget_pairs, cfg.alpha, tensors)
-    elif cfg.kind == "bst":
-        lv = ob.loss_bst(store, forget_pairs, cfg.lambda_bst, cfg.k,
-                         cfg.belief_smoothing_tau, tensors)
-    elif cfg.kind == "bss":
-        augmented = []
-        for prompt, _ in forget_pairs:
-            augmented.append(beliefs.sample_augmentations(
-                store, prompt, prompt_id=f"b{aug_counter}", n=cfg.n_aug,
-                tau=cfg.tau, seed=config.seed, max_len=config.squeeze_max_len,
-                eos_id=None, counter=aug_counter))
-            aug_counter += 1
-        lv = ob.loss_bss(store, forget_pairs, augmented, cfg.lambda_bss, cfg,
-                         ref_store, tensors)
-    else:
-        raise ConfigError(f"unknown loss kind {cfg.kind!r}")
-    if cfg.lambda_retain > 0:
-        retain = ob.loss_retain(store, retain_pairs, tensors)
-        from . import autodiff as ad
-        scalar = ad.add(lv.scalar, ad.scale(retain.scalar, cfg.lambda_retain))
-        diag = dict(lv.diagnostics)
-        diag["retain_term"] = cfg.lambda_retain * retain.value
-        lv = ob.LossValue(scalar, diag, tensors)
-    return lv, aug_counter
+    return _nll_run(config, ("retain", "holdout"), "retrain")
 
 
 def run_unlearn(config: RunConfig, reference_checkpoint,
-                capture_epochs: bool = False):
+                capture_epochs: bool = False, corp: cp.Corpus | None = None):
     """AdamW steps on the configured unlearning loss, starting from the
     reference checkpoint (which also serves as the frozen NPO reference).
 
     With capture_epochs=True, returns (manifest, snapshots) where snapshots
     holds a ParamStore copy at epoch 0 (the reference) and after each epoch;
-    the squeeze tracer consumes these.
+    the squeeze tracer consumes these. Pass `corp` when it is loaded already.
     """
-    t0 = time.time()
     config.validate()
     if reference_checkpoint is None:
         raise ConfigError("unlearning requires a reference checkpoint")
-    corp = load_run_corpus(config)
+    if corp is None:
+        corp = load_run_corpus(config)
     ref_store = lm.load_checkpoint(reference_checkpoint)
     if ref_store.arch != config.arch:
         raise ConfigError("reference checkpoint arch differs from config")
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    forget, retain = corp.split("forget"), corp.split("retain")
+    if not retain:
+        raise DataError("retain split is empty")
+    # retain batches have their own endless shuffle stream
+    retain_batches = _endless_batches(retain, config.batch_size,
+                                      config.seed + 1)
+    aug_ids = itertools.count()
+    cfg = config.loss
+
+    def loss_fn(store, forget_pairs):
+        retain_pairs = (_pairs(corp.vocab, next(retain_batches))
+                        if cfg.lambda_retain > 0 else None)
+        augmented = None
+        if cfg.kind == "bss":
+            augmented = []
+            for prompt, _ in forget_pairs:
+                c = next(aug_ids)
+                augmented.append(beliefs.sample_augmentations(
+                    store, prompt, prompt_id=f"b{c}", n=cfg.n_aug,
+                    tau=cfg.tau, seed=config.seed,
+                    max_len=config.squeeze_max_len, eos_id=None, counter=c))
+        return ob.step_loss(cfg, store, forget_pairs, retain_pairs, ref_store,
+                            augmented)
+
     store = ref_store.snapshot()
-    opt = AdamW(store.entries, config.optimizer)
-    forget = corp.split("forget")
-    if not forget:
-        raise DataError("forget split is empty")
-    retain = _RetainCycler(corp.split("retain"), config.batch_size,
-                           config.seed)
-    vocab = corp.vocab
-    n_batches = -(-len(forget) // config.batch_size)
-    total_steps = config.epochs * n_batches
-    rows, ckpts = [], []
-    snapshots = [store.snapshot()] if capture_epochs else []
-    step = 0
-    aug_counter = 0
-    for epoch in range(config.epochs):
-        for batch in _shuffled_batches(forget, config.batch_size,
-                                       config.seed, epoch):
-            forget_pairs = _pairs(vocab, batch)
-            retain_pairs = _pairs(vocab, retain.next())
-            lv, aug_counter = _step_loss(config, store, ref_store,
-                                         forget_pairs, retain_pairs,
-                                         aug_counter)
-            opt.step(_named_grads(lv),
-                     lr_at(config.scheduler, config.optimizer.lr, step,
-                           total_steps))
-            d = lv.diagnostics
-            rows.append((step, d["forget_term"], d["retain_term"],
-                         d["aug_term"], lv.value))
-            step += 1
-        if capture_epochs:
-            snapshots.append(store.snapshot())
-        if (epoch + 1) % config.checkpoint_every == 0:
-            name = f"ckpt_{epoch + 1:04d}.json"
-            lm.save_checkpoint(store, out / name)
-            ckpts.append(name)
-    lm.save_checkpoint(store, out / "ckpt_final.json")
-    ckpts.append("ckpt_final.json")
-    _write_csv(out / "losses.csv",
-               ["step", "forget_term", "retain_term", "aug_term", "total"],
-               rows)
-    manifest = RunManifest(config=config.to_dict(), checkpoints=ckpts,
-                           loss_csv="losses.csv", metrics_reports=[],
-                           wall_clock_seconds=time.time() - t0)
-    _finish_manifest(manifest, out, "unlearn")
-    if capture_epochs:
-        return manifest, snapshots
-    return manifest
+    snapshots = [store.snapshot()] if capture_epochs else None
+    manifest = _train_and_write(config, store, forget, corp.vocab, loss_fn,
+                                "unlearn", snapshots)
+    return (manifest, snapshots) if capture_epochs else manifest
 
 
 # Evaluation ------------------------------------------------------------------
@@ -377,27 +339,26 @@ def run_unlearn(config: RunConfig, reference_checkpoint,
 
 def _judge_scores(generations, corp, judge_mode, endpoint=None):
     """Mean judge scores over the forget split, judging the greedy
-    generations evaluation already made (`MetricsReport.forget_generations`);
-    transport failures are recorded per record and the run continues."""
-    vocab = corp.vocab
-    sims, nats, errors = [], [], 0
-    for rec, out in zip(corp.split("forget"), generations):
-        gen_text = cp.decode_text(vocab, out) or "<empty>"
-        sim_p = jd.render_similarity_prompt(rec.question, rec.answer, gen_text)
-        nat_p = jd.render_naturalness_prompt(gen_text)
-        try:
-            if judge_mode == "mock":
-                sims.append(jd.mock_judge(sim_p).value)
-                nats.append(jd.mock_judge(nat_p).value)
-            else:
-                sims.append(jd.query_judge(endpoint, sim_p).value)
-                nats.append(jd.query_judge(endpoint, nat_p).value)
-        except JudgeUnavailableError:
-            errors += 1
-    doc = {"mode": judge_mode, "errors": errors, "n": len(corp.split("forget"))}
-    if sims:
-        doc["similarity"] = float(np.mean(sims))
-        doc["naturalness"] = float(np.mean(nats))
+    generations evaluation already made (`MetricsReport.forget_generations`)
+    through `judge.score_batch`. A record whose similarity or naturalness
+    prompt fails is one error and enters neither mean; the means are left
+    out when no record succeeded."""
+    forget = corp.split("forget")
+    prompts = []
+    for rec, out in zip(forget, generations):
+        gen_text = cp.decode_text(corp.vocab, out) or "<empty>"
+        prompts += [jd.render_similarity_prompt(rec.question, rec.answer,
+                                                gen_text),
+                    jd.render_naturalness_prompt(gen_text)]
+    scores = jd.score_batch(endpoint, prompts, mock=judge_mode == "mock")
+    pairs = [(sim, nat) for sim, nat in zip(scores[0::2], scores[1::2])
+             if not isinstance(sim, JudgeUnavailableError)
+             and not isinstance(nat, JudgeUnavailableError)]
+    doc = {"mode": judge_mode, "errors": len(scores) // 2 - len(pairs),
+           "n": len(forget)}
+    if pairs:
+        doc["similarity"] = float(np.mean([sim.value for sim, _ in pairs]))
+        doc["naturalness"] = float(np.mean([nat.value for _, nat in pairs]))
     return doc
 
 
@@ -411,11 +372,14 @@ def run_eval(config: RunConfig, checkpoint_paths, ref_checkpoint=None,
     corp = load_run_corpus(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ref_norm_probs = (mt.reference_norm_probs(
-        lm.load_checkpoint(ref_checkpoint), corp) if ref_checkpoint else None)
+    ref_store = lm.load_checkpoint(ref_checkpoint) if ref_checkpoint else None
+    ref_norm_probs = (mt.reference_norm_probs(ref_store, corp)
+                      if ref_store else None)
     reports, rows, report_files = [], [], []
     for ck in checkpoint_paths:
-        store = lm.load_checkpoint(ck)
+        store = (ref_store if ref_store is not None
+                 and Path(ck).resolve() == Path(ref_checkpoint).resolve()
+                 else lm.load_checkpoint(ck))
         report = mt.evaluate_model(store, corp, ref_norm_probs)
         doc = report.to_dict()
         if judge_mode != "none":
@@ -455,15 +419,8 @@ def run_dynamics(config: RunConfig, checkpoint=None,
         else ob.LossConfig(kind="ga")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    errs, per_eta = [], []
-    for eta in etas:
-        reports = dynamics.akg_check(store, chi, chi, loss_cfg, eta)
-        err = max(r.first_order_error for r in reports)
-        errs.append(err)
-        per_eta.append({"eta": eta, "max_first_order_error": err,
-                        "positions": [r.to_dict() for r in reports]})
-    slope = float(np.polyfit(np.log(np.asarray(etas)),
-                             np.log(np.asarray(errs)), 1)[0])
+    slope, per_eta = dynamics.eta_scaling_slope(store, chi, chi, loss_cfg,
+                                                etas)
     doc = {"record_id": rec.id, "loss_kind": loss_cfg.kind,
            "etas": list(etas), "slope": slope, "reports": per_eta}
     _write_json(doc, out / "dynamics_report.json")
@@ -474,9 +431,9 @@ def run_dynamics(config: RunConfig, checkpoint=None,
 def run_squeeze(config: RunConfig, reference_checkpoint) -> dict:
     """Unlearn per config while capturing per-epoch snapshots, then trace
     band log-probabilities of beam candidates frozen at epoch 0."""
-    _, snapshots = run_unlearn(config, reference_checkpoint,
-                               capture_epochs=True)
     corp = load_run_corpus(config)
+    _, snapshots = run_unlearn(config, reference_checkpoint,
+                               capture_epochs=True, corp=corp)
     vocab = corp.vocab
     records = corp.split("forget")[:config.squeeze_prompts]
     prompts, refs = [], []
@@ -507,36 +464,51 @@ def run_squeeze(config: RunConfig, reference_checkpoint) -> dict:
 # Sweeps -----------------------------------------------------------------------
 
 
-def _set_dotted(config: RunConfig, dotted: str, value):
-    obj = config
-    parts = dotted.split(".")
-    for p in parts[:-1]:
-        obj = getattr(obj, p)
-    if not hasattr(obj, parts[-1]):
-        raise ConfigError(f"unknown sweep parameter {dotted!r}")
-    setattr(obj, parts[-1], value)
+# Run fields a sweep cannot vary: the reference checkpoint fixes the arch and
+# the corpus, and each combination gets its own directory under out_dir.
+_FIXED_IN_SWEEP = ("arch", "corpus_path", "vocab_path", "out_dir")
+
+
+def _combo_config(config: RunConfig, combo, out_dir: str) -> RunConfig:
+    doc = config.to_dict()
+    for dotted, value in combo:
+        *path, last = dotted.split(".")
+        if dotted.split(".")[0] in _FIXED_IN_SWEEP:
+            raise ConfigError(f"sweep cannot vary {dotted!r}: "
+                              f"{', '.join(_FIXED_IN_SWEEP)} are fixed")
+        node = doc
+        for p in path:
+            node = node.get(p)
+            if not isinstance(node, dict):
+                raise ConfigError(f"unknown sweep parameter {dotted!r}")
+        node[last] = value  # an unknown leaf is rejected by from_dict
+    doc["out_dir"] = out_dir
+    sub = RunConfig.from_dict(doc)
+    sub.validate()
+    return sub
 
 
 def run_sweep(config: RunConfig, reference_checkpoint, grid: dict) -> list[dict]:
     """Cartesian product over dotted config keys; one unlearn+eval each.
 
+    Every combination's config is built and checked before the first run.
     Reports every checkpoint of every combination in sweep.csv and leaves
     checkpoint selection to the reader.
     """
+    if not isinstance(grid, dict) or not all(
+            isinstance(v, (list, tuple)) and v for v in grid.values()):
+        raise ConfigError("sweep grid must map dotted keys to non-empty lists")
     keys = sorted(grid)
-    combos = [[]]
-    for k in keys:
-        combos = [c + [(k, v)] for c in combos for v in grid[k]]
+    combos = [list(zip(keys, values))
+              for values in itertools.product(*(grid[k] for k in keys))]
     out = Path(config.out_dir)
+    subs = [_combo_config(config, combo, str(out / f"combo_{i:03d}"))
+            for i, combo in enumerate(combos)]
+    corp = load_run_corpus(config)
     out.mkdir(parents=True, exist_ok=True)
     all_rows = []
-    for i, combo in enumerate(combos):
-        sub = RunConfig.from_dict(config.to_dict())
-        for k, v in combo:
-            _set_dotted(sub, k, v)
-        sub.out_dir = str(out / f"combo_{i:03d}")
-        manifest = run_unlearn(sub, reference_checkpoint)
-        corp = load_run_corpus(sub)
+    for i, (combo, sub) in enumerate(zip(combos, subs)):
+        manifest = run_unlearn(sub, reference_checkpoint, corp=corp)
         for ck in manifest.checkpoints:
             store = lm.load_checkpoint(Path(sub.out_dir) / ck)
             report = mt.evaluate_model(store, corp)

@@ -125,8 +125,7 @@ def tiny_store(tiny_arch):
 def mini_trained():
     """A quickly trained miniature model over a 30-entity corpus; peaked
     distributions for decode/augmentation behavior tests."""
-    from unlearnlab import objectives as ob
-    from unlearnlab.optim import AdamW, lr_at
+    from unlearnlab.objectives import loss_retain
 
     corp = cp.generate_corpus(
         cp.GenConfig(n_entities=30, forget_fraction=0.2,
@@ -134,16 +133,10 @@ def mini_trained():
     arch = lm.ArchConfig(vocab_size=400, context_len=32, d_model=32,
                          n_layers=1, n_heads=2)
     store = lm.init_model(arch, 1)
-    opt = AdamW(store.entries, OptimizerConfig(lr=2e-3))
-    sched = SchedulerConfig(kind="linear", warmup_fraction=0.05)
-    records = corp.records
-    epochs = 80
-    step = 0
-    total = epochs * (-(-len(records) // 16))
-    for epoch in range(epochs):
-        for batch in runner._shuffled_batches(records, 16, 0, epoch):
-            pairs = runner._pairs(corp.vocab, batch)
-            lv = ob.loss_retain(store, pairs)
-            opt.step(runner._named_grads(lv), lr_at(sched, 2e-3, step, total))
-            step += 1
+    runner.train(store, corp.records, corp.vocab, loss_retain,
+                 runner.RunConfig(
+                     arch=arch, optimizer=OptimizerConfig(lr=2e-3),
+                     scheduler=SchedulerConfig(kind="linear",
+                                               warmup_fraction=0.05),
+                     epochs=80, batch_size=16, seed=0))
     return corp, store

@@ -99,8 +99,9 @@ def test_criterion_1_gradient_oracle_suite():
             for i in range(len(batch))]
         cases = {
             "ga": lambda t: ob.loss_ga(store, batch, tensors=t),
-            "graddiff": lambda t: ob.loss_graddiff(
-                store, batch, retain, 1.5, tensors=t),
+            "graddiff": lambda t: ob.step_loss(
+                ob.LossConfig(kind="graddiff", lambda_retain=1.5), store,
+                batch, retain, tensors=t),
             "npo": lambda t: ob.loss_npo(store, ref, batch, 0.1, tensors=t),
             "wga": lambda t: ob.loss_wga(store, batch, 1.0, tensors=t),
             "bst": lambda t: ob.loss_bst(store, batch, 0.3, 5, tensors=t),
@@ -184,8 +185,8 @@ def test_criterion_3_akg_eta_scaling():
             0, 0.08, store.entries[k].shape)
     assert store.param_count() <= 20_000
     chi = dy.Chi(prompt=[1, 2, 3, 4], response=[5, 6, 7, 1])
-    slope = dy.eta_scaling_slope(store, chi, chi, ob.LossConfig(kind="ga"),
-                                 etas=(1e-3, 5e-4, 2.5e-4))
+    slope, _ = dy.eta_scaling_slope(store, chi, chi, ob.LossConfig(kind="ga"),
+                                    etas=(1e-3, 5e-4, 2.5e-4))
     elapsed = time.time() - t0
     ok = slope >= 1.7 and elapsed <= 60
     report(3, ok, f"log-log error slope {slope:.3f} (>=1.7) on "
@@ -208,7 +209,8 @@ def test_criterion_4_reduction_identities():
     ga = ob.loss_ga(store, batch).value
     checks = {
         "graddiff(0)==ga": abs(
-            ob.loss_graddiff(store, batch, retain, 0.0).value - ga),
+            ob.step_loss(ob.LossConfig(kind="graddiff", lambda_retain=0.0),
+                         store, batch, retain).value - ga),
         "wga(0)==ga": abs(ob.loss_wga(store, batch, 0.0).value - ga),
         "bst(0)==ga": abs(ob.loss_bst(store, batch, 0.0, 5).value - ga),
         "bss(0)==base": abs(ob.loss_bss(

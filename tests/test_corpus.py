@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from unlearnlab import corpus as cp
+from unlearnlab import corpus as cp, runner
 from unlearnlab.errors import ConfigError, DataError, VocabError
+from unlearnlab.objectives import loss_retain
 
 
 @pytest.fixture(scope="module")
@@ -99,24 +100,24 @@ def test_perturbed_answers_differ_only_at_value_slot(corp):
 
 
 def test_batches_partition_and_determinism(corp):
-    b1 = list(cp.batches(corp, "retain", 48, seed=3, epoch=2))
-    b2 = list(cp.batches(corp, "retain", 48, seed=3, epoch=2))
+    retain = corp.split("retain")
+    b1 = list(runner._shuffled_batches(retain, 48, seed=3, epoch=2))
+    b2 = list(runner._shuffled_batches(retain, 48, seed=3, epoch=2))
     assert [[r.id for r in b] for b in b1] == [[r.id for r in b] for b in b2]
     assert len(b1) == -(-160 // 48)
     seen = [r.id for b in b1 for r in b]
-    assert sorted(seen) == sorted(r.id for r in corp.split("retain"))
-    b3 = list(cp.batches(corp, "retain", 48, seed=3, epoch=3))
+    assert sorted(seen) == sorted(r.id for r in retain)
+    b3 = list(runner._shuffled_batches(retain, 48, seed=3, epoch=3))
     assert [r.id for b in b3 for r in b] != seen
 
 
-def test_batches_validation(corp):
+def test_batches_validation(corp, tiny_store):
     with pytest.raises(ConfigError):
-        list(cp.batches(corp, "retain", 0, seed=0, epoch=0))
-    empty = cp.Corpus(records=[r for r in corp.records
-                               if r.split != "holdout"],
-                      vocab=corp.vocab, gen_config=None, seed=None)
+        runner.train(tiny_store, corp.split("retain"), corp.vocab,
+                     loss_retain, runner.RunConfig(batch_size=0))
     with pytest.raises(DataError):
-        list(cp.batches(empty, "holdout", 4, seed=0, epoch=0))
+        runner.train(tiny_store, [], corp.vocab, loss_retain,
+                     runner.RunConfig())
 
 
 def test_gen_config_validation():

@@ -191,8 +191,8 @@ def test_akg_ga_pushes_label_down(dyn_store):
 
 def test_akg_eta_scaling_slope(dyn_store):
     chi = dy.Chi(prompt=[1, 2, 3, 4], response=[5, 6, 7, 1])
-    slope = dy.eta_scaling_slope(dyn_store, chi, chi,
-                                 ob.LossConfig(kind="ga"))
+    slope, _ = dy.eta_scaling_slope(dyn_store, chi, chi,
+                                    ob.LossConfig(kind="ga"))
     assert slope >= 1.7
 
 

@@ -260,6 +260,16 @@ def test_checkpoint_missing_field_is_data_error(case, tiny_store, tmp_path):
         lm.load_checkpoint(p)
 
 
+def test_non_finite_checkpoint_is_data_error(tiny_store, tmp_path):
+    p = tmp_path / "bad.json"
+    lm.save_checkpoint(tiny_store, p)
+    doc = json.loads(p.read_text())
+    doc["params"]["head"]["data"][3] = float("nan")
+    p.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="'head'"):
+        lm.load_checkpoint(p)
+
+
 def test_checkpoint_shape_mismatch_rejected(tiny_store, tmp_path):
     p = tmp_path / "bad.json"
     lm.save_checkpoint(tiny_store, p)

@@ -66,12 +66,14 @@ def test_ga_empty_batch_is_data_error(tiny_store):
 
 def test_graddiff_zero_lambda_equals_ga(tiny_store, batch, retain_batch):
     ga = ob.loss_ga(tiny_store, batch)
-    gd = ob.loss_graddiff(tiny_store, batch, retain_batch, 0.0)
+    gd = ob.step_loss(ob.LossConfig(kind="graddiff", lambda_retain=0.0),
+                      tiny_store, batch, retain_batch)
     assert abs(gd.value - ga.value) <= 1e-12
 
 
 def test_graddiff_retain_term_nonnegative(tiny_store, batch, retain_batch):
-    gd = ob.loss_graddiff(tiny_store, batch, retain_batch, 2.0)
+    gd = ob.step_loss(ob.LossConfig(kind="graddiff", lambda_retain=2.0),
+                      tiny_store, batch, retain_batch)
     assert gd.diagnostics["retain_term"] >= 0.0
     combo = (gd.diagnostics["forget_term"] + gd.diagnostics["retain_term"]
              + gd.diagnostics["aug_term"])
@@ -80,7 +82,8 @@ def test_graddiff_retain_term_nonnegative(tiny_store, batch, retain_batch):
 
 def test_graddiff_negative_lambda_rejected(tiny_store, batch, retain_batch):
     with pytest.raises(ConfigError):
-        ob.loss_graddiff(tiny_store, batch, retain_batch, -0.1)
+        ob.step_loss(ob.LossConfig(kind="graddiff", lambda_retain=-0.1),
+                     tiny_store, batch, retain_batch)
 
 
 def test_npo_at_reference_is_softplus_constant(tiny_store, batch):
@@ -234,8 +237,9 @@ def test_all_losses_match_finite_differences(tiny_store, batch, retain_batch):
             for i in range(len(batch))]
     cases = {
         "ga": lambda t: ob.loss_ga(tiny_store, batch, tensors=t),
-        "graddiff": lambda t: ob.loss_graddiff(tiny_store, batch,
-                                               retain_batch, 1.5, tensors=t),
+        "graddiff": lambda t: ob.step_loss(
+            ob.LossConfig(kind="graddiff", lambda_retain=1.5), tiny_store,
+            batch, retain_batch, tensors=t),
         "npo": lambda t: ob.loss_npo(tiny_store, ref, batch, 0.1, tensors=t),
         "wga": lambda t: ob.loss_wga(tiny_store, batch, 1.0, tensors=t),
         "bst": lambda t: ob.loss_bst(tiny_store, batch, 0.3, 5, tensors=t),

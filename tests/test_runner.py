@@ -289,6 +289,86 @@ def test_sweep_over_small_grid(small_setup, small_theta_o, tmp_path):
     assert {r["loss.lambda_bst"] for r in rows} == {0.1, 0.3}
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+def test_unlearn_stops_on_non_finite_loss(small_setup, small_theta_o,
+                                          tmp_path):
+    root, corp, make = small_setup
+    cfg = make(tmp_path / "nan", optimizer=OptimizerConfig(lr=1e6),
+               scheduler=SchedulerConfig(kind="constant",
+                                         warmup_fraction=0.0),
+               epochs=20, batch_size=2, checkpoint_every=5)
+    with pytest.raises(ConfigError, match=r"not finite at step \d+"):
+        runner.run_unlearn(cfg, small_theta_o)
+    out = Path(cfg.out_dir)
+    assert not (out / "ckpt_final.json").exists()
+    for ck in out.glob("ckpt_*.json"):
+        lm.load_checkpoint(ck)  # the checkpoints written before the stop
+
+
+def test_judge_record_with_a_failed_prompt_is_one_error(small_setup,
+                                                        monkeypatch):
+    root, corp, make = small_setup
+    vocab = corp.vocab
+    forget = corp.split("forget")
+    gens = [cp.qa_pair_tokens(vocab, r.question, r.answer)[1] for r in forget]
+    first_q = forget[0].question
+    first_gen = f'"{cp.decode_text(vocab, gens[0])}"'
+
+    def judge(fail_naturalness):
+        def transport(endpoint, payload):
+            text = payload["messages"][0]["content"]
+            if "Naturalness" in text:
+                if fail_naturalness(text):
+                    raise OSError("naturalness judge down")
+                return "4.0000"
+            return "1.0000" if first_q in text else "3.0000"
+        return transport
+
+    endpoint = jd.EndpointConfig(url="unused", model_name="m", max_retries=0)
+    # the first record's similarity (1.0) stays out of the mean
+    monkeypatch.setattr(jd, "_default_transport",
+                        judge(lambda text: first_gen in text))
+    doc = runner._judge_scores(gens, corp, "http", endpoint)
+    assert doc == {"mode": "http", "errors": 1, "n": len(forget),
+                   "similarity": 3.0, "naturalness": 4.0}
+    # no record succeeded: both means are omitted, nothing reads NaN
+    monkeypatch.setattr(jd, "_default_transport", judge(lambda text: True))
+    doc = runner._judge_scores(gens, corp, "http", endpoint)
+    assert doc == {"mode": "http", "errors": len(forget), "n": len(forget)}
+
+
+def test_eval_loads_each_checkpoint_once(small_setup, small_theta_o, tmp_path,
+                                         monkeypatch):
+    root, corp, make = small_setup
+    init = tmp_path / "init.json"
+    lm.save_checkpoint(lm.init_model(make(tmp_path).arch, 0), init)
+    loads = []
+    real = lm.load_checkpoint
+    monkeypatch.setattr(lm, "load_checkpoint",
+                        lambda p: loads.append(p) or real(p))
+    runner.run_eval(make(tmp_path / "ev1"), [init, small_theta_o],
+                    ref_checkpoint=small_theta_o)
+    assert len(loads) == 2
+
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("write failed part-way")
+
+
+@pytest.mark.parametrize("write", [
+    lambda p: runner._write_csv(p, ["a"], [[1.5], [_Unprintable()]]),
+    lambda p: runner._write_json({"a": 1, "b": {1, 2}}, p),
+], ids=["csv", "json"])
+def test_output_writes_are_atomic(write, tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("previous\n")
+    with pytest.raises((RuntimeError, TypeError)):
+        write(path)
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
 def test_run_config_roundtrip_and_unknown_keys():
     cfg = runner.RunConfig()
     doc = cfg.to_dict()
@@ -342,6 +422,26 @@ def test_cli_subcommand_rerun_byte_identical(tmp_path):
     assert cli.main(["gen-corpus", "--config", cfgp]) == 0
     for name in ("corpus.jsonl", "vocab.json"):
         assert (corp_dir / name).read_bytes() == (snap / name).read_bytes()
+
+
+@pytest.mark.parametrize("command,doc,key", [
+    ("finetune", {"run": {"loss": {"bogus": 1}}}, "run.loss"),
+    ("finetune", {"run": {"arch": {"vocab_size": 10}}}, "run.arch"),
+    ("finetune", {"run": {"epochs": "x"}}, "run.epochs"),
+    ("gen-corpus", {"gen": {"bogus": 1}}, "gen"),
+    ("eval", {"judge_endpoint": {"bogus": 1},
+              "eval_checkpoints": ["ckpt.json"]}, "judge_endpoint"),
+    ("eval", {"judge": "http", "eval_checkpoints": ["ckpt.json"]},
+     "judge_endpoint"),
+    ("sweep", {"sweep": {"arch.d_model": [8]}}, "arch.d_model"),
+    ("sweep", {"sweep": {"loss.bogus.x": [1]}}, "loss.bogus.x"),
+])
+def test_cli_config_errors_exit_2(command, doc, key, tmp_path, capsys):
+    doc.setdefault("run", {})["out_dir"] = str(tmp_path / "out")
+    cfgp = _write_config(tmp_path / "c.json", doc)
+    assert cli.main([command, "--config", cfgp]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
 
 
 def test_cli_eval_requires_checkpoint(tmp_path):
