@@ -122,17 +122,29 @@ def sample_augmentations(store: lm.ParamStore, prompt, prompt_id: str, n: int,
     Deterministic in (seed, counter): trainers bump `counter` per batch so
     augmentations track the current model while staying reproducible.
     """
+    return sample_augmentations_batch(store, [prompt], [prompt_id], n, tau,
+                                      seed, max_len, eos_id, [counter])[0]
+
+
+def sample_augmentations_batch(store: lm.ParamStore, prompts, prompt_ids,
+                               n: int, tau: float, seed: int, max_len: int,
+                               eos_id: int | None, counters
+                               ) -> list[AugmentedSet]:
+    """`sample_augmentations` for many prompts in one lock-step decode:
+    response j of prompt i is drawn with seed `_mix(seed, counters[i], j)`,
+    so each set equals the one-prompt call with that counter."""
     if n < 1:
         raise ConfigError("n must be >= 1")
     if tau <= 0:
         raise ConfigError("tau must be > 0")
-    responses = []
-    for j in range(n):
-        strat = lm.Temperature(tau=tau, seed=_mix(seed, counter, j))
-        toks, _ = lm.decode(store, prompt, strat, max_len, eos_id=eos_id)[0]
-        responses.append(toks)
-    return AugmentedSet(prompt_id=prompt_id, responses=responses,
-                        tau=tau, seed=seed)
+    strategies = [lm.Temperature(tau=tau, seed=_mix(seed, c, j))
+                  for c in counters for j in range(n)]
+    outs = lm.decode_batch(store, [p for p in prompts for _ in range(n)],
+                           strategies, max_len, eos_id=eos_id)
+    toks = [t for t, _ in outs]
+    return [AugmentedSet(prompt_id=pid, responses=toks[i * n:(i + 1) * n],
+                         tau=tau, seed=seed)
+            for i, pid in enumerate(prompt_ids)]
 
 
 def _mix(seed: int, counter: int, j: int) -> int:
@@ -143,7 +155,7 @@ def save_augmented_sets(sets, path):
     """Audit log: one JSON line per augmented set."""
     import json
 
-    with open(path, "w") as f:
+    with lm.atomic_write(path) as f:
         for s in sets:
             f.write(json.dumps(
                 {"prompt_id": s.prompt_id, "tau": s.tau, "seed": s.seed,

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from . import lm
 from .errors import ConfigError, DataError, VocabError
 
 FIRST_NAMES = [
@@ -390,10 +391,10 @@ def qa_pair_tokens(vocab: Vocabulary, question: str,
 
 
 def save_corpus(corp: Corpus, records_path, vocab_path):
-    with open(records_path, "w") as f:
+    with lm.atomic_write(records_path) as f:
         for r in corp.records:
             f.write(json.dumps(asdict(r), sort_keys=True) + "\n")
-    with open(vocab_path, "w") as f:
+    with lm.atomic_write(vocab_path) as f:
         json.dump({"specials": corp.vocab.specials,
                    "tokens": corp.vocab.token_of}, f, sort_keys=True)
         f.write("\n")

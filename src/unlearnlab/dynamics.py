@@ -150,7 +150,17 @@ def akg_check(store: lm.ParamStore, chi_u: Chi, chi_o: Chi, loss_cfg,
     `loss_cfg` may be a LossConfig (kinds 'ga' / 'bst') or any callable
     (store, batch) -> LossValue.
     """
-    if eta <= 0:
+    return next(_akg_runs(store, chi_u, chi_o, loss_cfg, (eta,), param_cap,
+                          include_kernel))
+
+
+def _akg_runs(store, chi_u, chi_o, loss_cfg, etas, param_cap,
+              include_kernel=False):
+    """Yield `akg_check`'s reports for each eta in turn. Only the step and
+    -eta * (J_o @ g) depend on eta, so the gradient g, each position's
+    J_o @ g (J_o itself is dropped: about 38 MB per position at the
+    parameter cap), A and kernel block are computed once for all etas."""
+    if any(eta <= 0 for eta in etas):
         raise ConfigError("eta must be > 0")
     _check_cap(store, param_cap)
     lv = _loss_for(store, chi_u, loss_cfg)
@@ -163,18 +173,10 @@ def akg_check(store: lm.ParamStore, chi_u: Chi, chi_o: Chi, loss_cfg,
 
     residuals = _residual_rows(store, chi_u, loss_cfg)
 
-    stepped = store.add_flat(-eta * g_flat)
-    lp_after = _scored_logprob_rows(stepped, chi_o)
-
     j_u_cache: dict[int, np.ndarray] = {}
-    reports = []
-    positions = chi_o.scored_positions()
-    for idx, pos in enumerate(positions):
+    positions = []  # per position: (J_o @ g, A, G, kernel block)
+    for idx, pos in enumerate(chi_o.scored_positions()):
         j_o = logit_jacobian(store, chi_o.tokens(), pos)
-        delta_z = -eta * (j_o @ g_flat)
-        a = softmax_jacobian(pi_before[idx])
-        predicted = a @ delta_z
-        actual = lp_after[idx] - lp_before[idx]
         k_block = None
         if include_kernel and idx < len(chi_u.response):
             upos = chi_u.scored_positions()[idx]
@@ -183,12 +185,22 @@ def akg_check(store: lm.ParamStore, chi_u: Chi, chi_o: Chi, loss_cfg,
             k_block = j_o @ j_u_cache[upos].T
         g_row = (residuals[idx] if idx < len(residuals)
                  else np.zeros(store.arch.vocab_size))
-        reports.append(DynamicsReport(
-            position=idx, A=a, G=g_row, K_block=k_block,
-            predicted_delta_logpi=predicted, actual_delta_logpi=actual,
-            first_order_error=float(np.max(np.abs(actual - predicted))),
-            eta=eta))
-    return reports
+        positions.append((j_o @ g_flat, softmax_jacobian(pi_before[idx]),
+                          g_row, k_block))
+
+    for eta in etas:
+        stepped = store.add_flat(-eta * g_flat)
+        lp_after = _scored_logprob_rows(stepped, chi_o)
+        reports = []
+        for idx, (jg, a, g_row, k_block) in enumerate(positions):
+            predicted = a @ (-eta * jg)
+            actual = lp_after[idx] - lp_before[idx]
+            reports.append(DynamicsReport(
+                position=idx, A=a, G=g_row, K_block=k_block,
+                predicted_delta_logpi=predicted, actual_delta_logpi=actual,
+                first_order_error=float(np.max(np.abs(actual - predicted))),
+                eta=eta))
+        yield reports
 
 
 def _residual_rows(store, chi_u: Chi, loss_cfg) -> np.ndarray:
@@ -214,10 +226,11 @@ def eta_scaling_slope(store: lm.ParamStore, chi_u: Chi, chi_o: Chi, loss_cfg,
                       ) -> tuple[float, list[dict]]:
     """Least-squares slope of log(max first-order error) vs log(eta), and
     per eta a dict of its max error and serialized per-position reports
-    (serialized before the next eta runs, so the arrays are not kept)."""
+    (serialized before the next eta runs). The Jacobians are computed once
+    for all etas."""
     errs, per_eta = [], []
-    for eta in etas:
-        reports = akg_check(store, chi_u, chi_o, loss_cfg, eta, param_cap)
+    for eta, reports in zip(etas, _akg_runs(store, chi_u, chi_o, loss_cfg,
+                                            etas, param_cap)):
         err = max(r.first_order_error for r in reports)
         errs.append(err)
         per_eta.append({"eta": eta, "max_first_order_error": err,

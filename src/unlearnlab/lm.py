@@ -300,11 +300,6 @@ def length_groups(seqs) -> list[list[int]]:
             for start in range(0, len(idx), MAX_BATCH_ROWS)]
 
 
-def next_token_dist(store: ParamStore, tokens) -> np.ndarray:
-    """Next-token probability vector after the given prefix."""
-    return _softmax_np(forward_logits(store, tokens)[-1])
-
-
 def token_logprobs(store: ParamStore, prompt, response) -> np.ndarray:
     """Per-position log pi(y_i | prompt, y<i) for every response token."""
     prompt = list(prompt)
@@ -334,84 +329,121 @@ def decode(store: ParamStore, prompt, strategy, max_len: int,
     log-probability descending. Sequences end at `eos_id` (when given) or at
     max_len. Ties break toward the lowest token id.
     """
-    prompt = list(prompt)
-    if not prompt:
+    if isinstance(strategy, Beam):
+        prompt = list(prompt)
+        if not prompt:
+            raise ContractError("prompt must be non-empty")
+        if max_len < 1:
+            raise ConfigError("max_len must be >= 1")
+        strategy.validate()
+        return _beam_decode(store, prompt, strategy.width, max_len, eos_id)
+    return decode_batch(store, [prompt], [strategy], max_len, eos_id)
+
+
+def decode_batch(store: ParamStore, prompts, strategies, max_len: int,
+                 eos_id: int | None = None) -> list[tuple[list[int], float]]:
+    """Greedy or temperature continuations of many prompts, one strategy per
+    prompt: for each prompt, the (tokens, logprob) pair a one-prompt decode
+    gives it.
+
+    Prompts of one length decode in lock-step, one forward per step, and a
+    row that emits `eos_id` leaves the batch. A greedy row takes the
+    log-softmax argmax (lowest id on ties); a temperature row draws from
+    softmax(logits / tau) with its own `default_rng(seed)`, so its draws do
+    not depend on the other rows.
+    """
+    prompts = [list(p) for p in prompts]
+    if len(strategies) != len(prompts):
+        raise ContractError("need one strategy per prompt")
+    if not all(prompts):
         raise ContractError("prompt must be non-empty")
     if max_len < 1:
         raise ConfigError("max_len must be >= 1")
-    if isinstance(strategy, (Temperature, Beam)):
-        strategy.validate()
-    ctx = store.arch.context_len
-
-    if isinstance(strategy, Beam):
-        return _beam_decode(store, prompt, strategy.width, max_len, eos_id)
-
-    rng = (np.random.default_rng(strategy.seed)
-           if isinstance(strategy, Temperature) else None)
-    out, total = [], 0.0
-    while len(out) < max_len and len(prompt) + len(out) < ctx:
-        logits = forward_logits(store, prompt + out)[-1]
-        lp = _log_softmax_np(logits)
-        if rng is None:
-            nxt = int(np.argmax(lp))
+    rngs, taus = [], np.ones(len(prompts))
+    for i, s in enumerate(strategies):
+        if isinstance(s, Temperature):
+            s.validate()
+            taus[i] = s.tau
+            rngs.append(np.random.default_rng(s.seed))
+        elif isinstance(s, Greedy):
+            rngs.append(None)
         else:
-            p = _softmax_np(logits / strategy.tau)
-            nxt = int(rng.choice(p.size, p=p))
-        total += float(lp[nxt])
-        out.append(nxt)
-        if eos_id is not None and nxt == eos_id:
-            break
-    return [(out, total)]
+            raise ContractError(f"decode_batch takes Greedy or Temperature, "
+                                f"not {type(s).__name__}")
+    outs: list[list[int]] = [[] for _ in prompts]
+    totals = [0.0] * len(prompts)
+    ctx = store.arch.context_len
+    for rows in length_groups(prompts):
+        live = np.asarray(rows)
+        sampled = np.asarray([rngs[i] is not None for i in rows])
+        seqs = np.asarray([prompts[i] for i in rows], dtype=np.int64)
+        for _ in range(min(max_len, ctx - seqs.shape[1])):
+            logits = batch_logits(store, seqs)[:, -1]
+            lp = _log_softmax_np(logits)
+            nxt = lp.argmax(axis=-1)
+            if sampled.any():
+                rs = np.flatnonzero(sampled)
+                p = _softmax_np(logits[rs] / taus[live[rs], None])
+                for r, pr in zip(rs.tolist(), p):
+                    nxt[r] = rngs[live[r]].choice(pr.size, p=pr)
+            picked = lp[np.arange(live.size), nxt]
+            for i, tok, tok_lp in zip(live.tolist(), nxt.tolist(),
+                                      picked.tolist()):
+                outs[i].append(tok)
+                totals[i] += tok_lp
+            seqs = np.concatenate([seqs, nxt[:, None]], axis=1)
+            if eos_id is not None:
+                keep = nxt != eos_id
+                live, seqs, sampled = live[keep], seqs[keep], sampled[keep]
+                if not live.size:
+                    break
+    return list(zip(outs, totals))
 
 
 def greedy_batch(store: ParamStore, prompts, max_len: int,
                  eos_id: int | None = None) -> list[list[int]]:
     """Greedy continuations of many prompts: for each prompt, the tokens
-    `decode(store, prompt, Greedy(), max_len, eos_id)` returns.
+    `decode(store, prompt, Greedy(), max_len, eos_id)` returns."""
+    prompts = list(prompts)
+    return [toks for toks, _ in decode_batch(
+        store, prompts, [Greedy()] * len(prompts), max_len, eos_id)]
 
-    Prompts of one length decode in lock-step, one forward per step, and a
-    row that emits `eos_id` leaves the batch.
-    """
-    prompts = [list(p) for p in prompts]
-    if not all(prompts):
-        raise ContractError("prompt must be non-empty")
-    if max_len < 1:
-        raise ConfigError("max_len must be >= 1")
-    outs: list[list[int]] = [[] for _ in prompts]
-    ctx = store.arch.context_len
-    for rows in length_groups(prompts):
-        live = np.asarray(rows)
-        seqs = np.asarray([prompts[i] for i in rows], dtype=np.int64)
-        for _ in range(min(max_len, ctx - seqs.shape[1])):
-            lp = _log_softmax_np(batch_logits(store, seqs)[:, -1])
-            nxt = lp.argmax(axis=-1)
-            for i, tok in zip(live.tolist(), nxt.tolist()):
-                outs[i].append(tok)
-            seqs = np.concatenate([seqs, nxt[:, None]], axis=1)
-            if eos_id is not None:
-                keep = nxt != eos_id
-                live, seqs = live[keep], seqs[keep]
-                if not live.size:
-                    break
-    return outs
+
+def _last_logits(store: ParamStore, seqs: np.ndarray) -> np.ndarray:
+    """Last-position logits of equal-length rows, at most MAX_BATCH_ROWS
+    per forward: [B, T] ids -> [B, V]."""
+    return np.concatenate([
+        batch_logits(store, seqs[start:start + MAX_BATCH_ROWS])[:, -1]
+        for start in range(0, len(seqs), MAX_BATCH_ROWS)])
 
 
 def _beam_decode(store, prompt, width, max_len, eos_id):
+    """Beam search; open beams always share one length, so each step
+    forwards them together. A beam's candidates outside its own best
+    `min(width, V)` continuations cannot make the global top `width`, so
+    only those enter the merge."""
     ctx = store.arch.context_len
     beams = [((), 0.0, False)]  # (tokens, logprob, finished)
     while True:
-        if all(f for _, _, f in beams):
+        open_beams = [b for b in beams if not b[2]]
+        if not open_beams:
             break
-        nxt = []
-        for toks, lp, fin in beams:
-            if fin or len(toks) >= max_len or len(prompt) + len(toks) >= ctx:
-                nxt.append((toks, lp, True))
-                continue
-            logits = forward_logits(store, prompt + list(toks))[-1]
-            step = _log_softmax_np(logits)
-            for v in range(step.size):
-                done = eos_id is not None and v == eos_id
-                nxt.append((toks + (v,), lp + float(step[v]), done))
+        nxt = [b for b in beams if b[2]]
+        n = len(open_beams[0][0])
+        if n >= max_len or len(prompt) + n >= ctx:
+            nxt += [(toks, lp, True) for toks, lp, _ in open_beams]
+        else:
+            seqs = np.asarray([prompt + list(toks)
+                               for toks, _, _ in open_beams], dtype=np.int64)
+            step = _log_softmax_np(_last_logits(store, seqs))
+            total = np.asarray([lp for _, lp, _ in open_beams])[:, None] + step
+            # stable: equal totals keep id order, lowest id first
+            top = np.argsort(-total, axis=-1, kind="stable")[:, :width]
+            for (toks, _, _), vs, lps in zip(
+                    open_beams, top.tolist(),
+                    np.take_along_axis(total, top, axis=-1).tolist()):
+                nxt += [(toks + (v,), lp, v == eos_id)
+                        for v, lp in zip(vs, lps)]
         # Stable: best logprob first, ties toward lexicographically low ids.
         nxt.sort(key=lambda c: (-c[1], c[0]))
         best: dict[tuple, tuple] = {}
@@ -482,10 +514,10 @@ def load_checkpoint(path) -> ParamStore:
     entries = {}
     for name, shape in expected.items():
         if name not in doc["params"]:
-            raise ConfigError(f"checkpoint missing parameter {name!r}")
+            raise DataError(f"checkpoint missing parameter {name!r}")
         rec = doc["params"][name]
         if tuple(rec["shape"]) != shape:
-            raise ConfigError(f"checkpoint shape mismatch for {name!r}")
+            raise DataError(f"checkpoint shape mismatch for {name!r}")
         entries[name] = np.asarray(rec["data"], dtype=np.float64).reshape(shape)
         if not np.isfinite(entries[name]).all():
             raise DataError(f"checkpoint parameter {name!r} is not finite")

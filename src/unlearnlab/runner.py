@@ -317,13 +317,12 @@ def run_unlearn(config: RunConfig, reference_checkpoint,
                         if cfg.lambda_retain > 0 else None)
         augmented = None
         if cfg.kind == "bss":
-            augmented = []
-            for prompt, _ in forget_pairs:
-                c = next(aug_ids)
-                augmented.append(beliefs.sample_augmentations(
-                    store, prompt, prompt_id=f"b{c}", n=cfg.n_aug,
-                    tau=cfg.tau, seed=config.seed,
-                    max_len=config.squeeze_max_len, eos_id=None, counter=c))
+            counters = [next(aug_ids) for _ in forget_pairs]
+            augmented = beliefs.sample_augmentations_batch(
+                store, [prompt for prompt, _ in forget_pairs],
+                [f"b{c}" for c in counters], n=cfg.n_aug, tau=cfg.tau,
+                seed=config.seed, max_len=config.squeeze_max_len,
+                eos_id=None, counters=counters)
         return ob.step_loss(cfg, store, forget_pairs, retain_pairs, ref_store,
                             augmented)
 

@@ -136,6 +136,25 @@ def test_sample_augmentations_contract(mini_trained):
                                      seed=7, max_len=10)
 
 
+def test_augmentation_batch_equals_per_response_decodes(mini_trained):
+    corp, store = mini_trained
+    vocab = corp.vocab
+    recs = corp.records[:6]
+    prompts = [cp.qa_pair_tokens(vocab, r.question, r.answer)[0]
+               for r in recs]
+    sets = beliefs.sample_augmentations_batch(
+        store, prompts, [r.id for r in recs], n=4, tau=1.5, seed=3,
+        max_len=8, eos_id=vocab.eos, counters=[9, 2, 2, 5, 0, 7])
+    for s, r, prompt, c in zip(sets, recs, prompts, [9, 2, 2, 5, 0, 7]):
+        want = [lm.decode(store, prompt,
+                          lm.Temperature(1.5, beliefs._mix(3, c, j)), 8,
+                          eos_id=vocab.eos)[0][0] for j in range(4)]
+        assert s == beliefs.AugmentedSet(r.id, want, 1.5, 3)
+        assert s == beliefs.sample_augmentations(
+            store, prompt, r.id, n=4, tau=1.5, seed=3, max_len=8,
+            eos_id=vocab.eos, counter=c)
+
+
 def test_low_temperature_concentrates_on_likely_sequences(mini_trained):
     corp, store = mini_trained
     vocab = corp.vocab

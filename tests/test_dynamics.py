@@ -196,6 +196,30 @@ def test_akg_eta_scaling_slope(dyn_store):
     assert slope >= 1.7
 
 
+def test_eta_scaling_slope_computes_each_jacobian_once(dyn_store,
+                                                       monkeypatch):
+    chi = dy.Chi(prompt=[1, 2, 3], response=[5, 6, 7])
+    cfg = ob.LossConfig(kind="ga")
+    etas = (1e-3, 5e-4, 2.5e-4)
+    calls = []
+    jacobian = dy.logit_jacobian
+
+    def counted(store, tokens, position):
+        calls.append(position)
+        return jacobian(store, tokens, position)
+
+    monkeypatch.setattr(dy, "logit_jacobian", counted)
+    _, per_eta = dy.eta_scaling_slope(dyn_store, chi, chi, cfg, etas)
+    assert calls == chi.scored_positions()
+    monkeypatch.undo()
+    for eta, doc in zip(etas, per_eta):
+        want = [r.to_dict() for r in dy.akg_check(dyn_store, chi, chi, cfg,
+                                                  eta)]
+        assert doc["positions"] == want
+    with pytest.raises(ConfigError):
+        dy.eta_scaling_slope(dyn_store, chi, chi, cfg, (1e-3, 0.0))
+
+
 def test_akg_bst_reports_carry_residuals(dyn_store):
     chi = dy.Chi(prompt=[1, 2], response=[3, 4])
     cfg = ob.LossConfig(kind="bst", lambda_bst=0.2, k=5)

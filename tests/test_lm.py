@@ -23,7 +23,7 @@ def test_zero_head_gives_uniform_distribution():
     arch = lm.ArchConfig(vocab_size=64, context_len=8, d_model=8,
                          n_layers=1, n_heads=2)
     store = lm.init_model(arch, 0)
-    d = lm.next_token_dist(store, [1, 2, 3])
+    d = lm._softmax_np(lm.forward_logits(store, [1, 2, 3])[-1])
     assert np.allclose(d, 1.0 / 64, atol=1e-15)
 
 
@@ -153,6 +153,113 @@ def test_greedy_batch_matches_per_prompt_decode(tiny_store):
         lm.greedy_batch(tiny_store, [[1]], 0)
 
 
+def _decode_one_row(store, prompt, strategy, max_len, eos_id=None):
+    """The one-row decode loop lm.decode ran before lock-step batching:
+    the oracle for greedy and temperature rows."""
+    prompt = list(prompt)
+    ctx = store.arch.context_len
+    rng = (np.random.default_rng(strategy.seed)
+           if isinstance(strategy, lm.Temperature) else None)
+    out, total = [], 0.0
+    while len(out) < max_len and len(prompt) + len(out) < ctx:
+        logits = lm.forward_logits(store, prompt + out)[-1]
+        lp = lm._log_softmax_np(logits)
+        if rng is None:
+            nxt = int(np.argmax(lp))
+        else:
+            p = lm._softmax_np(logits / strategy.tau)
+            nxt = int(rng.choice(p.size, p=p))
+        total += float(lp[nxt])
+        out.append(nxt)
+        if eos_id is not None and nxt == eos_id:
+            break
+    return [(out, total)]
+
+
+def _beam_one_row(store, prompt, width, max_len, eos_id):
+    """Beam search with one forward per beam and a Python loop over every
+    id: the oracle for the batched lm._beam_decode."""
+    ctx = store.arch.context_len
+    beams = [((), 0.0, False)]
+    while not all(f for _, _, f in beams):
+        nxt = []
+        for toks, lp, fin in beams:
+            if fin or len(toks) >= max_len or len(prompt) + len(toks) >= ctx:
+                nxt.append((toks, lp, True))
+                continue
+            step = lm._log_softmax_np(
+                lm.forward_logits(store, list(prompt) + list(toks))[-1])
+            for v in range(step.size):
+                nxt.append((toks + (v,), lp + float(step[v]),
+                             eos_id is not None and v == eos_id))
+        nxt.sort(key=lambda c: (-c[1], c[0]))
+        best = {}
+        for c in nxt:
+            best.setdefault(c[0], c)
+        beams = list(best.values())[:width]
+    beams.sort(key=lambda c: (-c[1], c[0]))
+    return [(list(t), lp) for t, lp, _ in beams]
+
+
+def _mixed_prompts(seed):
+    rng = np.random.default_rng(seed)
+    prompts = [list(rng.integers(0, 12, rng.integers(1, 6)))
+               for _ in range(30)]
+    # 2, 1 and 0 positions of context left
+    return prompts + [[3] * 14, [4] * 15, [2] * 16]
+
+
+def test_decode_matches_one_row_oracle(tiny_store):
+    for eos in (None, 0, 5):
+        for i, p in enumerate(_mixed_prompts(6)):
+            for strat in (lm.Greedy(), lm.Temperature(0.7, 40 + i)):
+                assert (lm.decode(tiny_store, p, strat, 6, eos_id=eos)
+                        == _decode_one_row(tiny_store, p, strat, 6, eos))
+
+
+def test_temperature_batch_rows_equal_per_prompt_decode(tiny_store):
+    prompts = _mixed_prompts(7)
+    for eos in (None, 0, 5):
+        for tau in (0.5, 1.0, 3.0):
+            strats = [lm.Temperature(tau, 100 + i) for i in range(len(prompts))]
+            got = lm.decode_batch(tiny_store, prompts, strats, 7, eos_id=eos)
+            want = [_decode_one_row(tiny_store, p, s, 7, eos)[0]
+                    for p, s in zip(prompts, strats)]
+            assert got == want
+    # greedy and temperature rows of one length share the batch
+    strats = [lm.Greedy() if i % 2 else lm.Temperature(1.0, i)
+              for i in range(len(prompts))]
+    got = lm.decode_batch(tiny_store, prompts, strats, 5, eos_id=0)
+    assert got == [_decode_one_row(tiny_store, p, s, 5, 0)[0]
+                   for p, s in zip(prompts, strats)]
+    with pytest.raises(ContractError):
+        lm.decode_batch(tiny_store, prompts, strats[:-1], 5)
+    with pytest.raises(ContractError):
+        lm.decode_batch(tiny_store, [[1]], [lm.Beam(2)], 5)
+    with pytest.raises(ConfigError):
+        lm.decode_batch(tiny_store, [[1]], [lm.Temperature(0.0, 1)], 5)
+
+
+# 1, 4, V and V + 3 for tiny_store's 12-token vocabulary
+@pytest.mark.parametrize("width", [1, 4, 12, 15])
+def test_beam_matches_per_beam_oracle(tiny_store, width):
+    for eos in (None, 0, 5):
+        for prompt, max_len in (([2, 3], 4), ([7], 3), ([1] * 14, 5)):
+            assert (lm.decode(tiny_store, prompt, lm.Beam(width), max_len,
+                              eos_id=eos)
+                    == _beam_one_row(tiny_store, prompt, width, max_len, eos))
+
+
+def test_beam_matches_per_beam_oracle_when_all_logits_tie():
+    arch = lm.ArchConfig(vocab_size=16, context_len=8, d_model=8,
+                         n_layers=1, n_heads=2)
+    store = lm.init_model(arch, 0)  # zero head: every logit ties
+    for width in (1, 4, 16, 19):
+        for eos in (None, 0, 5):
+            got = lm.decode(store, [5, 6], lm.Beam(width), 3, eos_id=eos)
+            assert got == _beam_one_row(store, [5, 6], width, 3, eos)
+
+
 def test_greedy_decode_deterministic(tiny_store):
     a = lm.decode(tiny_store, [1, 2, 3], lm.Greedy(), 6, eos_id=0)
     b = lm.decode(tiny_store, [1, 2, 3], lm.Greedy(), 6, eos_id=0)
@@ -161,7 +268,7 @@ def test_greedy_decode_deterministic(tiny_store):
 
 def test_greedy_matches_next_token_argmax(tiny_store):
     out, _ = lm.decode(tiny_store, [1, 2, 3], lm.Greedy(), 1)[0]
-    d = lm.next_token_dist(tiny_store, [1, 2, 3])
+    d = lm._softmax_np(lm.forward_logits(tiny_store, [1, 2, 3])[-1])
     assert out[0] == int(np.argmax(d))
 
 
@@ -276,7 +383,17 @@ def test_checkpoint_shape_mismatch_rejected(tiny_store, tmp_path):
     doc = json.loads(p.read_text())
     doc["params"]["head"]["shape"] = [1, 1]
     p.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError, match="shape mismatch for 'head'"):
+        lm.load_checkpoint(p)
+
+
+def test_checkpoint_missing_parameter_is_data_error(tiny_store, tmp_path):
+    p = tmp_path / "bad.json"
+    lm.save_checkpoint(tiny_store, p)
+    doc = json.loads(p.read_text())
+    del doc["params"]["pos_emb"]
+    p.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="missing parameter 'pos_emb'"):
         lm.load_checkpoint(p)
 
 

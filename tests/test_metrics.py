@@ -69,7 +69,7 @@ def test_normalized_probability_uniform():
 
 
 def test_normalized_probability_single_token(tiny_store):
-    p = lm.next_token_dist(tiny_store, [1, 2])
+    p = lm._softmax_np(lm.forward_logits(tiny_store, [1, 2])[-1])
     got = mt.normalized_probability(tiny_store, [1, 2], [7])
     assert abs(got - p[7]) < 1e-12
 
@@ -95,7 +95,7 @@ def test_exact_memorization_half_constructed(tiny_store):
     prompt = [1, 2]
     ans = []
     for i in range(6):
-        d = lm.next_token_dist(tiny_store, prompt + ans)
+        d = lm._softmax_np(lm.forward_logits(tiny_store, prompt + ans)[-1])
         top = int(np.argmax(d))
         ans.append(top if i % 2 == 0 else (top + 1) % 12)
     assert mt.exact_memorization(tiny_store, prompt, ans) == 0.5
@@ -115,10 +115,10 @@ def test_extraction_strength_prefix_constructed(tiny_store):
     # first two tokens deliberately non-greedy, rest greedy-chained
     ans = []
     for i in range(2):
-        d = lm.next_token_dist(tiny_store, prompt + ans)
+        d = lm._softmax_np(lm.forward_logits(tiny_store, prompt + ans)[-1])
         ans.append((int(np.argmax(d)) + 1) % 12)
     while len(ans) < n:
-        d = lm.next_token_dist(tiny_store, prompt + ans)
+        d = lm._softmax_np(lm.forward_logits(tiny_store, prompt + ans)[-1])
         ans.append(int(np.argmax(d)))
     got = mt.extraction_strength(tiny_store, prompt, ans)
     assert got == 1.0 - 2 / n

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import itertools
 import json
 import shutil
 from pathlib import Path
@@ -6,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unlearnlab import cli, corpus as cp, lm, runner
+from unlearnlab import beliefs, cli, corpus as cp, lm, runner
 from unlearnlab import judge as jd
 from unlearnlab.errors import ConfigError
 from unlearnlab.objectives import LossConfig
@@ -196,6 +198,37 @@ def test_bss_run_resamples_and_logs(small_setup, small_theta_o, tmp_path):
     assert float(rows[0]["retain_term"]) != 0.0
 
 
+def test_bss_step_augmentations_equal_per_prompt_loop(small_setup,
+                                                      small_theta_o, tmp_path,
+                                                      monkeypatch):
+    """Each step's batched draw equals the per-prompt, per-response decode
+    loop the runner ran before, with counters in batch order."""
+    root, corp, make = small_setup
+    cfg = make(tmp_path / "bss",
+               loss=LossConfig(kind="bss", base_loss="ga", n_aug=3, tau=1.3),
+               epochs=3)
+    counter = itertools.count()
+    steps = []
+    step_loss = runner.ob.step_loss
+
+    def spy(loss_cfg, store, forget_pairs, retain_pairs, ref, augmented):
+        want = []
+        for prompt, _ in forget_pairs:
+            c = next(counter)
+            responses = [lm.decode(store, prompt, lm.Temperature(
+                loss_cfg.tau, beliefs._mix(cfg.seed, c, j)),
+                cfg.squeeze_max_len)[0][0] for j in range(loss_cfg.n_aug)]
+            want.append(beliefs.AugmentedSet(f"b{c}", responses,
+                                             loss_cfg.tau, cfg.seed))
+        steps.append(augmented == want)
+        return step_loss(loss_cfg, store, forget_pairs, retain_pairs, ref,
+                         augmented)
+
+    monkeypatch.setattr(runner.ob, "step_loss", spy)
+    runner.run_unlearn(cfg, small_theta_o)
+    assert steps == [True] * 3
+
+
 def test_eval_reports_and_schema(small_setup, small_theta_o, tmp_path):
     root, corp, make = small_setup
     cfg = make(tmp_path / "ev")
@@ -356,10 +389,21 @@ class _Unprintable:
         raise RuntimeError("write failed part-way")
 
 
+def _records_then_unserializable():
+    corp = cp.generate_corpus(cp.GenConfig(n_entities=10), seed=0)
+    corp.records[3] = dataclasses.replace(corp.records[3], answer={1, 2})
+    return corp
+
+
 @pytest.mark.parametrize("write", [
     lambda p: runner._write_csv(p, ["a"], [[1.5], [_Unprintable()]]),
     lambda p: runner._write_json({"a": 1, "b": {1, 2}}, p),
-], ids=["csv", "json"])
+    lambda p: cp.save_corpus(_records_then_unserializable(), p,
+                             p.with_name("vocab.json")),
+    lambda p: beliefs.save_augmented_sets(
+        [beliefs.AugmentedSet("a", [[1, 2]], 1.0, 0),
+         beliefs.AugmentedSet("b", [[None]], 1.0, 0)], p),
+], ids=["csv", "json", "corpus", "augmented_sets"])
 def test_output_writes_are_atomic(write, tmp_path):
     path = tmp_path / "out.txt"
     path.write_text("previous\n")
