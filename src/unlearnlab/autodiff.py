@@ -13,6 +13,8 @@ same function the reverse pass differentiates.
 from __future__ import annotations
 
 import math
+import operator
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -205,6 +207,54 @@ def finite_diff(root: Node, wrt: Node, epsilon: float) -> np.ndarray:
     wrt.value[...] = base
     evaluate(root)
     return est
+
+
+# ---------------------------------------------------------------------------
+# Array kernels: the forward formulas of the nonlinear ops, used by the graph
+# ops below and by the `arrays` namespace
+# ---------------------------------------------------------------------------
+
+
+def _softmax(x):
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _log_softmax(x):
+    z = x - x.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def _ln_stats(v, eps):
+    """Centered input and inverse standard deviation over the last axis."""
+    mu = v.mean(axis=-1, keepdims=True)
+    xc = v - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    return xc, inv
+
+
+def _layer_norm(v, w, b, eps=1e-5):
+    xc, inv = _ln_stats(v, eps)
+    return xc * inv * w + b
+
+
+def _gelu_tanh(x):
+    return np.tanh(_SQRT_2_OVER_PI * (x + _GELU_CUBIC * (x * x * x)))
+
+
+def _gelu(x):
+    return 0.5 * x * (1.0 + _gelu_tanh(x))
+
+
+# The graph ops a model forward uses, on plain arrays: a function written
+# over `ops` builds nodes with `ops=autodiff` and computes the same values
+# without nodes with `ops=autodiff.arrays`.
+arrays = SimpleNamespace(
+    constant=lambda x: x, add=operator.add, matmul=operator.matmul,
+    scale=operator.mul, reshape=np.reshape, transpose=np.transpose,
+    take_rows=lambda table, ids: table[ids], softmax=_softmax,
+    log_softmax=_log_softmax, layer_norm=_layer_norm, gelu=_gelu)
 
 
 # ---------------------------------------------------------------------------
@@ -416,48 +466,32 @@ def mean_all(a: Node) -> Node:
 def softmax(a: Node) -> Node:
     """Stable softmax over the last axis."""
 
-    def fwd(x):
-        z = x - x.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=-1, keepdims=True)
-
     def bwd(node, g):
         p = node.value
         return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
 
-    return _node("softmax", (a,), fwd, bwd)
+    return _node("softmax", (a,), _softmax, bwd)
 
 
 def log_softmax(a: Node) -> Node:
     """Stable log-softmax over the last axis (computed directly)."""
 
-    def fwd(x):
-        z = x - x.max(axis=-1, keepdims=True)
-        return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
     def bwd(node, g):
         p = np.exp(node.value)
         return (g - p * g.sum(axis=-1, keepdims=True),)
 
-    return _node("log_softmax", (a,), fwd, bwd)
+    return _node("log_softmax", (a,), _log_softmax, bwd)
 
 
 def layer_norm(x: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
     """Normalize the last axis to zero mean / unit variance, then affine."""
 
-    def _stats(v):
-        mu = v.mean(axis=-1, keepdims=True)
-        xc = v - mu
-        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
-        return xc, inv
-
     def fwd(v, w, b):
-        xc, inv = _stats(v)
-        return xc * inv * w + b
+        return _layer_norm(v, w, b, eps)
 
     def bwd(node, g):
         v, w, _ = (i.value for i in node.inputs)
-        xc, inv = _stats(v)
+        xc, inv = _ln_stats(v, eps)
         xhat = xc * inv
         dxhat = g * w
         gx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
@@ -473,19 +507,13 @@ def layer_norm(x: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
 def gelu(a: Node) -> Node:
     """Tanh-approximation GELU."""
 
-    def fwd(x):
-        u = _SQRT_2_OVER_PI * (x + _GELU_CUBIC * (x * x * x))
-        return 0.5 * x * (1.0 + np.tanh(u))
-
     def bwd(node, g):
         x = node.inputs[0].value
-        x2 = x * x
-        u = _SQRT_2_OVER_PI * (x + _GELU_CUBIC * (x2 * x))
-        t = np.tanh(u)
-        du = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_CUBIC * x2)
+        t = _gelu_tanh(x)
+        du = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_CUBIC * (x * x))
         return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du),)
 
-    return _node("gelu", (a,), fwd, bwd)
+    return _node("gelu", (a,), _gelu, bwd)
 
 
 def softplus(a: Node) -> Node:

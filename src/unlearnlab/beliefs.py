@@ -42,12 +42,23 @@ class AugmentedSet:
 
 
 def topk_support(probs: np.ndarray, k: int) -> np.ndarray:
-    """Ids of the k largest probabilities; ties break toward the lowest id."""
+    """Ids of the k largest probabilities along the last axis, most likely
+    first; ties break toward the lowest id."""
     v = probs.shape[-1]
     if k < 1 or k > v:
         raise ConfigError(f"k must be in [1, {v}], got {k}")
-    order = np.lexsort((np.arange(v), -probs))
-    return order[:k]
+    ids = np.broadcast_to(np.arange(v), probs.shape)
+    return np.lexsort((ids, -probs), axis=-1)[..., :k]
+
+
+def _smoothed(probs: np.ndarray, tau: float) -> np.ndarray:
+    """p ** (1/tau), renormalized over the last axis; 1.0 returns `probs`."""
+    if tau <= 0:
+        raise ConfigError("smoothing_tau must be > 0")
+    if tau == 1.0:
+        return probs
+    probs = probs ** (1.0 / tau)
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def topk_belief(probs: np.ndarray, k: int,
@@ -57,12 +68,7 @@ def topk_belief(probs: np.ndarray, k: int,
     `smoothing_tau` optionally tempers the distribution before truncation
     (p ** (1/tau), renormalized); 1.0 leaves it untouched.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    if smoothing_tau <= 0:
-        raise ConfigError("smoothing_tau must be > 0")
-    if smoothing_tau != 1.0:
-        probs = probs ** (1.0 / smoothing_tau)
-        probs = probs / probs.sum()
+    probs = _smoothed(np.asarray(probs, dtype=np.float64), smoothing_tau)
     support = topk_support(probs, k)
     out = np.zeros_like(probs)
     out[support] = probs[support]
@@ -88,27 +94,12 @@ def belief_node(pi: ad.Node, k: int, smoothing_tau: float = 1.0) -> ad.Node:
     built from graph ops and then frozen, so the q branch of any loss
     contributes exactly zero gradient.
     """
-    probs = pi.value
-    v = probs.shape[-1]
-    if k < 1 or k > v:
-        raise ConfigError(f"k must be in [1, {v}], got {k}")
-    if smoothing_tau <= 0:
-        raise ConfigError("smoothing_tau must be > 0")
-    flat = probs.reshape(-1, v)
-    if smoothing_tau != 1.0:
-        flat = flat ** (1.0 / smoothing_tau)
-        flat = flat / flat.sum(axis=-1, keepdims=True)
-    mask = np.zeros_like(flat)
-    ids = np.arange(v)
-    for row in range(flat.shape[0]):
-        mask[row, np.lexsort((ids, -flat[row]))[:k]] = 1.0
-    mask = mask.reshape(probs.shape)
-    if smoothing_tau != 1.0:
-        # Smoothing rescales mass before truncation; handled on raw values.
-        smoothed = ad.constant(flat.reshape(probs.shape))
-        kept = ad.mul(smoothed, ad.constant(mask))
-    else:
-        kept = ad.mul(pi, ad.constant(mask))
+    probs = _smoothed(pi.value, smoothing_tau)
+    mask = np.zeros_like(probs)
+    np.put_along_axis(mask, topk_support(probs, k), 1.0, axis=-1)
+    # Smoothed, q renormalizes the smoothed values, held as a constant.
+    kept = ad.mul(pi if smoothing_tau == 1.0 else ad.constant(probs),
+                  ad.constant(mask))
     q = ad.div(kept, ad.sum_axis(kept, axis=-1, keepdims=True))
     return ad.stop_gradient(q)
 

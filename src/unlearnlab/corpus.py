@@ -219,6 +219,10 @@ class QaRecord:
     perturbed_answers: list[str]
 
 
+# Special tokens, with ids 0..3 in this order.
+SPECIAL_TOKENS = ("bos", "eos", "pad", "sep")
+
+
 @dataclass
 class Vocabulary:
     token_of: list[str]
@@ -281,8 +285,8 @@ def build_vocabulary(template_set: str = "default") -> Vocabulary:
     words = set(FIRST_NAMES) | set(LAST_NAMES) | _template_words(template_set)
     for values in ATTRIBUTES.values():
         words.update(values)
-    specials = {"bos": 0, "eos": 1, "pad": 2, "sep": 3}
-    token_of = ["<bos>", "<eos>", "<pad>", "<sep>"] + sorted(words)
+    specials = {k: i for i, k in enumerate(SPECIAL_TOKENS)}
+    token_of = [f"<{k}>" for k in SPECIAL_TOKENS] + sorted(words)
     return Vocabulary(token_of=token_of, specials=specials)
 
 
@@ -414,5 +418,19 @@ def load_corpus(records_path, vocab_path) -> Corpus:
         raise DataError(f"corpus file not found: {e.filename}")
     except (json.JSONDecodeError, TypeError, KeyError) as e:
         raise DataError(f"corpus file is malformed: {e}")
-    vocab = Vocabulary(token_of=doc["tokens"], specials=doc["specials"])
+    if not isinstance(doc, dict):
+        raise DataError(f"vocab file {vocab_path} must hold a JSON object")
+    for key in ("tokens", "specials"):
+        if key not in doc:
+            raise DataError(f"vocab file {vocab_path} is missing {key!r}")
+    tokens, specials = doc["tokens"], doc["specials"]
+    if not (isinstance(tokens, list)
+            and all(isinstance(t, str) for t in tokens)):
+        raise DataError(f"vocab file {vocab_path}: 'tokens' must be an "
+                        "array of strings")
+    if not (isinstance(specials, dict) and all(
+            type(specials.get(k)) is int for k in SPECIAL_TOKENS)):
+        raise DataError(f"vocab file {vocab_path}: 'specials' must map "
+                        f"{', '.join(SPECIAL_TOKENS)} to token ids")
+    vocab = Vocabulary(token_of=tokens, specials=specials)
     return Corpus(records=records, vocab=vocab, gen_config=None, seed=None)

@@ -134,7 +134,7 @@ def _loss_for(store, chi_u: Chi, loss_cfg):
 
 def _scored_logprob_rows(store, chi: Chi) -> np.ndarray:
     logits = lm.forward_logits(store, chi.tokens())
-    return lm._log_softmax_np(logits)[chi.scored_positions()]
+    return ad.arrays.log_softmax(logits)[chi.scored_positions()]
 
 
 def akg_check(store: lm.ParamStore, chi_u: Chi, chi_o: Chi, loss_cfg,

@@ -2,10 +2,11 @@
 positional embeddings, teacher-forced scoring, and greedy / temperature /
 beam decoding.
 
-Two forward paths share the same parameter layout: `build_logits` constructs
-an autodiff graph (used by loss builders and the dynamics checks), while the
-plain-numpy path backs scoring and decoding. A test pins them to identical
-outputs.
+The transformer is written once, in `_logits`, over an op set. Run over
+the autodiff ops (`build_logits`) it builds the graph that loss builders and
+the dynamics checks differentiate; run over the plain-array kernels of
+`autodiff.arrays` (`batch_logits`) it backs scoring, decoding and sampling
+without building nodes. Both compute the same values, bit for bit.
 """
 
 from __future__ import annotations
@@ -185,104 +186,62 @@ def _causal_mask(t: int) -> np.ndarray:
     return np.triu(np.full((t, t), NEG_INF), k=1)[None, None]
 
 
-def build_logits(tensors: dict[str, ad.Node], arch: ArchConfig,
-                 tokens) -> ad.Node:
-    """Autodiff-graph forward: token ids [B, T] -> logits node [B, T, V]."""
+def _logits(ops, params, arch: ArchConfig, tokens):
+    """The transformer, written once over an op set: `ops` is the autodiff
+    module (`params` holds nodes, the result is a logits node) or
+    `autodiff.arrays` (`params` holds arrays, the result is an array). Token
+    ids [B, T] -> logits [B, T, V]."""
     tokens = _check_tokens(arch, tokens)
     b, t = tokens.shape
     d, h = arch.d_model, arch.n_heads
     dh = d // h
-    x = ad.take_rows(tensors["tok_emb"], tokens)
-    pos = ad.take_rows(tensors["pos_emb"], np.arange(t))
-    x = ad.add(x, pos)
-    mask = ad.constant(_causal_mask(t))
+    x = ops.take_rows(params["tok_emb"], tokens)
+    x = ops.add(x, ops.take_rows(params["pos_emb"], np.arange(t)))
+    mask = ops.constant(_causal_mask(t))
+
+    def heads(z):  # [B, T, D] -> [B, H, T, dh]
+        return ops.transpose(ops.reshape(z, (b, t, h, dh)), (0, 2, 1, 3))
+
     for i in range(arch.n_layers):
         p = f"layers.{i}."
-        a = ad.layer_norm(x, tensors[p + "ln1.g"], tensors[p + "ln1.b"])
-        q = ad.matmul(a, tensors[p + "attn.wq"])
-        k = ad.matmul(a, tensors[p + "attn.wk"])
-        v = ad.matmul(a, tensors[p + "attn.wv"])
-        # [B, T, D] -> [B, H, T, dh]
-        q = ad.transpose(ad.reshape(q, (b, t, h, dh)), (0, 2, 1, 3))
-        k = ad.transpose(ad.reshape(k, (b, t, h, dh)), (0, 2, 1, 3))
-        v = ad.transpose(ad.reshape(v, (b, t, h, dh)), (0, 2, 1, 3))
-        att = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
-                       1.0 / math.sqrt(dh))
-        att = ad.softmax(ad.add(att, mask))
-        o = ad.matmul(att, v)
-        o = ad.reshape(ad.transpose(o, (0, 2, 1, 3)), (b, t, d))
-        x = ad.add(x, ad.matmul(o, tensors[p + "attn.wo"]))
-        m = ad.layer_norm(x, tensors[p + "ln2.g"], tensors[p + "ln2.b"])
-        m = ad.gelu(ad.add(ad.matmul(m, tensors[p + "mlp.w1"]),
-                           tensors[p + "mlp.b1"]))
-        m = ad.add(ad.matmul(m, tensors[p + "mlp.w2"]), tensors[p + "mlp.b2"])
-        x = ad.add(x, m)
-    x = ad.layer_norm(x, tensors["ln_f.g"], tensors["ln_f.b"])
+        a = ops.layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"])
+        q = heads(ops.matmul(a, params[p + "attn.wq"]))
+        k = heads(ops.matmul(a, params[p + "attn.wk"]))
+        v = heads(ops.matmul(a, params[p + "attn.wv"]))
+        att = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))),
+                        1.0 / math.sqrt(dh))
+        att = ops.softmax(ops.add(att, mask))
+        o = ops.matmul(att, v)
+        o = ops.reshape(ops.transpose(o, (0, 2, 1, 3)), (b, t, d))
+        x = ops.add(x, ops.matmul(o, params[p + "attn.wo"]))
+        m = ops.layer_norm(x, params[p + "ln2.g"], params[p + "ln2.b"])
+        m = ops.gelu(ops.add(ops.matmul(m, params[p + "mlp.w1"]),
+                             params[p + "mlp.b1"]))
+        m = ops.add(ops.matmul(m, params[p + "mlp.w2"]), params[p + "mlp.b2"])
+        x = ops.add(x, m)
+    x = ops.layer_norm(x, params["ln_f.g"], params["ln_f.b"])
     if arch.tie_output_head:
-        return ad.matmul(x, ad.transpose(tensors["tok_emb"], (1, 0)))
-    return ad.matmul(x, tensors["head"])
+        return ops.matmul(x, ops.transpose(params["tok_emb"], (1, 0)))
+    return ops.matmul(x, params["head"])
 
 
-def _layer_norm_np(x, g, b, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
-    return xc * inv * g + b
-
-
-def _gelu_np(x):
-    u = math.sqrt(2.0 / math.pi) * (x + 0.044715 * (x * x * x))
-    return 0.5 * x * (1.0 + np.tanh(u))
-
-
-def _softmax_np(x):
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _log_softmax_np(x):
-    z = x - x.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
-def _forward_np(entries: dict[str, np.ndarray], arch: ArchConfig,
-                tokens: np.ndarray) -> np.ndarray:
-    """Plain-numpy forward, op-for-op identical to build_logits."""
-    b, t = tokens.shape
-    d, h = arch.d_model, arch.n_heads
-    dh = d // h
-    x = entries["tok_emb"][tokens] + entries["pos_emb"][:t]
-    mask = _causal_mask(t)
-    for i in range(arch.n_layers):
-        p = f"layers.{i}."
-        a = _layer_norm_np(x, entries[p + "ln1.g"], entries[p + "ln1.b"])
-        q = (a @ entries[p + "attn.wq"]).reshape(b, t, h, dh).transpose(0, 2, 1, 3)
-        k = (a @ entries[p + "attn.wk"]).reshape(b, t, h, dh).transpose(0, 2, 1, 3)
-        v = (a @ entries[p + "attn.wv"]).reshape(b, t, h, dh).transpose(0, 2, 1, 3)
-        att = _softmax_np(q @ k.transpose(0, 1, 3, 2) * (1.0 / math.sqrt(dh))
-                          + mask)
-        o = (att @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
-        x = x + o @ entries[p + "attn.wo"]
-        m = _layer_norm_np(x, entries[p + "ln2.g"], entries[p + "ln2.b"])
-        m = _gelu_np(m @ entries[p + "mlp.w1"] + entries[p + "mlp.b1"])
-        x = x + (m @ entries[p + "mlp.w2"] + entries[p + "mlp.b2"])
-    x = _layer_norm_np(x, entries["ln_f.g"], entries["ln_f.b"])
-    if arch.tie_output_head:
-        return x @ entries["tok_emb"].T
-    return x @ entries["head"]
+def build_logits(tensors: dict[str, ad.Node], arch: ArchConfig,
+                 tokens) -> ad.Node:
+    """Autodiff-graph forward: token ids [B, T] -> logits node [B, T, V]."""
+    return _logits(ad, tensors, arch, tokens)
 
 
 def batch_logits(store: ParamStore, tokens) -> np.ndarray:
     """Teacher-forced logits of equal-length rows: [B, T] ids -> [B, T, V].
 
-    The batch only adds a leading axis to every op, so each row gets the
-    logits a one-row forward gives it, bit for bit (tests pin this).
-    Right-padded rows of unequal length would not: the attention softmax
-    then sums over more key positions, which regroups its terms.
+    The same function as `build_logits`, run on plain arrays, so the values
+    are the graph's bit for bit. The batch only adds a leading axis to every
+    op, so each row gets the logits a one-row forward gives it, bit for bit
+    (tests pin this). Right-padded rows of unequal length would not: the
+    attention softmax then sums over more key positions, which regroups its
+    terms.
     """
-    tokens = _check_tokens(store.arch, tokens)
-    return _forward_np(store.entries, store.arch, tokens)
+    return _logits(ad.arrays, store.entries, store.arch, tokens)
 
 
 def forward_logits(store: ParamStore, tokens) -> np.ndarray:
@@ -310,7 +269,7 @@ def token_logprobs(store: ParamStore, prompt, response) -> np.ndarray:
         return np.zeros(0)
     seq = np.asarray(prompt + response, dtype=np.int64)
     logits = forward_logits(store, seq)
-    lp = _log_softmax_np(logits)
+    lp = ad.arrays.log_softmax(logits)
     pos = np.arange(len(prompt) - 1, len(seq) - 1)
     return lp[pos, np.asarray(response)]
 
@@ -379,11 +338,11 @@ def decode_batch(store: ParamStore, prompts, strategies, max_len: int,
         seqs = np.asarray([prompts[i] for i in rows], dtype=np.int64)
         for _ in range(min(max_len, ctx - seqs.shape[1])):
             logits = batch_logits(store, seqs)[:, -1]
-            lp = _log_softmax_np(logits)
+            lp = ad.arrays.log_softmax(logits)
             nxt = lp.argmax(axis=-1)
             if sampled.any():
                 rs = np.flatnonzero(sampled)
-                p = _softmax_np(logits[rs] / taus[live[rs], None])
+                p = ad.arrays.softmax(logits[rs] / taus[live[rs], None])
                 for r, pr in zip(rs.tolist(), p):
                     nxt[r] = rngs[live[r]].choice(pr.size, p=pr)
             picked = lp[np.arange(live.size), nxt]
@@ -435,7 +394,7 @@ def _beam_decode(store, prompt, width, max_len, eos_id):
         else:
             seqs = np.asarray([prompt + list(toks)
                                for toks, _, _ in open_beams], dtype=np.int64)
-            step = _log_softmax_np(_last_logits(store, seqs))
+            step = ad.arrays.log_softmax(_last_logits(store, seqs))
             total = np.asarray([lp for _, lp, _ in open_beams])[:, None] + step
             # stable: equal totals keep id order, lowest id first
             top = np.argsort(-total, axis=-1, kind="stable")[:, :width]
@@ -505,20 +464,47 @@ def load_checkpoint(path) -> ParamStore:
     for key in ("arch", "params", "seed"):
         if key not in doc:
             raise DataError(f"checkpoint file is missing {key!r}")
-    try:
-        arch = ArchConfig(**doc["arch"])
-    except TypeError as e:
-        raise DataError(f"checkpoint 'arch' is malformed: {e}")
-    arch.validate()
-    expected = param_shapes(arch)
+    arch = _checkpoint_arch(doc["arch"])
+    params, seed = doc["params"], doc["seed"]
+    if not isinstance(params, dict):
+        raise DataError("checkpoint 'params' must be a JSON object")
+    if type(seed) is not int:
+        raise DataError(f"checkpoint 'seed' must be an integer, got {seed!r}")
     entries = {}
-    for name, shape in expected.items():
-        if name not in doc["params"]:
+    for name, shape in param_shapes(arch).items():
+        if name not in params:
             raise DataError(f"checkpoint missing parameter {name!r}")
-        rec = doc["params"][name]
-        if tuple(rec["shape"]) != shape:
+        rec = params[name]
+        if not (isinstance(rec, dict) and "shape" in rec and "data" in rec):
+            raise DataError(f"checkpoint parameter {name!r} must be an "
+                            "object with 'shape' and 'data'")
+        if rec["shape"] != list(shape):
             raise DataError(f"checkpoint shape mismatch for {name!r}")
-        entries[name] = np.asarray(rec["data"], dtype=np.float64).reshape(shape)
+        try:
+            entries[name] = np.asarray(rec["data"],
+                                       dtype=np.float64).reshape(shape)
+        except (TypeError, ValueError) as e:
+            raise DataError(f"checkpoint parameter {name!r} data is "
+                            f"malformed: {e}")
         if not np.isfinite(entries[name]).all():
             raise DataError(f"checkpoint parameter {name!r} is not finite")
-    return ParamStore(entries, arch, int(doc["seed"]))
+    return ParamStore(entries, arch, seed)
+
+
+def _checkpoint_arch(doc) -> ArchConfig:
+    """The checkpoint's `arch` object as an ArchConfig, or DataError naming
+    what is wrong with it."""
+    try:
+        arch = ArchConfig(**doc)
+    except TypeError as e:
+        raise DataError(f"checkpoint 'arch' is malformed: {e}")
+    for name, value in asdict(arch).items():
+        want = bool if name == "tie_output_head" else int
+        if type(value) is not want:
+            raise DataError(f"checkpoint arch.{name} must be "
+                            f"{want.__name__}, got {value!r}")
+    try:
+        arch.validate()
+    except ConfigError as e:
+        raise DataError(f"checkpoint 'arch' is out of range: {e}")
+    return arch

@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import autodiff as ad
 from . import corpus as cp
 from . import lm
 from .errors import ContractError, DataError
@@ -119,7 +120,7 @@ def teacher_forced_scores(store: lm.ParamStore, pairs) -> list[TeacherForced]:
     out: list[TeacherForced | None] = [None] * len(pairs)
     for rows in lm.length_groups(seqs):
         logits = lm.batch_logits(store, [seqs[i] for i in rows])
-        lp = lm._log_softmax_np(logits)
+        lp = ad.arrays.log_softmax(logits)
         for r, i in enumerate(rows):
             prompt, answer = pairs[i]
             n = len(answer)

@@ -128,7 +128,7 @@ def _seq_logprob_graph(store, pairs, tensors):
 def batch_sequence_logprobs(store: lm.ParamStore, pairs: list[Pair]) -> np.ndarray:
     """Plain-numpy per-sequence log-likelihoods (no graph)."""
     tokens, tgt_pos, tgt_ids, mask = _pad_batch(pairs)
-    lp = lm._log_softmax_np(lm.batch_logits(store, tokens))
+    lp = ad.arrays.log_softmax(lm.batch_logits(store, tokens))
     bidx = np.arange(len(pairs))[:, None]
     lp_y = lp[bidx, tgt_pos, tgt_ids]
     return (lp_y * mask).sum(axis=1)

@@ -82,6 +82,16 @@ def test_belief_node_matches_numpy_and_blocks_grad():
     for idx in np.ndindex(2, 3):
         want = beliefs.topk_belief(pi.value[idx], 3).probs
         assert np.allclose(q.value[idx], want, atol=1e-12)
+    # tied probabilities: a zero-head uniform row, and rows with tied blocks
+    ties = np.zeros((2, 3, 6))
+    ties[1, :, :4] = [[1.0, 2.0, 2.0, 1.0], [0.5, 0.5, 0.5, 0.5],
+                      [3.0, 0.0, 3.0, 0.0]]
+    tied_pi = ad.softmax(ad.constant(ties))
+    tied_q = beliefs.belief_node(tied_pi, 3).value
+    for idx in np.ndindex(2, 3):
+        want = beliefs.topk_belief(tied_pi.value[idx], 3)
+        assert list(np.flatnonzero(tied_q[idx])) == sorted(want.support)
+        assert np.allclose(tied_q[idx], want.probs, atol=1e-12)
     root = ad.sum_all(ad.mul(q, ad.log_softmax(z)))
     # the q branch is frozen: gradient equals the one with q as a constant
     g = ad.grad(root, [z])[0]

@@ -62,6 +62,31 @@ def test_corpus_file_roundtrip(tmp_path, corp):
                             "perturbed_answers", "question", "split"]
 
 
+# case -> (vocab.json document built from the saved one, what the error names)
+_BAD_VOCABS = {
+    "not_object": (lambda d: [d], "object"),
+    "missing_tokens": (lambda d: {"specials": d["specials"]}, "'tokens'"),
+    "missing_specials": (lambda d: {"tokens": d["tokens"]}, "'specials'"),
+    "tokens_not_list": (lambda d: dict(d, tokens=5), "'tokens'"),
+    "specials_not_object": (lambda d: dict(d, specials=[1]), "'specials'"),
+    "token_not_string": (lambda d: dict(d, tokens=[[1]] + d["tokens"][1:]),
+                         "'tokens'"),
+    "special_missing": (lambda d: dict(d, specials={"bos": 0}),
+                        "'specials'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_VOCABS))
+def test_malformed_vocab_file_is_data_error(case, tmp_path, corp):
+    make, match = _BAD_VOCABS[case]
+    rec, voc = tmp_path / "c.jsonl", tmp_path / "v.json"
+    cp.save_corpus(corp, rec, voc)
+    voc.write_text(json.dumps(make(json.loads(voc.read_text()))))
+    with pytest.raises(DataError, match=match) as err:
+        cp.load_corpus(rec, voc)
+    assert str(voc) in str(err.value)
+
+
 def test_encode_roundtrip_and_eos(corp):
     v = corp.vocab
     for r in corp.records[:25]:

@@ -37,7 +37,7 @@ def test_softmax_jacobian_rows_sum_zero():
 def test_softmax_jacobian_matches_autodiff():
     rng = np.random.default_rng(1)
     z_val = rng.normal(size=7)
-    pi = np.exp(lm._log_softmax_np(z_val[None, :]))[0]
+    pi = np.exp(ad.arrays.log_softmax(z_val[None, :]))[0]
     a = dy.softmax_jacobian(pi)
     z = ad.leaf(z_val[None, :])
     lp = ad.log_softmax(z)
@@ -89,7 +89,7 @@ def test_residuals_match_autodiff_logit_gradients():
     rng = np.random.default_rng(3)
     v = 9
     z_val = rng.normal(size=(1, 1, v))
-    pi = np.exp(lm._log_softmax_np(z_val))[0, 0]
+    pi = np.exp(ad.arrays.log_softmax(z_val))[0, 0]
     y, k, lam = 4, 3, 0.35
     # ga: root = lp[y]
     z = ad.leaf(z_val)
@@ -225,7 +225,7 @@ def test_akg_bst_reports_carry_residuals(dyn_store):
     cfg = ob.LossConfig(kind="bst", lambda_bst=0.2, k=5)
     reports = dy.akg_check(dyn_store, chi, chi, cfg, 1e-3,
                            include_kernel=True)
-    lp = lm._log_softmax_np(lm.forward_logits(dyn_store, chi.tokens()))
+    lp = ad.arrays.log_softmax(lm.forward_logits(dyn_store, chi.tokens()))
     for r, pos, y in zip(reports, chi.scored_positions(), chi.response):
         pi = np.exp(lp[pos])
         bel = beliefs.topk_belief(pi, 5)

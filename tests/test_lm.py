@@ -1,12 +1,14 @@
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
+from unlearnlab import autodiff as ad
 from unlearnlab import corpus as cp
-from unlearnlab import lm
+from unlearnlab import lm, runner
 from unlearnlab.errors import (ConfigError, ContractError, DataError,
                                LengthError, VocabError)
 
@@ -23,7 +25,7 @@ def test_zero_head_gives_uniform_distribution():
     arch = lm.ArchConfig(vocab_size=64, context_len=8, d_model=8,
                          n_layers=1, n_heads=2)
     store = lm.init_model(arch, 0)
-    d = lm._softmax_np(lm.forward_logits(store, [1, 2, 3])[-1])
+    d = ad.arrays.softmax(lm.forward_logits(store, [1, 2, 3])[-1])
     assert np.allclose(d, 1.0 / 64, atol=1e-15)
 
 
@@ -60,7 +62,7 @@ def test_forward_deterministic_and_rows_normalize(tiny_store):
     a = lm.forward_logits(tiny_store, toks)
     b = lm.forward_logits(tiny_store, toks)
     assert np.array_equal(a, b)
-    p = lm._softmax_np(a)
+    p = ad.arrays.softmax(a)
     assert np.max(np.abs(p.sum(axis=-1) - 1.0)) < 1e-9
     assert np.all(p > 0)
 
@@ -72,12 +74,98 @@ def test_forward_input_validation(tiny_store):
         lm.forward_logits(tiny_store, [0, 99])
 
 
+# Reference: a separate plain-numpy forward and its helpers, written op for
+# op; both forwards in lm must equal it bit for bit.
+def _layer_norm_np(x, g, b, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    return xc * inv * g + b
+
+
+def _gelu_np(x):
+    u = math.sqrt(2.0 / math.pi) * (x + 0.044715 * (x * x * x))
+    return 0.5 * x * (1.0 + np.tanh(u))
+
+
+def _softmax_np(x):
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _log_softmax_np(x):
+    z = x - x.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def _forward_np(entries: dict[str, np.ndarray], arch: lm.ArchConfig,
+                tokens: np.ndarray) -> np.ndarray:
+    """Plain-numpy forward, op-for-op identical to build_logits."""
+    b, t = tokens.shape
+    d, h = arch.d_model, arch.n_heads
+    dh = d // h
+    x = entries["tok_emb"][tokens] + entries["pos_emb"][:t]
+    mask = lm._causal_mask(t)
+    for i in range(arch.n_layers):
+        p = f"layers.{i}."
+        a = _layer_norm_np(x, entries[p + "ln1.g"], entries[p + "ln1.b"])
+        q = (a @ entries[p + "attn.wq"]).reshape(b, t, h, dh).transpose(0, 2, 1, 3)
+        k = (a @ entries[p + "attn.wk"]).reshape(b, t, h, dh).transpose(0, 2, 1, 3)
+        v = (a @ entries[p + "attn.wv"]).reshape(b, t, h, dh).transpose(0, 2, 1, 3)
+        att = _softmax_np(q @ k.transpose(0, 1, 3, 2) * (1.0 / math.sqrt(dh))
+                          + mask)
+        o = (att @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
+        x = x + o @ entries[p + "attn.wo"]
+        m = _layer_norm_np(x, entries[p + "ln2.g"], entries[p + "ln2.b"])
+        m = _gelu_np(m @ entries[p + "mlp.w1"] + entries[p + "mlp.b1"])
+        x = x + (m @ entries[p + "mlp.w2"] + entries[p + "mlp.b2"])
+    x = _layer_norm_np(x, entries["ln_f.g"], entries["ln_f.b"])
+    if arch.tie_output_head:
+        return x @ entries["tok_emb"].T
+    return x @ entries["head"]
+
+
+def _jittered(arch, seed):
+    """A model with every parameter (the zero-init head too) jittered."""
+    store = lm.init_model(arch, seed)
+    rng = np.random.default_rng(seed)
+    for k in store.entries:
+        store.entries[k] = store.entries[k] + rng.normal(
+            0, 0.05, store.entries[k].shape)
+    return store
+
+
 def test_graph_and_numpy_forwards_agree(tiny_store):
+    """batch_logits and build_logits both equal the numpy oracle, bit for
+    bit: tiny, tied-head, zero-layer and desk arch (1 and 64 rows)."""
+    small = dict(vocab_size=12, context_len=16, n_heads=2)
+    # head width 6: the attention scale 1/sqrt(6) is not a power of two,
+    # so moving it to another operand changes the rounding
+    tied = _jittered(lm.ArchConfig(d_model=12, n_layers=2,
+                                   tie_output_head=True, **small), 5)
+    no_layers = _jittered(lm.ArchConfig(d_model=8, n_layers=0, **small), 6)
+    desk = _jittered(runner.desk_arch(), 7)
     rng = np.random.default_rng(0)
-    toks = rng.integers(0, 12, (3, 9))
-    g = lm.build_logits(lm.param_tensors(tiny_store), tiny_store.arch, toks)
-    n = lm._forward_np(tiny_store.entries, tiny_store.arch, toks)
-    assert np.array_equal(g.value, n)
+    for store, rows, t in ((tiny_store, 3, 9), (tied, 3, 9),
+                           (no_layers, 3, 9), (desk, 1, 21), (desk, 64, 21)):
+        arch = store.arch
+        toks = rng.integers(0, arch.vocab_size, (rows, t))
+        want = _forward_np(store.entries, arch, toks)
+        assert np.array_equal(lm.batch_logits(store, toks), want)
+        g = lm.build_logits(lm.param_tensors(store), arch, toks)
+        assert np.array_equal(g.value, want)
+
+
+def test_array_kernels_equal_the_numpy_oracle():
+    rng = np.random.default_rng(8)
+    x = rng.normal(0, 3, (4, 5, 16))
+    g, b = rng.normal(size=16), rng.normal(size=16)
+    assert np.array_equal(ad.arrays.softmax(x), _softmax_np(x))
+    assert np.array_equal(ad.arrays.log_softmax(x), _log_softmax_np(x))
+    assert np.array_equal(ad.arrays.gelu(x), _gelu_np(x))
+    assert np.array_equal(ad.arrays.layer_norm(x, g, b),
+                          _layer_norm_np(x, g, b))
 
 
 def test_sequence_logprob_empty_response(tiny_store):
@@ -102,7 +190,7 @@ def test_sequence_logprob_matches_per_token_sum(tiny_store):
     prompt, resp = [1, 2, 3], [4, 5, 6, 7]
     seq = prompt + resp
     logits = lm.forward_logits(tiny_store, seq)
-    lp = lm._log_softmax_np(logits)
+    lp = ad.arrays.log_softmax(logits)
     manual = sum(lp[len(prompt) - 1 + i, resp[i]] for i in range(len(resp)))
     assert abs(lm.sequence_logprob(tiny_store, prompt, resp) - manual) < 1e-12
     assert lm.sequence_logprob(tiny_store, prompt, resp) <= 0.0
@@ -112,7 +200,7 @@ def test_scored_span_invariant_to_trailing_padding(tiny_store):
     prompt, resp = [1, 2], [3, 4, 5]
     base = lm.token_logprobs(tiny_store, prompt, resp)
     padded = lm.forward_logits(tiny_store, prompt + resp + [0, 0, 0])
-    lp = lm._log_softmax_np(padded)
+    lp = ad.arrays.log_softmax(padded)
     pos = np.arange(len(prompt) - 1, len(prompt) + len(resp) - 1)
     again = lp[pos, np.asarray(resp)]
     assert np.array_equal(base, again)
@@ -163,11 +251,11 @@ def _decode_one_row(store, prompt, strategy, max_len, eos_id=None):
     out, total = [], 0.0
     while len(out) < max_len and len(prompt) + len(out) < ctx:
         logits = lm.forward_logits(store, prompt + out)[-1]
-        lp = lm._log_softmax_np(logits)
+        lp = ad.arrays.log_softmax(logits)
         if rng is None:
             nxt = int(np.argmax(lp))
         else:
-            p = lm._softmax_np(logits / strategy.tau)
+            p = ad.arrays.softmax(logits / strategy.tau)
             nxt = int(rng.choice(p.size, p=p))
         total += float(lp[nxt])
         out.append(nxt)
@@ -187,7 +275,7 @@ def _beam_one_row(store, prompt, width, max_len, eos_id):
             if fin or len(toks) >= max_len or len(prompt) + len(toks) >= ctx:
                 nxt.append((toks, lp, True))
                 continue
-            step = lm._log_softmax_np(
+            step = ad.arrays.log_softmax(
                 lm.forward_logits(store, list(prompt) + list(toks))[-1])
             for v in range(step.size):
                 nxt.append((toks + (v,), lp + float(step[v]),
@@ -268,7 +356,7 @@ def test_greedy_decode_deterministic(tiny_store):
 
 def test_greedy_matches_next_token_argmax(tiny_store):
     out, _ = lm.decode(tiny_store, [1, 2, 3], lm.Greedy(), 1)[0]
-    d = lm._softmax_np(lm.forward_logits(tiny_store, [1, 2, 3])[-1])
+    d = ad.arrays.softmax(lm.forward_logits(tiny_store, [1, 2, 3])[-1])
     assert out[0] == int(np.argmax(d))
 
 
@@ -394,6 +482,39 @@ def test_checkpoint_missing_parameter_is_data_error(tiny_store, tmp_path):
     del doc["params"]["pos_emb"]
     p.write_text(json.dumps(doc))
     with pytest.raises(DataError, match="missing parameter 'pos_emb'"):
+        lm.load_checkpoint(p)
+
+
+def _head(doc):
+    return doc["params"]["head"]
+
+
+# case -> (edit of the saved checkpoint document, what the error names)
+_BAD_CHECKPOINTS = {
+    "record_not_object": (lambda d: d["params"].update(head=[1, 2]),
+                          "'head'"),
+    "missing_data": (lambda d: _head(d).pop("data"), "'head'"),
+    "missing_shape": (lambda d: _head(d).pop("shape"), "'head'"),
+    "data_length": (lambda d: _head(d)["data"].pop(), "'head'"),
+    "non_numeric_data": (lambda d: _head(d)["data"].insert(0, "x"),
+                         "'head'"),
+    "params_not_object": (lambda d: d.update(params=[1]), "'params'"),
+    "seed_not_integer": (lambda d: d.update(seed="abc"), "'seed'"),
+    "arch_type": (lambda d: d["arch"].update(vocab_size="8"),
+                  "arch.vocab_size"),
+    "arch_out_of_range": (lambda d: d["arch"].update(n_heads=3), "'arch'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_CHECKPOINTS))
+def test_malformed_checkpoint_is_data_error(case, tiny_store, tmp_path):
+    edit, match = _BAD_CHECKPOINTS[case]
+    p = tmp_path / "bad.json"
+    lm.save_checkpoint(tiny_store, p)
+    doc = json.loads(p.read_text())
+    edit(doc)
+    p.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=match):
         lm.load_checkpoint(p)
 
 

@@ -3,6 +3,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from unlearnlab import autodiff as ad
 from unlearnlab import corpus as cp
 from unlearnlab import lm
 from unlearnlab import metrics as mt
@@ -69,7 +70,7 @@ def test_normalized_probability_uniform():
 
 
 def test_normalized_probability_single_token(tiny_store):
-    p = lm._softmax_np(lm.forward_logits(tiny_store, [1, 2])[-1])
+    p = ad.arrays.softmax(lm.forward_logits(tiny_store, [1, 2])[-1])
     got = mt.normalized_probability(tiny_store, [1, 2], [7])
     assert abs(got - p[7]) < 1e-12
 
@@ -95,7 +96,7 @@ def test_exact_memorization_half_constructed(tiny_store):
     prompt = [1, 2]
     ans = []
     for i in range(6):
-        d = lm._softmax_np(lm.forward_logits(tiny_store, prompt + ans)[-1])
+        d = ad.arrays.softmax(lm.forward_logits(tiny_store, prompt + ans)[-1])
         top = int(np.argmax(d))
         ans.append(top if i % 2 == 0 else (top + 1) % 12)
     assert mt.exact_memorization(tiny_store, prompt, ans) == 0.5
@@ -115,10 +116,10 @@ def test_extraction_strength_prefix_constructed(tiny_store):
     # first two tokens deliberately non-greedy, rest greedy-chained
     ans = []
     for i in range(2):
-        d = lm._softmax_np(lm.forward_logits(tiny_store, prompt + ans)[-1])
+        d = ad.arrays.softmax(lm.forward_logits(tiny_store, prompt + ans)[-1])
         ans.append((int(np.argmax(d)) + 1) % 12)
     while len(ans) < n:
-        d = lm._softmax_np(lm.forward_logits(tiny_store, prompt + ans)[-1])
+        d = ad.arrays.softmax(lm.forward_logits(tiny_store, prompt + ans)[-1])
         ans.append(int(np.argmax(d)))
     got = mt.extraction_strength(tiny_store, prompt, ans)
     assert got == 1.0 - 2 / n

@@ -527,3 +527,23 @@ def test_cli_eval_checkpoint_without_arch_exits_3(small_setup, small_theta_o,
         "eval_checkpoints": [str(bad)],
     })
     assert cli.main(["eval", "--config", cfgp]) == 3
+
+
+def test_cli_eval_checkpoint_with_malformed_record_exits_3(
+        small_setup, small_theta_o, tmp_path, capsys):
+    root, corp, make = small_setup
+    doc = json.loads(Path(small_theta_o).read_text())
+    del doc["params"]["head"]["data"]
+    bad = tmp_path / "no_data.json"
+    bad.write_text(json.dumps(doc))
+    cfgp = _write_config(tmp_path / "ev3.json", {
+        "run": {"corpus_path": str(root / "corpus.jsonl"),
+                "vocab_path": str(root / "vocab.json"),
+                "arch": {"vocab_size": 400, "context_len": 32, "d_model": 16,
+                         "n_layers": 1, "n_heads": 2,
+                         "tie_output_head": False},
+                "out_dir": str(tmp_path / "ev3")},
+        "eval_checkpoints": [str(bad)],
+    })
+    assert cli.main(["eval", "--config", cfgp]) == 3
+    assert "'head'" in capsys.readouterr().err
