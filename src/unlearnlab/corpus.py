@@ -398,10 +398,8 @@ def save_corpus(corp: Corpus, records_path, vocab_path):
     with lm.atomic_write(records_path) as f:
         for r in corp.records:
             f.write(json.dumps(asdict(r), sort_keys=True) + "\n")
-    with lm.atomic_write(vocab_path) as f:
-        json.dump({"specials": corp.vocab.specials,
-                   "tokens": corp.vocab.token_of}, f, sort_keys=True)
-        f.write("\n")
+    lm.write_json({"specials": corp.vocab.specials,
+                   "tokens": corp.vocab.token_of}, vocab_path)
 
 
 def load_corpus(records_path, vocab_path) -> Corpus:

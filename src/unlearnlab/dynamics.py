@@ -51,11 +51,14 @@ class DynamicsReport:
     first_order_error: float
     eta: float
 
-    def to_dict(self):
+    def to_dict(self, A=None, G=None):
+        """JSON-ready fields. `A` and `G`, when given, are this report's
+        matrices already as lists, so reports that share them share one
+        list."""
         return {
             "position": self.position,
-            "A": self.A.tolist(),
-            "G": self.G.tolist(),
+            "A": self.A.tolist() if A is None else A,
+            "G": self.G.tolist() if G is None else G,
             "K_block": None if self.K_block is None else self.K_block.tolist(),
             "predicted_delta_logpi": self.predicted_delta_logpi.tolist(),
             "actual_delta_logpi": self.actual_delta_logpi.tolist(),
@@ -227,14 +230,18 @@ def eta_scaling_slope(store: lm.ParamStore, chi_u: Chi, chi_o: Chi, loss_cfg,
     """Least-squares slope of log(max first-order error) vs log(eta), and
     per eta a dict of its max error and serialized per-position reports
     (serialized before the next eta runs). The Jacobians are computed once
-    for all etas."""
-    errs, per_eta = [], []
+    for all etas, and each position's eta-independent A and G are one list
+    object shared by every eta's report."""
+    errs, per_eta, shared = [], [], None
     for eta, reports in zip(etas, _akg_runs(store, chi_u, chi_o, loss_cfg,
                                             etas, param_cap)):
+        if shared is None:
+            shared = [(r.A.tolist(), r.G.tolist()) for r in reports]
         err = max(r.first_order_error for r in reports)
         errs.append(err)
         per_eta.append({"eta": eta, "max_first_order_error": err,
-                        "positions": [r.to_dict() for r in reports]})
+                        "positions": [r.to_dict(a, g) for r, (a, g)
+                                      in zip(reports, shared)]})
     slope = np.polyfit(np.log(np.asarray(etas)), np.log(np.asarray(errs)), 1)[0]
     return float(slope), per_eta
 

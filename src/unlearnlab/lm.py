@@ -435,6 +435,45 @@ def atomic_write(path):
             os.remove(tmp)
 
 
+def write_json(doc, path):
+    """Write `doc` to `path` atomically: the bytes of
+    `json.dump(doc, f, sort_keys=True)` plus a newline.
+
+    Only the skeleton is walked here: dicts whose keys are all `str`, and
+    lists or tuples that hold a dict. Every other value is a leaf, encoded
+    whole by `json.dumps` (the C encoder), and a leaf object that appears
+    more than once is encoded once."""
+    texts = {}  # id(leaf) -> text; every leaf stays alive inside `doc`
+
+    def emit(node):
+        if isinstance(node, dict) and all(isinstance(k, str) for k in node):
+            write("{")
+            for i, k in enumerate(sorted(node)):
+                if i:
+                    write(", ")
+                write(json.dumps(k) + ": ")
+                emit(node[k])
+            write("}")
+        elif (isinstance(node, (list, tuple))
+              and any(isinstance(v, dict) for v in node)):
+            write("[")
+            for i, v in enumerate(node):
+                if i:
+                    write(", ")
+                emit(v)
+            write("]")
+        else:
+            text = texts.get(id(node))
+            if text is None:
+                text = texts[id(node)] = json.dumps(node, sort_keys=True)
+            write(text)
+
+    with atomic_write(path) as f:
+        write = f.write
+        emit(doc)
+        write("\n")
+
+
 def save_checkpoint(store: ParamStore, path):
     doc = {
         "arch": asdict(store.arch),
@@ -442,9 +481,10 @@ def save_checkpoint(store: ParamStore, path):
         "params": {k: {"shape": list(v.shape), "data": v.ravel().tolist()}
                    for k, v in store.entries.items()},
     }
-    # json.dumps runs the C encoder; json.dump streams through the pure-Python
-    # one. The bytes are the same. Writing in slices keeps the encoded copy
-    # small instead of doubling the ~3 MB text.
+    # One json.dumps over the whole document, not write_json: its ~3 MB text
+    # is C-encoded either way, and walking the thousands of small
+    # parameter lists as separate leaves made the write slower. Writing in
+    # slices keeps the encoded copy small instead of doubling the text.
     text = json.dumps(doc, sort_keys=True) + "\n"
     with atomic_write(path) as f:
         for start in range(0, len(text), _WRITE_SLICE):

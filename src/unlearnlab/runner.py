@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import math
 import time
 import typing
@@ -131,12 +130,6 @@ PRESET_GRIDS = {
 
 
 # IO helpers ------------------------------------------------------------------
-
-
-def _write_json(doc, path):
-    with lm.atomic_write(path) as f:
-        json.dump(doc, f, sort_keys=True)
-        f.write("\n")
 
 
 def _write_csv(path, header, rows):
@@ -261,7 +254,7 @@ def _finish_manifest(manifest: RunManifest, out: Path, label: str):
             raise DataError(f"manifest references missing file {rel}")
     if manifest.loss_csv and not (out / manifest.loss_csv).exists():
         raise DataError("manifest references missing loss csv")
-    _write_json(manifest.to_dict(), out / "manifest.json")
+    lm.write_json(manifest.to_dict(), out / "manifest.json")
     print(f"{label}: wrote {out / 'manifest.json'} "
           f"({manifest.wall_clock_seconds:.1f}s)")
 
@@ -386,7 +379,7 @@ def run_eval(config: RunConfig, checkpoint_paths, ref_checkpoint=None,
                                          judge_mode, endpoint)
         stem = Path(ck).stem
         fname = f"metrics_{stem}.json"
-        _write_json(doc, out / fname)
+        lm.write_json(doc, out / fname)
         report_files.append(fname)
         row = {"checkpoint": stem}
         row.update(report.flat_row())
@@ -422,7 +415,7 @@ def run_dynamics(config: RunConfig, checkpoint=None,
                                                 etas)
     doc = {"record_id": rec.id, "loss_kind": loss_cfg.kind,
            "etas": list(etas), "slope": slope, "reports": per_eta}
-    _write_json(doc, out / "dynamics_report.json")
+    lm.write_json(doc, out / "dynamics_report.json")
     print(f"dynamics: slope={slope:.3f} -> {out / 'dynamics_report.json'}")
     return doc
 

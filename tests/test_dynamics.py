@@ -216,6 +216,9 @@ def test_eta_scaling_slope_computes_each_jacobian_once(dyn_store,
         want = [r.to_dict() for r in dy.akg_check(dyn_store, chi, chi, cfg,
                                                   eta)]
         assert doc["positions"] == want
+        for i, pos in enumerate(doc["positions"]):
+            assert pos["A"] is per_eta[0]["positions"][i]["A"]
+            assert pos["G"] is per_eta[0]["positions"][i]["G"]
     with pytest.raises(ConfigError):
         dy.eta_scaling_slope(dyn_store, chi, chi, cfg, (1e-3, 0.0))
 

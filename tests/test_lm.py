@@ -440,6 +440,42 @@ def test_checkpoint_bytes_equal_streamed_json_dump(tiny_store, tmp_path):
     assert p.read_text() == streamed.getvalue()
 
 
+_SHARED_LEAF = [0.1, 0.2, 0.3]
+_JSON_DOCS = {
+    "nested": {"b": {"y": [1.5, 2.5], "x": {"z": None}},
+               "a": [{"k": 1, "j": "v"}, {"j": [1, 2]}], "c": 3},
+    "list_of_dicts_top": [{"b": 1, "a": 2}, 3, [4.5]],
+    "tuples": {"t": ({"b": 1, "a": 2}, 3.0), "u": (1, (2, 3))},
+    "dict_below_leaf_list": {"x": [[{"b": 1, "a": 2}]]},
+    "empty_dict_top": {},
+    "empty_list_top": [],
+    "empties": {"a": {}, "b": [], "c": [{}], "d": [[]], "e": ({},),
+                "f": [{"g": {}, "h": [], "i": [{}]}]},
+    "shared_leaf": {"a": _SHARED_LEAF,
+                    "b": [{"c": _SHARED_LEAF}, _SHARED_LEAF]},
+    "text": {"ключ": "naïve ☃ \U0001f600",
+             "q\"k": "tab\t \"quote\" back\\slash \n \x00 \x1f \u2028"},
+    "non_finite": {"x": [float("nan"), float("inf"), -float("inf")],
+                   "y": float("nan"), "z": [{"w": -float("inf")}]},
+    "scalars": {"i": 10 ** 30, "n": -3, "t": True, "f": False, "z": None,
+                "l": [True, None, 0, -0.0, 1e-320, 1e300]},
+    "non_str_keys": {"m": {2: "a", 1.5: "b", True: "c", -1: {"x": 1}},
+                     "n": [{None: 1}], "o": {False: [{"b": 1, "a": 0}]}},
+    "np_float64": {"v": np.float64(0.1), "w": [np.float64(1e-300)],
+                   "x": [{"y": np.float64(-2.5)}]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_JSON_DOCS))
+def test_write_json_bytes_equal_pure_python_encoder(case, tmp_path):
+    doc = _JSON_DOCS[case]
+    p = tmp_path / "doc.json"
+    lm.write_json(doc, p)
+    oracle = "".join(json.JSONEncoder(sort_keys=True).iterencode(doc)) + "\n"
+    assert p.read_text() == oracle
+    assert [q.name for q in tmp_path.iterdir()] == ["doc.json"]
+
+
 @pytest.mark.parametrize("case", ["arch", "params", "seed", "top_level"])
 def test_checkpoint_missing_field_is_data_error(case, tiny_store, tmp_path):
     p = tmp_path / "bad.json"

@@ -293,7 +293,9 @@ def test_dynamics_runner_untrained_tiny_arch(small_setup, tmp_path):
     cfg = make(tmp_path / "dyn", arch=arch)
     doc = runner.run_dynamics(cfg)
     assert doc["slope"] >= 1.7
-    assert (tmp_path / "dyn" / "dynamics_report.json").exists()
+    written = (tmp_path / "dyn" / "dynamics_report.json").read_text()
+    oracle = "".join(json.JSONEncoder(sort_keys=True).iterencode(doc)) + "\n"
+    assert written == oracle
 
 
 def test_squeeze_runner_outputs(small_setup, small_theta_o, tmp_path):
@@ -397,7 +399,7 @@ def _records_then_unserializable():
 
 @pytest.mark.parametrize("write", [
     lambda p: runner._write_csv(p, ["a"], [[1.5], [_Unprintable()]]),
-    lambda p: runner._write_json({"a": 1, "b": {1, 2}}, p),
+    lambda p: lm.write_json({"a": 1, "b": {1, 2}}, p),
     lambda p: cp.save_corpus(_records_then_unserializable(), p,
                              p.with_name("vocab.json")),
     lambda p: beliefs.save_augmented_sets(
