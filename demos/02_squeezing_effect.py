@@ -52,7 +52,7 @@ def main():
                      epochs=10, batch_size=4, seed=0),
                  on_epoch=lambda _: snaps.append(store.snapshot()))
 
-    _, agg = dy.squeeze_trace(snaps, prompts, ("beam", 15), max_len=12,
+    _, agg = dy.squeeze_trace(snaps, prompts, 15, max_len=12,
                               eos_id=vocab.eos, exclude_responses=refs)
     print("epoch   high      mid       low")
     for e, row in enumerate(agg.per_epoch_mean_logprob):

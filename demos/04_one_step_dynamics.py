@@ -24,20 +24,17 @@ def main():
 
     chi = dy.Chi(prompt=[1, 2, 3, 4], response=[5, 6, 7, 1])
     print("\n  eta        max |actual - predicted|")
-    errs, etas = [], (1e-3, 5e-4, 2.5e-4)
-    for eta in etas:
-        reports = dy.akg_check(store, chi, chi, LossConfig(kind="ga"), eta)
-        err = max(r.first_order_error for r in reports)
-        errs.append(err)
-        print(f"  {eta:8.1e}  {err:.3e}")
-    slope = np.polyfit(np.log(etas), np.log(errs), 1)[0]
+    slope, per_eta = dy.eta_scaling_slope(store, chi, chi,
+                                          LossConfig(kind="ga"))
+    for run in per_eta:
+        print(f"  {run['eta']:8.1e}  {run['max_first_order_error']:.3e}")
     print(f"\nlog-log slope = {slope:.3f}  (2.0 means a clean eta^2 "
           f"remainder)")
 
-    r = dy.akg_check(store, chi, chi, LossConfig(kind="ga"), 1e-3)[0]
+    predicted = per_eta[0]["positions"][0]["predicted_delta_logpi"]
     y = chi.response[0]
     print(f"predicted change of log pi at the labeled token: "
-          f"{r.predicted_delta_logpi[y]:+.5f} (ascent pushes it down)")
+          f"{predicted[y]:+.5f} (ascent pushes it down)")
 
 
 if __name__ == "__main__":

@@ -58,28 +58,6 @@ class Node:
     def __repr__(self):
         return f"Node(op={self.op!r}, shape={self.value.shape})"
 
-    # Small sugar so loss builders read naturally.
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 def leaf(value) -> Node:
     """Differentiable leaf (a parameter)."""
@@ -89,12 +67,6 @@ def leaf(value) -> Node:
 def constant(value) -> Node:
     """Non-differentiable leaf (data, masks, frozen references)."""
     return Node("const", (), _as_array(value), needs_grad=False)
-
-
-def _lift(x):
-    if isinstance(x, Node):
-        return x
-    return constant(x)
 
 
 def _node(op, inputs, forward, backward) -> Node:

@@ -104,26 +104,17 @@ def belief_node(pi: ad.Node, k: int, smoothing_tau: float = 1.0) -> ad.Node:
     return ad.stop_gradient(q)
 
 
-def sample_augmentations(store: lm.ParamStore, prompt, prompt_id: str, n: int,
+def sample_augmentations(store: lm.ParamStore, prompts, prompt_ids, n: int,
                          tau: float, seed: int, max_len: int,
-                         eos_id: int | None = None,
-                         counter: int = 0) -> AugmentedSet:
-    """Draw n independent temperature-decoded responses from the live model.
+                         eos_id: int | None, counters) -> list[AugmentedSet]:
+    """Draw n independent temperature-decoded responses from the live model
+    for each prompt, all in one lock-step decode.
 
-    Deterministic in (seed, counter): trainers bump `counter` per batch so
-    augmentations track the current model while staying reproducible.
+    Response j of prompt i is drawn with seed `_mix(seed, counters[i], j)`,
+    so a set is deterministic in (seed, counter) and independent of the
+    other prompts: trainers bump the counter per prompt so augmentations
+    track the current model while staying reproducible.
     """
-    return sample_augmentations_batch(store, [prompt], [prompt_id], n, tau,
-                                      seed, max_len, eos_id, [counter])[0]
-
-
-def sample_augmentations_batch(store: lm.ParamStore, prompts, prompt_ids,
-                               n: int, tau: float, seed: int, max_len: int,
-                               eos_id: int | None, counters
-                               ) -> list[AugmentedSet]:
-    """`sample_augmentations` for many prompts in one lock-step decode:
-    response j of prompt i is drawn with seed `_mix(seed, counters[i], j)`,
-    so each set equals the one-prompt call with that counter."""
     if n < 1:
         raise ConfigError("n must be >= 1")
     if tau <= 0:

@@ -245,10 +245,6 @@ class Vocabulary:
         return self.specials["eos"]
 
     @property
-    def pad(self):
-        return self.specials["pad"]
-
-    @property
     def sep(self):
         return self.specials["sep"]
 

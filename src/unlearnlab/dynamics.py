@@ -22,7 +22,7 @@ from . import autodiff as ad
 from . import beliefs, lm, objectives
 from .errors import CapabilityError, ConfigError, ContractError, DataError
 
-PARAM_CAP_DEFAULT = 20_000
+PARAM_CAP = 20_000
 
 
 @dataclass
@@ -45,7 +45,6 @@ class DynamicsReport:
     position: int
     A: np.ndarray
     G: np.ndarray
-    K_block: np.ndarray | None
     predicted_delta_logpi: np.ndarray
     actual_delta_logpi: np.ndarray
     first_order_error: float
@@ -59,7 +58,7 @@ class DynamicsReport:
             "position": self.position,
             "A": self.A.tolist() if A is None else A,
             "G": self.G.tolist() if G is None else G,
-            "K_block": None if self.K_block is None else self.K_block.tolist(),
+            "K_block": None,  # v0.1 file format; no run fills it
             "predicted_delta_logpi": self.predicted_delta_logpi.tolist(),
             "actual_delta_logpi": self.actual_delta_logpi.tolist(),
             "first_order_error": self.first_order_error,
@@ -91,11 +90,11 @@ def residual(loss_kind: str, probs: np.ndarray, target_id: int,
     raise ConfigError(f"residual is defined for 'ga' and 'bst', not {loss_kind!r}")
 
 
-def _check_cap(store: lm.ParamStore, cap: int):
+def _check_cap(store: lm.ParamStore):
     n = store.param_count()
-    if n > cap:
-        raise CapabilityError(
-            f"model has {n} parameters, above the explicit-Jacobian cap {cap}")
+    if n > PARAM_CAP:
+        raise CapabilityError(f"model has {n} parameters, above the "
+                              f"explicit-Jacobian cap {PARAM_CAP}")
 
 
 def logit_jacobian(store: lm.ParamStore, tokens, position: int) -> np.ndarray:
@@ -113,14 +112,13 @@ def logit_jacobian(store: lm.ParamStore, tokens, position: int) -> np.ndarray:
 
 
 def entk_block(store: lm.ParamStore, chi_a: Chi, chi_b: Chi,
-               pos_a: int, pos_b: int,
-               param_cap: int = PARAM_CAP_DEFAULT) -> np.ndarray:
+               pos_a: int, pos_b: int) -> np.ndarray:
     """Empirical NTK block K = J_a J_b^T between two logit rows.
 
     Positions index rows of the concatenated-token logit matrix. Refuses to
     run above the parameter cap rather than approximating.
     """
-    _check_cap(store, param_cap)
+    _check_cap(store)
     j_a = logit_jacobian(store, chi_a.tokens(), pos_a)
     j_b = logit_jacobian(store, chi_b.tokens(), pos_b)
     return j_a @ j_b.T
@@ -141,31 +139,27 @@ def _scored_logprob_rows(store, chi: Chi) -> np.ndarray:
 
 
 def akg_check(store: lm.ParamStore, chi_u: Chi, chi_o: Chi, loss_cfg,
-              eta: float, param_cap: int = PARAM_CAP_DEFAULT,
-              include_kernel: bool = False) -> list[DynamicsReport]:
+              eta: float) -> list[DynamicsReport]:
     """Compare predicted vs actual log-probability change for one SGD step.
 
     The prediction contracts the transport sum K G into J_o @ grad_theta(L),
-    which is algebraically identical and avoids materializing K; pass
-    `include_kernel=True` to also store the aligned V x V kernel block per
-    position (tiny models only).
+    which is algebraically identical and avoids materializing K
+    (`entk_block` computes K itself).
 
     `loss_cfg` may be a LossConfig (kinds 'ga' / 'bst') or any callable
     (store, batch) -> LossValue.
     """
-    return next(_akg_runs(store, chi_u, chi_o, loss_cfg, (eta,), param_cap,
-                          include_kernel))
+    return next(_akg_runs(store, chi_u, chi_o, loss_cfg, (eta,)))
 
 
-def _akg_runs(store, chi_u, chi_o, loss_cfg, etas, param_cap,
-              include_kernel=False):
+def _akg_runs(store, chi_u, chi_o, loss_cfg, etas):
     """Yield `akg_check`'s reports for each eta in turn. Only the step and
     -eta * (J_o @ g) depend on eta, so the gradient g, each position's
     J_o @ g (J_o itself is dropped: about 38 MB per position at the
-    parameter cap), A and kernel block are computed once for all etas."""
+    parameter cap), A and G are computed once for all etas."""
     if any(eta <= 0 for eta in etas):
         raise ConfigError("eta must be > 0")
-    _check_cap(store, param_cap)
+    _check_cap(store)
     lv = _loss_for(store, chi_u, loss_cfg)
     names = sorted(lv.param_tensors)
     gs = ad.grad(lv.scalar, [lv.param_tensors[n] for n in names])
@@ -176,30 +170,23 @@ def _akg_runs(store, chi_u, chi_o, loss_cfg, etas, param_cap,
 
     residuals = _residual_rows(store, chi_u, loss_cfg)
 
-    j_u_cache: dict[int, np.ndarray] = {}
-    positions = []  # per position: (J_o @ g, A, G, kernel block)
+    positions = []  # per position: (J_o @ g, A, G)
     for idx, pos in enumerate(chi_o.scored_positions()):
         j_o = logit_jacobian(store, chi_o.tokens(), pos)
-        k_block = None
-        if include_kernel and idx < len(chi_u.response):
-            upos = chi_u.scored_positions()[idx]
-            if upos not in j_u_cache:
-                j_u_cache[upos] = logit_jacobian(store, chi_u.tokens(), upos)
-            k_block = j_o @ j_u_cache[upos].T
         g_row = (residuals[idx] if idx < len(residuals)
                  else np.zeros(store.arch.vocab_size))
         positions.append((j_o @ g_flat, softmax_jacobian(pi_before[idx]),
-                          g_row, k_block))
+                          g_row))
 
     for eta in etas:
         stepped = store.add_flat(-eta * g_flat)
         lp_after = _scored_logprob_rows(stepped, chi_o)
         reports = []
-        for idx, (jg, a, g_row, k_block) in enumerate(positions):
+        for idx, (jg, a, g_row) in enumerate(positions):
             predicted = a @ (-eta * jg)
             actual = lp_after[idx] - lp_before[idx]
             reports.append(DynamicsReport(
-                position=idx, A=a, G=g_row, K_block=k_block,
+                position=idx, A=a, G=g_row,
                 predicted_delta_logpi=predicted, actual_delta_logpi=actual,
                 first_order_error=float(np.max(np.abs(actual - predicted))),
                 eta=eta))
@@ -224,9 +211,7 @@ def _residual_rows(store, chi_u: Chi, loss_cfg) -> np.ndarray:
 
 
 def eta_scaling_slope(store: lm.ParamStore, chi_u: Chi, chi_o: Chi, loss_cfg,
-                      etas=(1e-3, 5e-4, 2.5e-4),
-                      param_cap: int = PARAM_CAP_DEFAULT
-                      ) -> tuple[float, list[dict]]:
+                      etas=(1e-3, 5e-4, 2.5e-4)) -> tuple[float, list[dict]]:
     """Least-squares slope of log(max first-order error) vs log(eta), and
     per eta a dict of its max error and serialized per-position reports
     (serialized before the next eta runs). The Jacobians are computed once
@@ -234,7 +219,7 @@ def eta_scaling_slope(store: lm.ParamStore, chi_u: Chi, chi_o: Chi, loss_cfg,
     object shared by every eta's report."""
     errs, per_eta, shared = [], [], None
     for eta, reports in zip(etas, _akg_runs(store, chi_u, chi_o, loss_cfg,
-                                            etas, param_cap)):
+                                            etas)):
         if shared is None:
             shared = [(r.A.tolist(), r.G.tolist()) for r in reports]
         err = max(r.first_order_error for r in reports)
@@ -252,17 +237,18 @@ def eta_scaling_slope(store: lm.ParamStore, chi_u: Chi, chi_o: Chi, loss_cfg,
 @dataclass
 class BandTrace:
     prompt_id: str
-    candidate_ids: list[str]
     band_of: dict[str, str]
     per_epoch_mean_logprob: np.ndarray  # [epochs, 3] for high/mid/low
     band_sizes: dict[str, int]
 
 
 BANDS = ("high", "mid", "low")
+BAND_FRACTIONS = (0.2, 0.6)  # cumulative share of the high and mid bands
 
 
-def _assign_bands(scores: np.ndarray, fractions=(0.2, 0.6)) -> list[str]:
+def _assign_bands(scores: np.ndarray) -> list[str]:
     """Quantile bands from descending scores: top 20%, next 40%, rest."""
+    fractions = BAND_FRACTIONS
     n = scores.size
     order = np.argsort(-scores, kind="stable")
     n_high = max(1, int(round(fractions[0] * n)))
@@ -279,14 +265,14 @@ def _assign_bands(scores: np.ndarray, fractions=(0.2, 0.6)) -> list[str]:
 
 
 def squeeze_trace(checkpoints: list[lm.ParamStore], prompts,
-                  candidate_source=("beam", 15), bands=(0.2, 0.6),
-                  max_len: int = 12, eos_id: int | None = None,
+                  beam_width: int = 15, max_len: int = 12,
+                  eos_id: int | None = None,
                   exclude_responses=None) -> tuple[list[BandTrace], BandTrace]:
     """Track per-band mean sequence log-probability across checkpoints.
 
-    Candidates are generated once from checkpoints[0] (beam search, or a
-    provided list per prompt for the 'file' source) and band membership is
-    frozen from checkpoint-0 scores, so the trace measures mass movement.
+    Candidates are beam-searched once from checkpoints[0] and band
+    membership is frozen from checkpoint-0 scores, so the trace measures
+    mass movement.
     `exclude_responses`, when given, drops the exact reference response from
     each prompt's candidate pool (the suppressed target is not a neighbor).
     """
@@ -295,19 +281,12 @@ def squeeze_trace(checkpoints: list[lm.ParamStore], prompts,
     prompts = list(prompts)
     if not prompts:
         raise DataError("need at least one prompt")
-    kind = candidate_source[0]
     original = checkpoints[0]
     traces = []
     n_epochs = len(checkpoints)
     for pi, (prompt_id, prompt) in enumerate(prompts):
-        if kind == "beam":
-            width = candidate_source[1]
-            cands = [tuple(t) for t, _ in lm.decode(
-                original, prompt, lm.Beam(width), max_len, eos_id=eos_id)]
-        elif kind == "file":
-            cands = [tuple(c) for c in candidate_source[1][pi]]
-        else:
-            raise ConfigError(f"unknown candidate source {kind!r}")
+        cands = [tuple(t) for t, _ in lm.decode(
+            original, prompt, lm.Beam(beam_width), max_len, eos_id=eos_id)]
         if exclude_responses is not None:
             ref = tuple(exclude_responses[pi])
             cands = [c for c in cands if c != ref]
@@ -318,7 +297,7 @@ def squeeze_trace(checkpoints: list[lm.ParamStore], prompts,
         pairs = [(list(prompt), list(c)) for c in cands]
         scores = np.stack([objectives.batch_sequence_logprobs(ck, pairs)
                            for ck in checkpoints])  # [E, C]
-        band_list = _assign_bands(scores[0], bands)
+        band_list = _assign_bands(scores[0])
         cand_ids = [f"{prompt_id}_c{j}" for j in range(len(cands))]
         per_epoch = np.zeros((n_epochs, 3))
         sizes = {}
@@ -327,12 +306,10 @@ def squeeze_trace(checkpoints: list[lm.ParamStore], prompts,
             sizes[b] = len(sel)
             per_epoch[:, bi] = scores[:, sel].mean(axis=1)
         traces.append(BandTrace(
-            prompt_id=prompt_id, candidate_ids=cand_ids,
-            band_of=dict(zip(cand_ids, band_list)),
+            prompt_id=prompt_id, band_of=dict(zip(cand_ids, band_list)),
             per_epoch_mean_logprob=per_epoch, band_sizes=sizes))
     agg = BandTrace(
         prompt_id="aggregate",
-        candidate_ids=[c for t in traces for c in t.candidate_ids],
         band_of={k: v for t in traces for k, v in t.band_of.items()},
         per_epoch_mean_logprob=np.mean(
             [t.per_epoch_mean_logprob for t in traces], axis=0),

@@ -121,11 +121,6 @@ class ParamStore:
     def param_count(self) -> int:
         return sum(v.size for v in self.entries.values())
 
-    def flat(self) -> np.ndarray:
-        """All parameters concatenated in sorted-name order."""
-        return np.concatenate([self.entries[k].ravel()
-                               for k in sorted(self.entries)])
-
     def add_flat(self, delta: np.ndarray) -> "ParamStore":
         """New store with `delta` (sorted-name flat layout) added."""
         out = self.snapshot()
@@ -359,15 +354,6 @@ def decode_batch(store: ParamStore, prompts, strategies, max_len: int,
     return list(zip(outs, totals))
 
 
-def greedy_batch(store: ParamStore, prompts, max_len: int,
-                 eos_id: int | None = None) -> list[list[int]]:
-    """Greedy continuations of many prompts: for each prompt, the tokens
-    `decode(store, prompt, Greedy(), max_len, eos_id)` returns."""
-    prompts = list(prompts)
-    return [toks for toks, _ in decode_batch(
-        store, prompts, [Greedy()] * len(prompts), max_len, eos_id)]
-
-
 def _last_logits(store: ParamStore, seqs: np.ndarray) -> np.ndarray:
     """Last-position logits of equal-length rows, at most MAX_BATCH_ROWS
     per forward: [B, T] ids -> [B, V]."""
@@ -404,12 +390,12 @@ def _beam_decode(store, prompt, width, max_len, eos_id):
                 nxt += [(toks + (v,), lp, v == eos_id)
                         for v, lp in zip(vs, lps)]
         # Stable: best logprob first, ties toward lexicographically low ids.
+        # No sequence appears twice: open beams share one length, children
+        # of distinct parents have distinct prefixes, children of one parent
+        # differ in their last token, and every child is one token longer
+        # than every finished beam.
         nxt.sort(key=lambda c: (-c[1], c[0]))
-        best: dict[tuple, tuple] = {}
-        for c in nxt:
-            if c[0] not in best:
-                best[c[0]] = c
-        beams = list(best.values())[:width]
+        beams = nxt[:width]
     beams.sort(key=lambda c: (-c[1], c[0]))
     return [(list(t), lp) for t, lp, _ in beams]
 

@@ -30,6 +30,7 @@ from .errors import ContractError, DataError
 SPLITS = ("forget", "retain", "holdout")
 PER_SPLIT_FIELDS = ("rouge_l", "norm_prob", "para_prob", "exact_mem",
                     "extraction_strength", "truth_ratio_inv", "degeneracy")
+GEN_MAX_LEN = 16  # greedy tokens generated per record
 
 
 @dataclass
@@ -231,15 +232,15 @@ def _split_records(corp: cp.Corpus, splits=SPLITS):
     return records
 
 
-def score_records(store: lm.ParamStore, vocab: cp.Vocabulary, records,
-                  max_len: int = 16):
+def score_records(store: lm.ParamStore, vocab: cp.Vocabulary, records):
     """Per-record scores (a dict of PER_SPLIT_FIELDS each) and the raw greedy
     generations behind ROUGE-L and degeneracy.
 
     Every teacher-forced pair of every record goes through one
     `teacher_forced_scores` call: prompt + answer, paraphrase + answer (both
     the paraphrase probability and the truth-ratio denominator) and
-    paraphrase + each perturbed answer. Generation is one `lm.greedy_batch`.
+    paraphrase + each perturbed answer. Generation is one greedy
+    `lm.decode_batch`.
     """
     prompts, answers, pairs = [], [], []
     for rec in records:
@@ -252,7 +253,9 @@ def score_records(store: lm.ParamStore, vocab: cp.Vocabulary, records,
         pairs += [(para_prompt, cp.encode(vocab, a))
                   for a in rec.perturbed_answers]
     scores = teacher_forced_scores(store, pairs)
-    gens = lm.greedy_batch(store, prompts, max_len, eos_id=vocab.eos)
+    gens = [toks for toks, _ in lm.decode_batch(
+        store, prompts, [lm.Greedy()] * len(prompts), GEN_MAX_LEN,
+        eos_id=vocab.eos)]
     rows, at = [], 0
     for rec, answer, gen in zip(records, answers, gens):
         main, para = scores[at], scores[at + 1]
@@ -290,8 +293,8 @@ def reference_norm_probs(ref_store: lm.ParamStore,
 
 
 def evaluate_model(store: lm.ParamStore, corp: cp.Corpus,
-                   ref_norm_probs: dict[str, float] | None = None,
-                   max_len: int = 16) -> MetricsReport:
+                   ref_norm_probs: dict[str, float] | None = None
+                   ) -> MetricsReport:
     """Full metric sweep over all three splits plus the HM composites.
 
     With `ref_norm_probs` (from `reference_norm_probs` of the
@@ -303,8 +306,7 @@ def evaluate_model(store: lm.ParamStore, corp: cp.Corpus,
     vocab = corp.vocab
     by_split = _split_records(corp)
     rows, gens = score_records(
-        store, vocab, [r for recs in by_split.values() for r in recs],
-        max_len)
+        store, vocab, [r for recs in by_split.values() for r in recs])
     per_split, at = {}, 0
     for split, recs in by_split.items():
         part = rows[at:at + len(recs)]

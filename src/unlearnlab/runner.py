@@ -311,7 +311,7 @@ def run_unlearn(config: RunConfig, reference_checkpoint,
         augmented = None
         if cfg.kind == "bss":
             counters = [next(aug_ids) for _ in forget_pairs]
-            augmented = beliefs.sample_augmentations_batch(
+            augmented = beliefs.sample_augmentations(
                 store, [prompt for prompt, _ in forget_pairs],
                 [f"b{c}" for c in counters], n=cfg.n_aug, tau=cfg.tau,
                 seed=config.seed, max_len=config.squeeze_max_len,
@@ -434,7 +434,7 @@ def run_squeeze(config: RunConfig, reference_checkpoint) -> dict:
         prompts.append((rec.id, prompt))
         refs.append(answer)
     traces, agg = dynamics.squeeze_trace(
-        snapshots, prompts, candidate_source=("beam", config.beam_width),
+        snapshots, prompts, beam_width=config.beam_width,
         max_len=config.squeeze_max_len, eos_id=vocab.eos,
         exclude_responses=refs)
     out = Path(config.out_dir)

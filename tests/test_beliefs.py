@@ -128,22 +128,26 @@ def test_sample_augmentations_contract(mini_trained):
     vocab = corp.vocab
     rec = corp.records[0]
     prompt, _ = cp.qa_pair_tokens(vocab, rec.question, rec.answer)
-    a1 = beliefs.sample_augmentations(store, prompt, rec.id, n=3, tau=0.8,
-                                      seed=7, max_len=10, eos_id=vocab.eos)
+    a1, = beliefs.sample_augmentations(store, [prompt], [rec.id], n=3,
+                                       tau=0.8, seed=7, max_len=10,
+                                       eos_id=vocab.eos, counters=[0])
     assert len(a1.responses) == 3
-    a2 = beliefs.sample_augmentations(store, prompt, rec.id, n=3, tau=0.8,
-                                      seed=7, max_len=10, eos_id=vocab.eos)
+    a2, = beliefs.sample_augmentations(store, [prompt], [rec.id], n=3,
+                                       tau=0.8, seed=7, max_len=10,
+                                       eos_id=vocab.eos, counters=[0])
     assert a1.responses == a2.responses
-    a3 = beliefs.sample_augmentations(store, prompt, rec.id, n=3, tau=0.8,
-                                      seed=7, max_len=10, eos_id=vocab.eos,
-                                      counter=1)
+    a3, = beliefs.sample_augmentations(store, [prompt], [rec.id], n=3,
+                                       tau=0.8, seed=7, max_len=10,
+                                       eos_id=vocab.eos, counters=[1])
     assert a3.responses != a1.responses
     with pytest.raises(ConfigError):
-        beliefs.sample_augmentations(store, prompt, rec.id, n=0, tau=0.8,
-                                     seed=7, max_len=10)
+        beliefs.sample_augmentations(store, [prompt], [rec.id], n=0, tau=0.8,
+                                     seed=7, max_len=10, eos_id=None,
+                                     counters=[0])
     with pytest.raises(ConfigError):
-        beliefs.sample_augmentations(store, prompt, rec.id, n=2, tau=0.0,
-                                     seed=7, max_len=10)
+        beliefs.sample_augmentations(store, [prompt], [rec.id], n=2, tau=0.0,
+                                     seed=7, max_len=10, eos_id=None,
+                                     counters=[0])
 
 
 def test_augmentation_batch_equals_per_response_decodes(mini_trained):
@@ -152,7 +156,7 @@ def test_augmentation_batch_equals_per_response_decodes(mini_trained):
     recs = corp.records[:6]
     prompts = [cp.qa_pair_tokens(vocab, r.question, r.answer)[0]
                for r in recs]
-    sets = beliefs.sample_augmentations_batch(
+    sets = beliefs.sample_augmentations(
         store, prompts, [r.id for r in recs], n=4, tau=1.5, seed=3,
         max_len=8, eos_id=vocab.eos, counters=[9, 2, 2, 5, 0, 7])
     for s, r, prompt, c in zip(sets, recs, prompts, [9, 2, 2, 5, 0, 7]):
@@ -160,9 +164,9 @@ def test_augmentation_batch_equals_per_response_decodes(mini_trained):
                           lm.Temperature(1.5, beliefs._mix(3, c, j)), 8,
                           eos_id=vocab.eos)[0][0] for j in range(4)]
         assert s == beliefs.AugmentedSet(r.id, want, 1.5, 3)
-        assert s == beliefs.sample_augmentations(
-            store, prompt, r.id, n=4, tau=1.5, seed=3, max_len=8,
-            eos_id=vocab.eos, counter=c)
+        assert [s] == beliefs.sample_augmentations(
+            store, [prompt], [r.id], n=4, tau=1.5, seed=3, max_len=8,
+            eos_id=vocab.eos, counters=[c])
 
 
 def test_low_temperature_concentrates_on_likely_sequences(mini_trained):
@@ -173,9 +177,9 @@ def test_low_temperature_concentrates_on_likely_sequences(mini_trained):
         lps = []
         for i, rec in enumerate(corp.records[:50]):
             prompt, _ = cp.qa_pair_tokens(vocab, rec.question, rec.answer)
-            aug = beliefs.sample_augmentations(
-                store, prompt, rec.id, n=2, tau=tau, seed=40 + i,
-                max_len=10, eos_id=vocab.eos)
+            aug, = beliefs.sample_augmentations(
+                store, [prompt], [rec.id], n=2, tau=tau, seed=40 + i,
+                max_len=10, eos_id=vocab.eos, counters=[0])
             lps.extend(lm.sequence_logprob(store, prompt, r)
                        for r in aug.responses)
         means[tau] = np.mean(lps)
@@ -213,7 +217,8 @@ def test_augmented_responses_terminate(mini_trained):
     vocab = corp.vocab
     rec = corp.records[3]
     prompt, _ = cp.qa_pair_tokens(vocab, rec.question, rec.answer)
-    aug = beliefs.sample_augmentations(store, prompt, rec.id, n=4, tau=1.5,
-                                       seed=3, max_len=7, eos_id=vocab.eos)
+    aug, = beliefs.sample_augmentations(store, [prompt], [rec.id], n=4,
+                                        tau=1.5, seed=3, max_len=7,
+                                        eos_id=vocab.eos, counters=[0])
     for r in aug.responses:
         assert r[-1] == vocab.eos or len(r) == 7

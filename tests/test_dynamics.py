@@ -151,10 +151,11 @@ def test_entk_matches_finite_difference_jacobians(dyn_store):
     assert np.max(np.abs(k - k_fd)) / denom <= 1e-5
 
 
-def test_entk_refuses_above_cap(dyn_store):
+def test_entk_refuses_above_cap(dyn_store, monkeypatch):
     chi = dy.Chi(prompt=[1], response=[2])
+    monkeypatch.setattr(dy, "PARAM_CAP", 10)
     with pytest.raises(CapabilityError):
-        dy.entk_block(dyn_store, chi, chi, 0, 0, param_cap=10)
+        dy.entk_block(dyn_store, chi, chi, 0, 0)
 
 
 def test_akg_zero_loss_gives_zero_deltas(dyn_store):
@@ -226,8 +227,7 @@ def test_eta_scaling_slope_computes_each_jacobian_once(dyn_store,
 def test_akg_bst_reports_carry_residuals(dyn_store):
     chi = dy.Chi(prompt=[1, 2], response=[3, 4])
     cfg = ob.LossConfig(kind="bst", lambda_bst=0.2, k=5)
-    reports = dy.akg_check(dyn_store, chi, chi, cfg, 1e-3,
-                           include_kernel=True)
+    reports = dy.akg_check(dyn_store, chi, chi, cfg, 1e-3)
     lp = ad.arrays.log_softmax(lm.forward_logits(dyn_store, chi.tokens()))
     for r, pos, y in zip(reports, chi.scored_positions(), chi.response):
         pi = np.exp(lp[pos])
@@ -235,7 +235,6 @@ def test_akg_bst_reports_carry_residuals(dyn_store):
         want = dy.residual("bst", pi, y, bel, 0.2)
         assert np.max(np.abs(r.G - want)) <= 1e-10
         assert abs(r.G.sum()) <= 1e-10
-        assert r.K_block is not None
         assert np.max(np.abs(r.A @ np.ones(len(pi)))) <= 1e-10
 
 
@@ -264,7 +263,7 @@ def test_squeeze_trace_structure(mini_trained):
     for k in second.entries:
         second.entries[k] = second.entries[k] + rng.normal(
             0, 0.01, second.entries[k].shape)
-    traces, agg = dy.squeeze_trace([store, second], prompts, ("beam", 12),
+    traces, agg = dy.squeeze_trace([store, second], prompts, 12,
                                    max_len=10, eos_id=vocab.eos,
                                    exclude_responses=refs)
     for t in traces:
@@ -281,5 +280,4 @@ def test_squeeze_trace_structure(mini_trained):
 def test_squeeze_trace_needs_five_candidates(mini_trained):
     corp, store = mini_trained
     with pytest.raises(DataError):
-        dy.squeeze_trace([store], [("p0", [1, 2, 3])],
-                         ("file", [[[4, 5], [6, 7]]]))
+        dy.squeeze_trace([store], [("p0", [1, 2, 3])], beam_width=4)

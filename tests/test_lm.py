@@ -225,20 +225,21 @@ def test_length_groups_cap_rows():
                                         lm.MAX_BATCH_ROWS, 1]
 
 
-def test_greedy_batch_matches_per_prompt_decode(tiny_store):
+def test_greedy_decode_batch_matches_per_prompt_decode(tiny_store):
     rng = np.random.default_rng(4)
     prompts = [list(rng.integers(0, 12, rng.integers(1, 6)))
                for _ in range(40)]
     prompts += [[1] * 14, [2] * 16]  # two steps of context left, then none
     for eos in (None, 0, 5):
-        got = lm.greedy_batch(tiny_store, prompts, 6, eos_id=eos)
+        got = [t for t, _ in lm.decode_batch(
+            tiny_store, prompts, [lm.Greedy()] * len(prompts), 6, eos_id=eos)]
         want = [lm.decode(tiny_store, p, lm.Greedy(), 6, eos_id=eos)[0][0]
                 for p in prompts]
         assert got == want
     with pytest.raises(ContractError):
-        lm.greedy_batch(tiny_store, [[1], []], 4)
+        lm.decode_batch(tiny_store, [[1], []], [lm.Greedy()] * 2, 4)
     with pytest.raises(ConfigError):
-        lm.greedy_batch(tiny_store, [[1]], 0)
+        lm.decode_batch(tiny_store, [[1]], [lm.Greedy()], 0)
 
 
 def _decode_one_row(store, prompt, strategy, max_len, eos_id=None):

@@ -302,7 +302,7 @@ def _record_scores(store, vocab, rec, max_len):
 
 
 def _assert_matches_oracle(store, vocab, records):
-    rows, gens = mt.score_records(store, vocab, records, 16)
+    rows, gens = mt.score_records(store, vocab, records)
     assert len(rows) == len(gens) == len(records)
     for rec, row, gen in zip(records, rows, gens):
         want, want_gen = _record_scores(store, vocab, rec, 16)

@@ -296,6 +296,17 @@ def test_dynamics_runner_untrained_tiny_arch(small_setup, tmp_path):
     written = (tmp_path / "dyn" / "dynamics_report.json").read_text()
     oracle = "".join(json.JSONEncoder(sort_keys=True).iterencode(doc)) + "\n"
     assert written == oracle
+    # The v0.1 report format: every position of every eta has exactly these
+    # keys, and K_block is always null.
+    keys = {"position", "A", "G", "K_block", "predicted_delta_logpi",
+            "actual_delta_logpi", "first_order_error", "eta"}
+    runs = json.loads(written)["reports"]
+    assert len(runs) == 3
+    for run in runs:
+        assert run["positions"]
+        for pos in run["positions"]:
+            assert set(pos) == keys
+            assert pos["K_block"] is None
 
 
 def test_squeeze_runner_outputs(small_setup, small_theta_o, tmp_path):
