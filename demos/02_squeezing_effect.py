@@ -7,10 +7,12 @@ re-scored after every unlearning epoch. The high band rises first: the mass
 pushed off the target lands on the nearest high-confidence neighbors.
 """
 
+from functools import partial
+
 from unlearnlab import corpus as cp
 from unlearnlab import dynamics as dy
 from unlearnlab import lm, runner
-from unlearnlab.objectives import loss_ga, loss_retain
+from unlearnlab.objectives import LossConfig, forget_loss, loss_retain
 from unlearnlab.optim import OptimizerConfig, SchedulerConfig
 
 ARCH = lm.ArchConfig(vocab_size=400, context_len=32, d_model=32, n_layers=1,
@@ -44,7 +46,8 @@ def main():
 
     # unlearn with plain ascent, snapshotting each epoch
     snaps = [store.snapshot()]
-    runner.train(store, forget, vocab, loss_ga,
+    runner.train(store, forget, vocab,
+                 partial(forget_loss, LossConfig(kind="ga")),
                  runner.RunConfig(
                      arch=ARCH, optimizer=OptimizerConfig(lr=1e-4),
                      scheduler=SchedulerConfig(kind="constant",

@@ -105,6 +105,9 @@ def main(argv=None) -> int:
             if not ckpts:
                 raise ConfigError("eval needs --checkpoint or eval_checkpoints")
             judge_mode = args.judge or doc.get("judge", "none")
+            if judge_mode not in ("none", "mock", "http"):
+                raise ConfigError(f"judge must be none, mock or http, got "
+                                  f"{judge_mode!r}")
             if judge_mode == "http" and not doc.get("judge_endpoint"):
                 raise ConfigError("--judge http needs a judge_endpoint")
             reports = runner.run_eval(

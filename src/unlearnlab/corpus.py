@@ -219,6 +219,9 @@ class QaRecord:
     perturbed_answers: list[str]
 
 
+SPLITS = ("forget", "retain", "holdout")
+
+
 # Special tokens, with ids 0..3 in this order.
 SPECIAL_TOKENS = ("bos", "eos", "pad", "sep")
 
@@ -302,6 +305,11 @@ def generate_corpus(gen_config: GenConfig, seed: int) -> Corpus:
 
     n_forget = int(round(gen_config.n_entities * gen_config.forget_fraction))
     n_holdout = int(round(gen_config.n_entities * gen_config.holdout_fraction))
+    n_retain = gen_config.n_entities - n_forget - n_holdout
+    if min(n_forget, n_retain) < 1:
+        raise ConfigError(
+            f"{gen_config.n_entities} entities round to {n_forget} forget "
+            f"and {n_retain} retain entities; each needs at least one")
     order = rng.permutation(gen_config.n_entities)
     split_of = {}
     for rank, ent in enumerate(order):
@@ -398,14 +406,36 @@ def save_corpus(corp: Corpus, records_path, vocab_path):
                    "tokens": corp.vocab.token_of}, vocab_path)
 
 
+def _parse_record(line: str, where: str) -> QaRecord:
+    """One corpus line as a QaRecord; DataError naming `where` and the field
+    when a field is missing, unknown or of the wrong type."""
+    try:
+        rec = QaRecord(**json.loads(line))
+    except (json.JSONDecodeError, TypeError) as e:
+        raise DataError(f"{where}: malformed record: {e}")
+    for name in ("id", "split", "question", "answer"):
+        if not isinstance(getattr(rec, name), str):
+            raise DataError(f"{where}: {name!r} must be a string")
+    for name in ("paraphrases", "perturbed_answers"):
+        texts = getattr(rec, name)
+        if not (isinstance(texts, list) and texts
+                and all(isinstance(t, str) for t in texts)):
+            raise DataError(f"{where}: {name!r} must be a non-empty array "
+                            "of strings")
+    if rec.split not in SPLITS:
+        raise DataError(f"{where}: 'split' must be one of "
+                        f"{', '.join(SPLITS)}, got {rec.split!r}")
+    return rec
+
+
 def load_corpus(records_path, vocab_path) -> Corpus:
     records = []
     try:
         with open(records_path) as f:
-            for line in f:
-                line = line.strip()
-                if line:
-                    records.append(QaRecord(**json.loads(line)))
+            for n, line in enumerate(f, 1):
+                if line.strip():
+                    records.append(_parse_record(
+                        line, f"corpus file {records_path} line {n}"))
         with open(vocab_path) as f:
             doc = json.load(f)
     except FileNotFoundError as e:

@@ -23,6 +23,9 @@ from . import beliefs, lm, objectives
 from .errors import CapabilityError, ConfigError, ContractError, DataError
 
 PARAM_CAP = 20_000
+# The loss kinds with a closed-form residual, so the only ones the one-step
+# oracle can check.
+ORACLE_KINDS = ("ga", "bst")
 
 
 @dataclass
@@ -77,17 +80,18 @@ def residual(loss_kind: str, probs: np.ndarray, target_id: int,
              belief: beliefs.BeliefDistribution | None = None,
              lambda_bst: float | None = None) -> np.ndarray:
     """Per-position loss gradient with respect to the logits."""
+    if loss_kind not in ORACLE_KINDS:
+        raise ConfigError(f"residual is defined for {ORACLE_KINDS}, "
+                          f"not {loss_kind!r}")
     probs = np.asarray(probs, dtype=np.float64)
     one_hot = np.zeros_like(probs)
     one_hot[target_id] = 1.0
     if loss_kind == "ga":
         return one_hot - probs
-    if loss_kind == "bst":
-        if belief is None or lambda_bst is None:
-            raise ContractError("bst residual needs a belief and lambda_bst")
-        t = beliefs.soft_target(belief, target_id, lambda_bst).probs
-        return t - probs
-    raise ConfigError(f"residual is defined for 'ga' and 'bst', not {loss_kind!r}")
+    if belief is None or lambda_bst is None:
+        raise ContractError("bst residual needs a belief and lambda_bst")
+    t = beliefs.soft_target(belief, target_id, lambda_bst).probs
+    return t - probs
 
 
 def _check_cap(store: lm.ParamStore):
@@ -128,8 +132,8 @@ def _loss_for(store, chi_u: Chi, loss_cfg):
     batch = [(list(chi_u.prompt), list(chi_u.response))]
     if callable(loss_cfg):
         return loss_cfg(store, batch)
-    if loss_cfg.kind not in ("ga", "bst"):
-        raise ConfigError("akg_check supports loss kinds 'ga' and 'bst'")
+    if loss_cfg.kind not in ORACLE_KINDS:
+        raise ConfigError(f"akg_check supports loss kinds {ORACLE_KINDS}")
     return objectives.forget_loss(loss_cfg, store, batch)
 
 
@@ -201,12 +205,10 @@ def _residual_rows(store, chi_u: Chi, loss_cfg) -> np.ndarray:
     if callable(loss_cfg):
         return rows
     for i, y in enumerate(chi_u.response):
-        if loss_cfg.kind == "ga":
-            rows[i] = residual("ga", pi[i], y)
-        else:
-            bel = beliefs.topk_belief(pi[i], loss_cfg.k,
-                                      loss_cfg.belief_smoothing_tau)
-            rows[i] = residual("bst", pi[i], y, bel, loss_cfg.lambda_bst)
+        bel = (beliefs.topk_belief(pi[i], loss_cfg.k,
+                                   loss_cfg.belief_smoothing_tau)
+               if loss_cfg.kind == "bst" else None)
+        rows[i] = residual(loss_cfg.kind, pi[i], y, bel, loss_cfg.lambda_bst)
     return rows
 
 

@@ -14,7 +14,7 @@ and `aug_term` the gradient-blocked belief part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,9 +63,6 @@ class LossConfig:
         if self.belief_smoothing_tau <= 0:
             raise ConfigError("belief_smoothing_tau must be > 0")
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class LossValue:
@@ -76,11 +73,6 @@ class LossValue:
     @property
     def value(self) -> float:
         return float(self.scalar.value)
-
-
-def _check_batch(batch):
-    if not batch:
-        raise DataError("batch must be non-empty")
 
 
 def _pad_batch(pairs: list[Pair]):
@@ -109,12 +101,10 @@ def _pad_batch(pairs: list[Pair]):
     return tokens, tgt_pos, tgt_ids, mask
 
 
-def _tensors_or(store: lm.ParamStore, tensors):
-    return tensors if tensors is not None else lm.param_tensors(store)
-
-
 def _seq_logprob_graph(store, pairs, tensors):
     """Per-sequence log-likelihood node [B] plus reusable intermediates."""
+    if not pairs:
+        raise DataError("batch must be non-empty")
     tokens, tgt_pos, tgt_ids, mask = _pad_batch(pairs)
     logits = lm.build_logits(tensors, store.arch, tokens)
     logprobs = ad.log_softmax(logits)
@@ -136,25 +126,33 @@ def batch_sequence_logprobs(store: lm.ParamStore, pairs: list[Pair]) -> np.ndarr
 
 # Loss builders ---------------------------------------------------------------
 
+# Every forget builder has one signature,
+#   loss_<kind>(store, batch, cfg, tensors, ref_store=None, augmented=None),
+# reads its own hyperparameters from the LossConfig `cfg` (which
+# `forget_loss` has validated) and builds its graph on `tensors`.
 
-def loss_ga(store: lm.ParamStore, forget_batch: list[Pair],
-            tensors=None) -> LossValue:
-    """Mean sequence log-likelihood; minimizing it is ascent on the NLL."""
-    _check_batch(forget_batch)
-    tensors = _tensors_or(store, tensors)
-    seq_lp, *_ = _seq_logprob_graph(store, forget_batch, tensors)
-    scalar = ad.mean_all(seq_lp)
+
+def _value(tensors, forget: ad.Node, aug: ad.Node | None = None) -> LossValue:
+    """A forget-side loss: the weighted `forget` term plus, when given, the
+    weighted `aug` term."""
+    scalar = forget if aug is None else ad.add(forget, aug)
     return LossValue(scalar,
-                     {"forget_term": float(scalar.value),
-                      "retain_term": 0.0, "aug_term": 0.0},
+                     {"forget_term": float(forget.value), "retain_term": 0.0,
+                      "aug_term": 0.0 if aug is None else float(aug.value)},
                      tensors)
+
+
+def loss_ga(store: lm.ParamStore, forget_batch: list[Pair], cfg: LossConfig,
+            tensors, ref_store=None, augmented=None) -> LossValue:
+    """Mean sequence log-likelihood; minimizing it is ascent on the NLL."""
+    seq_lp, *_ = _seq_logprob_graph(store, forget_batch, tensors)
+    return _value(tensors, ad.mean_all(seq_lp))
 
 
 def loss_retain(store: lm.ParamStore, retain_batch: list[Pair],
                 tensors=None) -> LossValue:
     """Mean NLL on retain pairs; composed additively with any forget loss."""
-    _check_batch(retain_batch)
-    tensors = _tensors_or(store, tensors)
+    tensors = lm.param_tensors(store) if tensors is None else tensors
     seq_lp, *_ = _seq_logprob_graph(store, retain_batch, tensors)
     scalar = ad.scale(ad.mean_all(seq_lp), -1.0)
     return LossValue(scalar,
@@ -163,139 +161,90 @@ def loss_retain(store: lm.ParamStore, retain_batch: list[Pair],
                      tensors)
 
 
-def loss_npo(store: lm.ParamStore, ref_store: lm.ParamStore,
-             forget_batch: list[Pair], beta: float,
-             tensors=None) -> LossValue:
+def loss_npo(store: lm.ParamStore, forget_batch: list[Pair], cfg: LossConfig,
+             tensors, ref_store=None, augmented=None) -> LossValue:
     """(2/beta) * mean softplus(beta * (log pi - log pi_ref)).
 
     The reference store is a frozen snapshot; its log-likelihoods enter the
     graph as constants.
     """
-    if beta <= 0:
-        raise ConfigError("beta must be > 0")
     if ref_store is None:
         raise ConfigError("npo needs a reference store")
-    _check_batch(forget_batch)
-    tensors = _tensors_or(store, tensors)
     seq_lp, *_ = _seq_logprob_graph(store, forget_batch, tensors)
     ref_lp = batch_sequence_logprobs(ref_store, forget_batch)
     margin = ad.sub(seq_lp, ad.constant(ref_lp))
-    per_ex = ad.scale(ad.softplus(ad.scale(margin, beta)), 2.0 / beta)
-    scalar = ad.mean_all(per_ex)
-    return LossValue(scalar,
-                     {"forget_term": float(scalar.value),
-                      "retain_term": 0.0, "aug_term": 0.0},
-                     tensors)
+    per_ex = ad.scale(ad.softplus(ad.scale(margin, cfg.beta)), 2.0 / cfg.beta)
+    return _value(tensors, ad.mean_all(per_ex))
 
 
-def loss_wga(store: lm.ParamStore, forget_batch: list[Pair], alpha: float,
-             tensors=None) -> LossValue:
+def loss_wga(store: lm.ParamStore, forget_batch: list[Pair], cfg: LossConfig,
+             tensors, ref_store=None, augmented=None) -> LossValue:
     """Token-weighted ascent: sum_i w_i * log pi(y_i), w_i = pi(y_i)**alpha.
 
     The weights are gradient-blocked coefficients taken from the live
     forward pass.
     """
-    if alpha < 0:
-        raise ConfigError("alpha must be >= 0")
-    _check_batch(forget_batch)
-    tensors = _tensors_or(store, tensors)
-    seq_lp, lp_rows, lp_y, tgt_ids, mask = _seq_logprob_graph(
-        store, forget_batch, tensors)
-    weights = np.exp(alpha * lp_y.value) * mask
+    _, _, lp_y, _, mask = _seq_logprob_graph(store, forget_batch, tensors)
+    weights = np.exp(cfg.alpha * lp_y.value) * mask
     weighted = ad.sum_axis(ad.mul(lp_y, ad.constant(weights)), axis=1)
-    scalar = ad.mean_all(weighted)
-    return LossValue(scalar,
-                     {"forget_term": float(scalar.value),
-                      "retain_term": 0.0, "aug_term": 0.0},
-                     tensors)
+    return _value(tensors, ad.mean_all(weighted))
 
 
-def loss_bst(store: lm.ParamStore, forget_batch: list[Pair],
-             lambda_bst: float, k: int, smoothing_tau: float = 1.0,
-             tensors=None) -> LossValue:
+def loss_bst(store: lm.ParamStore, forget_batch: list[Pair], cfg: LossConfig,
+             tensors, ref_store=None, augmented=None) -> LossValue:
     """Belief-softened token loss: mean of sum_i <t_i, log pi_i>.
 
     The soft target mixes the one-hot label with the gradient-blocked
     renormalized top-k belief, spreading the push-down across the model's
     own high-probability tokens.
     """
-    if not 0.0 <= lambda_bst <= 1.0:
-        raise ConfigError("lambda_bst must be in [0, 1]")
-    _check_batch(forget_batch)
-    if k < 1 or k > store.arch.vocab_size:
+    if cfg.k > store.arch.vocab_size:
         raise ConfigError("k out of range")
-    tensors = _tensors_or(store, tensors)
-    seq_lp, lp_rows, lp_y, tgt_ids, mask = _seq_logprob_graph(
-        store, forget_batch, tensors)
+    _, lp_rows, lp_y, _, mask = _seq_logprob_graph(store, forget_batch,
+                                                   tensors)
     # pi at the scored positions: exponentiate the log-softmax rows rather
     # than running a second softmax pass.
     pi_rows = ad.exp(lp_rows)
-    q = beliefs.belief_node(pi_rows, k, smoothing_tau)   # [B, R, V], frozen
+    q = beliefs.belief_node(pi_rows, cfg.k, cfg.belief_smoothing_tau)
     label_term = ad.sum_axis(ad.mul(lp_y, ad.constant(mask)), axis=1)
     belief_inner = ad.sum_axis(ad.mul(q, lp_rows), axis=2)  # [B, R]
     belief_term = ad.sum_axis(ad.mul(belief_inner, ad.constant(mask)), axis=1)
-    label_part = ad.scale(ad.mean_all(label_term), 1.0 - lambda_bst)
-    belief_part = ad.scale(ad.mean_all(belief_term), lambda_bst)
-    scalar = ad.add(label_part, belief_part)
-    return LossValue(scalar,
-                     {"forget_term": float(label_part.value),
-                      "retain_term": 0.0,
-                      "aug_term": float(belief_part.value)},
-                     tensors)
+    return _value(tensors,
+                  ad.scale(ad.mean_all(label_term), 1.0 - cfg.lambda_bst),
+                  ad.scale(ad.mean_all(belief_term), cfg.lambda_bst))
 
 
-def loss_bss(store: lm.ParamStore, forget_batch: list[Pair],
-             augmented: list[beliefs.AugmentedSet], lambda_bss: float,
-             base_loss: LossConfig, ref_store: lm.ParamStore | None = None,
-             tensors=None) -> LossValue:
+def loss_bss(store: lm.ParamStore, forget_batch: list[Pair], cfg: LossConfig,
+             tensors, ref_store=None, augmented=None) -> LossValue:
     """Sequence-level mix: (1-w) * base(original) + w * base(augmented).
 
     `augmented[i]` holds sampled responses for forget_batch[i]'s prompt; the
     augmented batch pairs each prompt with each of its sampled responses.
+    The base is `cfg.base_loss`, built through the loss table.
     """
-    if not 0.0 <= lambda_bss <= 1.0:
-        raise ConfigError("lambda_bss must be in [0, 1]")
-    _check_batch(forget_batch)
-    if len(augmented) != len(forget_batch):
-        raise DataError("augmented sets misaligned with forget batch")
+    if augmented is None or len(augmented) != len(forget_batch):
+        raise DataError("bss needs one augmented set per forget pair")
     aug_pairs = []
     for (prompt, _), aug in zip(forget_batch, augmented):
         if not aug.responses:
             raise DataError("augmented set has no responses")
         for resp in aug.responses:
             aug_pairs.append((prompt, list(resp)))
-    if base_loss.base_loss not in BASE_KINDS:
-        raise ConfigError(f"unsupported base loss {base_loss.base_loss!r}")
-    base = _TABLE[base_loss.base_loss]
-    tensors = _tensors_or(store, tensors)
-    orig = base(store, forget_batch, base_loss, ref_store, None, tensors)
-    aug = base(store, aug_pairs, base_loss, ref_store, None, tensors)
-    orig_part = ad.scale(orig.scalar, 1.0 - lambda_bss)
-    aug_part = ad.scale(aug.scalar, lambda_bss)
-    scalar = ad.add(orig_part, aug_part)
-    return LossValue(scalar,
-                     {"forget_term": float(orig_part.value),
-                      "retain_term": 0.0,
-                      "aug_term": float(aug_part.value)},
-                     tensors)
+    base = globals()[_TABLE[cfg.base_loss]]
+    orig = base(store, forget_batch, cfg, tensors, ref_store)
+    aug = base(store, aug_pairs, cfg, tensors, ref_store)
+    return _value(tensors, ad.scale(orig.scalar, 1.0 - cfg.lambda_bss),
+                  ad.scale(aug.scalar, cfg.lambda_bss))
 
 
 # Loss table ------------------------------------------------------------------
 
-# kind -> builder(store, batch, cfg, ref_store, augmented, tensors). The
-# entries look their loss function up in the module globals at call time, so
-# a wrapper set on the module attribute (a tracer, a test double) sees it.
-_TABLE = {
-    "ga": lambda s, b, c, ref, aug, t: loss_ga(s, b, t),
-    "bst": lambda s, b, c, ref, aug, t: loss_bst(
-        s, b, c.lambda_bst, c.k, c.belief_smoothing_tau, t),
-    "npo": lambda s, b, c, ref, aug, t: loss_npo(s, ref, b, c.beta, t),
-    "wga": lambda s, b, c, ref, aug, t: loss_wga(s, b, c.alpha, t),
-    "bss": lambda s, b, c, ref, aug, t: loss_bss(
-        s, b, aug, c.lambda_bss, c, ref, t),
-}
-# graddiff is ga plus the lambda_retain term that step_loss adds to any kind.
-_TABLE["graddiff"] = _TABLE["ga"]
+# kind -> the name of its builder. Callers look the builder up in the module
+# globals at call time, so a wrapper set on the module attribute (a tracer, a
+# test double) is the one called. graddiff is ga plus the lambda_retain term
+# that step_loss adds to any kind.
+_TABLE = {"ga": "loss_ga", "bst": "loss_bst", "npo": "loss_npo",
+          "wga": "loss_wga", "bss": "loss_bss", "graddiff": "loss_ga"}
 LOSS_KINDS = tuple(_TABLE)
 BASE_KINDS = tuple(k for k in _TABLE if k not in ("bss", "graddiff"))
 
@@ -303,13 +252,13 @@ BASE_KINDS = tuple(k for k in _TABLE if k not in ("bss", "graddiff"))
 def forget_loss(cfg: LossConfig, store: lm.ParamStore,
                 forget_batch: list[Pair], ref_store=None, augmented=None,
                 tensors=None) -> LossValue:
-    """The forget-side loss of `cfg.kind`, built by its table entry.
-    `ref_store` is the frozen npo reference; `augmented` holds bss's sampled
-    sets, one per forget pair."""
-    if cfg.kind not in _TABLE:
-        raise ConfigError(f"unknown loss kind {cfg.kind!r}")
-    return _TABLE[cfg.kind](store, forget_batch, cfg, ref_store, augmented,
-                            _tensors_or(store, tensors))
+    """The forget-side loss of `cfg.kind`, built by its table entry after
+    `cfg.validate()`. `ref_store` is the frozen npo reference; `augmented`
+    holds bss's sampled sets, one per forget pair."""
+    cfg.validate()
+    tensors = lm.param_tensors(store) if tensors is None else tensors
+    return globals()[_TABLE[cfg.kind]](store, forget_batch, cfg, tensors,
+                                       ref_store, augmented)
 
 
 def step_loss(cfg: LossConfig, store: lm.ParamStore,
@@ -318,14 +267,11 @@ def step_loss(cfg: LossConfig, store: lm.ParamStore,
     """One unlearning step's loss: the forget loss of `cfg.kind` plus
     `lambda_retain` times the retain NLL. At lambda_retain 0 no retain graph
     is built and `retain_batch` is not read."""
-    if cfg.lambda_retain < 0:
-        raise ConfigError("lambda_retain must be >= 0")
-    tensors = _tensors_or(store, tensors)
     lv = forget_loss(cfg, store, forget_batch, ref_store, augmented, tensors)
     if cfg.lambda_retain == 0:
         return lv
-    retain = loss_retain(store, retain_batch, tensors)
+    retain = loss_retain(store, retain_batch, lv.param_tensors)
     scalar = ad.add(lv.scalar, ad.scale(retain.scalar, cfg.lambda_retain))
     diag = dict(lv.diagnostics)
     diag["retain_term"] = cfg.lambda_retain * retain.value
-    return LossValue(scalar, diag, tensors)
+    return LossValue(scalar, diag, lv.param_tensors)

@@ -402,12 +402,15 @@ def run_dynamics(config: RunConfig, checkpoint=None,
     """Eta-scaling fit of the one-step prediction error on a capped model."""
     config.validate()
     corp = load_run_corpus(config)
+    forget = corp.split("forget")
+    if not forget:
+        raise DataError("forget split is empty")
     store = (lm.load_checkpoint(checkpoint) if checkpoint
              else lm.init_model(config.arch, config.seed))
-    rec = corp.split("forget")[0]
+    rec = forget[0]
     prompt, answer = cp.qa_pair_tokens(corp.vocab, rec.question, rec.answer)
     chi = dynamics.Chi(prompt=prompt, response=answer)
-    loss_cfg = config.loss if config.loss.kind in ("ga", "bst") \
+    loss_cfg = config.loss if config.loss.kind in dynamics.ORACLE_KINDS \
         else ob.LossConfig(kind="ga")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)

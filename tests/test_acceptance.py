@@ -98,16 +98,23 @@ def test_criterion_1_gradient_oracle_suite():
                        for _ in range(2)], tau=1.0, seed=0)
             for i in range(len(batch))]
         cases = {
-            "ga": lambda t: ob.loss_ga(store, batch, tensors=t),
+            "ga": lambda t: ob.forget_loss(ob.LossConfig(kind="ga"), store,
+                                           batch, tensors=t),
             "graddiff": lambda t: ob.step_loss(
                 ob.LossConfig(kind="graddiff", lambda_retain=1.5), store,
                 batch, retain, tensors=t),
-            "npo": lambda t: ob.loss_npo(store, ref, batch, 0.1, tensors=t),
-            "wga": lambda t: ob.loss_wga(store, batch, 1.0, tensors=t),
-            "bst": lambda t: ob.loss_bst(store, batch, 0.3, 5, tensors=t),
-            "bss": lambda t: ob.loss_bss(
-                store, batch, augs, 0.4,
-                ob.LossConfig(kind="bss", base_loss="bst"), tensors=t),
+            "npo": lambda t: ob.forget_loss(
+                ob.LossConfig(kind="npo", beta=0.1), store, batch, ref,
+                tensors=t),
+            "wga": lambda t: ob.forget_loss(
+                ob.LossConfig(kind="wga", alpha=1.0), store, batch,
+                tensors=t),
+            "bst": lambda t: ob.forget_loss(
+                ob.LossConfig(kind="bst", lambda_bst=0.3, k=5), store, batch,
+                tensors=t),
+            "bss": lambda t: ob.forget_loss(
+                ob.LossConfig(kind="bss", base_loss="bst", lambda_bss=0.4),
+                store, batch, augmented=augs, tensors=t),
             "retain": lambda t: ob.loss_retain(store, retain, tensors=t),
         }
         for kind, make in cases.items():
@@ -206,22 +213,26 @@ def test_criterion_4_reduction_identities():
     augs = [beliefs.AugmentedSet(
         prompt_id=f"a{i}", responses=[[5, 1], [3, 2, 1]], tau=1.0, seed=0)
         for i in range(len(batch))]
-    ga = ob.loss_ga(store, batch).value
+    ga = ob.forget_loss(ob.LossConfig(kind="ga"), store, batch).value
     checks = {
         "graddiff(0)==ga": abs(
             ob.step_loss(ob.LossConfig(kind="graddiff", lambda_retain=0.0),
                          store, batch, retain).value - ga),
-        "wga(0)==ga": abs(ob.loss_wga(store, batch, 0.0).value - ga),
-        "bst(0)==ga": abs(ob.loss_bst(store, batch, 0.0, 5).value - ga),
-        "bss(0)==base": abs(ob.loss_bss(
-            store, batch, augs, 0.0,
-            ob.LossConfig(kind="bss", base_loss="ga")).value - ga),
+        "wga(0)==ga": abs(ob.forget_loss(
+            ob.LossConfig(kind="wga", alpha=0.0), store, batch).value - ga),
+        "bst(0)==ga": abs(ob.forget_loss(
+            ob.LossConfig(kind="bst", lambda_bst=0.0, k=5), store,
+            batch).value - ga),
+        "bss(0)==base": abs(ob.forget_loss(
+            ob.LossConfig(kind="bss", base_loss="ga", lambda_bss=0.0), store,
+            batch, augmented=augs).value - ga),
     }
     worst_red = max(checks.values())
     worst_npo = 0.0
     ref = store.snapshot()
     for beta in (0.05, 0.1, 0.5, 1.0):
-        got = ob.loss_npo(store, ref, batch, beta).value
+        got = ob.forget_loss(ob.LossConfig(kind="npo", beta=beta), store,
+                             batch, ref).value
         worst_npo = max(worst_npo, abs(got - (2 / beta) * np.log(2.0)))
     ok = worst_red <= 1e-12 and worst_npo <= 1e-9
     report(4, ok, f"reductions worst {worst_red:.2e} (<=1e-12), "

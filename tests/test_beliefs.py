@@ -103,7 +103,8 @@ def test_belief_node_matches_numpy_and_blocks_grad():
 def test_no_gradient_through_q_in_full_loss(tiny_store):
     batch = [([1, 2, 3], [4, 5, 1])]
     tensors = lm.param_tensors(tiny_store)
-    lv = ob.loss_bst(tiny_store, batch, 0.3, 5, tensors=tensors)
+    lv = ob.forget_loss(ob.LossConfig(kind="bst", lambda_bst=0.3, k=5),
+                        tiny_store, batch, tensors=tensors)
     names = sorted(tensors)
     g = ad.grad(lv.scalar, [tensors[n] for n in names])
     # rebuild with the belief injected as a plain constant

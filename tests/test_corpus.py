@@ -87,6 +87,37 @@ def test_malformed_vocab_file_is_data_error(case, tmp_path, corp):
     assert str(voc) in str(err.value)
 
 
+# case -> (second record line's document built from the saved one, what the
+# error names)
+_BAD_RECORDS = {
+    "not_object": (lambda d: [d], "malformed"),
+    "missing_field": (lambda d: {k: v for k, v in d.items() if k != "answer"},
+                      "'answer'"),
+    "unknown_field": (lambda d: dict(d, bogus=1), "'bogus'"),
+    "question_not_string": (lambda d: dict(d, question=5), "'question'"),
+    "id_not_string": (lambda d: dict(d, id=None), "'id'"),
+    "paraphrases_empty": (lambda d: dict(d, paraphrases=[]), "'paraphrases'"),
+    "paraphrase_not_string": (lambda d: dict(d, paraphrases=[1]),
+                              "'paraphrases'"),
+    "perturbed_not_list": (lambda d: dict(d, perturbed_answers="x"),
+                           "'perturbed_answers'"),
+    "unknown_split": (lambda d: dict(d, split="forgett"), "'split'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_RECORDS))
+def test_malformed_corpus_record_is_data_error(case, tmp_path, corp):
+    make, match = _BAD_RECORDS[case]
+    rec, voc = tmp_path / "c.jsonl", tmp_path / "v.json"
+    cp.save_corpus(corp, rec, voc)
+    lines = rec.read_text().splitlines()
+    lines[1] = json.dumps(make(json.loads(lines[1])))
+    rec.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=match) as err:
+        cp.load_corpus(rec, voc)
+    assert f"{rec} line 2" in str(err.value)
+
+
 def test_encode_roundtrip_and_eos(corp):
     v = corp.vocab
     for r in corp.records[:25]:
@@ -148,6 +179,12 @@ def test_batches_validation(corp, tiny_store):
 def test_gen_config_validation():
     with pytest.raises(ConfigError):
         cp.generate_corpus(cp.GenConfig(forget_fraction=0.0), 0)
+    # fractions that are valid but round to an empty forget or retain split
+    with pytest.raises(ConfigError, match="0 forget"):
+        cp.generate_corpus(cp.GenConfig(n_entities=4, forget_fraction=0.1), 0)
+    with pytest.raises(ConfigError, match="0 retain"):
+        cp.generate_corpus(cp.GenConfig(n_entities=3, forget_fraction=0.5,
+                                        holdout_fraction=0.45), 0)
     with pytest.raises(ConfigError):
         cp.generate_corpus(cp.GenConfig(n_perturbed=2), 0)
     with pytest.raises(ConfigError):

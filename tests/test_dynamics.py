@@ -162,7 +162,7 @@ def test_akg_zero_loss_gives_zero_deltas(dyn_store):
     chi = dy.Chi(prompt=[1, 2, 3], response=[4, 5])
 
     def zero_loss(store, batch):
-        lv = ob.loss_ga(store, batch)
+        lv = ob.forget_loss(ob.LossConfig(kind="ga"), store, batch)
         return ob.LossValue(ad.scale(lv.scalar, 0.0), lv.diagnostics,
                             lv.param_tensors)
 

@@ -44,7 +44,7 @@ def grad_vs_fd(lv, tensors, names, n_components=6, seed=0):
 
 
 def test_ga_equals_mean_sequence_logprob(tiny_store, batch):
-    lv = ob.loss_ga(tiny_store, batch)
+    lv = ob.forget_loss(ob.LossConfig(kind="ga"), tiny_store, batch)
     manual = np.mean([lm.sequence_logprob(tiny_store, p, r)
                       for p, r in batch])
     assert abs(lv.value - manual) < 1e-12
@@ -54,18 +54,18 @@ def test_ga_uniform_single_token():
     arch = lm.ArchConfig(vocab_size=4, context_len=8, d_model=4,
                          n_layers=0, n_heads=1)
     store = lm.init_model(arch, 0)
-    lv = ob.loss_ga(store, [([1], [2])])
+    lv = ob.forget_loss(ob.LossConfig(kind="ga"), store, [([1], [2])])
     assert abs(lv.value - np.log(0.25)) < 1e-12
     assert abs(lv.value + 1.3863) < 1e-4
 
 
 def test_ga_empty_batch_is_data_error(tiny_store):
     with pytest.raises(DataError):
-        ob.loss_ga(tiny_store, [])
+        ob.forget_loss(ob.LossConfig(kind="ga"), tiny_store, [])
 
 
 def test_graddiff_zero_lambda_equals_ga(tiny_store, batch, retain_batch):
-    ga = ob.loss_ga(tiny_store, batch)
+    ga = ob.forget_loss(ob.LossConfig(kind="ga"), tiny_store, batch)
     gd = ob.step_loss(ob.LossConfig(kind="graddiff", lambda_retain=0.0),
                       tiny_store, batch, retain_batch)
     assert abs(gd.value - ga.value) <= 1e-12
@@ -88,7 +88,8 @@ def test_graddiff_negative_lambda_rejected(tiny_store, batch, retain_batch):
 
 def test_npo_at_reference_is_softplus_constant(tiny_store, batch):
     for beta in (0.05, 0.1, 0.5, 1.0):
-        lv = ob.loss_npo(tiny_store, tiny_store.snapshot(), batch, beta)
+        lv = ob.forget_loss(ob.LossConfig(kind="npo", beta=beta), tiny_store,
+                            batch, tiny_store.snapshot())
         assert abs(lv.value - (2.0 / beta) * np.log(2.0)) <= 1e-9
 
 
@@ -96,7 +97,7 @@ def test_npo_increases_with_model_likelihood(tiny_store):
     batch = [([1, 2, 3], [4, 5, 1])]
     ref = tiny_store.snapshot()
     # one small ascent step on the sequence log-likelihood
-    lv = ob.loss_ga(tiny_store, batch)
+    lv = ob.forget_loss(ob.LossConfig(kind="ga"), tiny_store, batch)
     names = sorted(lv.param_tensors)
     gs = ad.grad(lv.scalar, [lv.param_tensors[n] for n in names])
     boosted = tiny_store.snapshot()
@@ -105,19 +106,22 @@ def test_npo_increases_with_model_likelihood(tiny_store):
     lp0 = lm.sequence_logprob(tiny_store, *batch[0])
     lp1 = lm.sequence_logprob(boosted, *batch[0])
     assert lp1 > lp0
-    base = ob.loss_npo(tiny_store, ref, batch, 0.1).value
-    up = ob.loss_npo(boosted, ref, batch, 0.1).value
+    npo = ob.LossConfig(kind="npo", beta=0.1)
+    base = ob.forget_loss(npo, tiny_store, batch, ref).value
+    up = ob.forget_loss(npo, boosted, batch, ref).value
     assert up > base
 
 
 def test_npo_beta_validation(tiny_store, batch):
     with pytest.raises(ConfigError):
-        ob.loss_npo(tiny_store, tiny_store.snapshot(), batch, 0.0)
+        ob.forget_loss(ob.LossConfig(kind="npo", beta=0.0), tiny_store,
+                       batch, tiny_store.snapshot())
 
 
 def test_wga_zero_alpha_equals_ga(tiny_store, batch):
-    ga = ob.loss_ga(tiny_store, batch)
-    wga = ob.loss_wga(tiny_store, batch, 0.0)
+    ga = ob.forget_loss(ob.LossConfig(kind="ga"), tiny_store, batch)
+    wga = ob.forget_loss(ob.LossConfig(kind="wga", alpha=0.0), tiny_store,
+                         batch)
     assert abs(wga.value - ga.value) <= 1e-12
 
 
@@ -125,19 +129,22 @@ def test_wga_uniform_single_token_value():
     arch = lm.ArchConfig(vocab_size=4, context_len=8, d_model=4,
                          n_layers=0, n_heads=1)
     store = lm.init_model(arch, 0)  # pi(y) = 0.25 everywhere
-    lv = ob.loss_wga(store, [([1], [2])], alpha=1.0)
+    lv = ob.forget_loss(ob.LossConfig(kind="wga", alpha=1.0), store,
+                        [([1], [2])])
     assert abs(lv.value - 0.25 * np.log(0.25)) < 1e-12
     assert abs(lv.value + 0.3466) < 1e-4
 
 
 def test_wga_alpha_validation(tiny_store, batch):
     with pytest.raises(ConfigError):
-        ob.loss_wga(tiny_store, batch, -1.0)
+        ob.forget_loss(ob.LossConfig(kind="wga", alpha=-1.0), tiny_store,
+                       batch)
 
 
 def test_bst_zero_lambda_equals_ga(tiny_store, batch):
-    ga = ob.loss_ga(tiny_store, batch)
-    bst = ob.loss_bst(tiny_store, batch, 0.0, k=5)
+    ga = ob.forget_loss(ob.LossConfig(kind="ga"), tiny_store, batch)
+    bst = ob.forget_loss(ob.LossConfig(kind="bst", lambda_bst=0.0, k=5),
+                         tiny_store, batch)
     assert abs(bst.value - ga.value) <= 1e-12
 
 
@@ -145,7 +152,8 @@ def test_bst_matches_numpy_oracle(tiny_store, batch):
     """Independent recomputation: per position, t = lam*q + (1-lam)*e_y and
     the contribution is <t, log pi>."""
     lam, k = 0.3, 5
-    lv = ob.loss_bst(tiny_store, batch, lam, k)
+    lv = ob.forget_loss(ob.LossConfig(kind="bst", lambda_bst=lam, k=k),
+                        tiny_store, batch)
     per_seq = []
     for prompt, resp in batch:
         logits = lm.forward_logits(tiny_store, list(prompt) + list(resp))
@@ -189,16 +197,19 @@ def test_bss_endpoints_and_mix(tiny_store, batch):
                                  responses=[[5, 1], [6, 2, 1]],
                                  tau=1.0, seed=0)
             for i in range(len(batch))]
-    base = ob.LossConfig(kind="bss", base_loss="ga")
-    ga = ob.loss_ga(tiny_store, batch)
-    b0 = ob.loss_bss(tiny_store, batch, augs, 0.0, base)
+    def bss(lam):
+        return ob.forget_loss(ob.LossConfig(kind="bss", base_loss="ga",
+                                            lambda_bss=lam),
+                              tiny_store, batch, augmented=augs)
+    ga = ob.forget_loss(ob.LossConfig(kind="ga"), tiny_store, batch)
+    b0 = bss(0.0)
     assert abs(b0.value - ga.value) <= 1e-12
     aug_pairs = [(p, list(r)) for (p, _), a in zip(batch, augs)
                  for r in a.responses]
-    ga_aug = ob.loss_ga(tiny_store, aug_pairs)
-    b1 = ob.loss_bss(tiny_store, batch, augs, 1.0, base)
+    ga_aug = ob.forget_loss(ob.LossConfig(kind="ga"), tiny_store, aug_pairs)
+    b1 = bss(1.0)
     assert abs(b1.value - ga_aug.value) <= 1e-12
-    b = ob.loss_bss(tiny_store, batch, augs, 0.4, base)
+    b = bss(0.4)
     assert abs(b.value - (0.6 * ga.value + 0.4 * ga_aug.value)) < 1e-10
     assert abs(b.diagnostics["forget_term"] - 0.6 * ga.value) < 1e-10
     assert abs(b.diagnostics["aug_term"] - 0.4 * ga_aug.value) < 1e-10
@@ -208,26 +219,30 @@ def test_bss_misaligned_augmentation_is_data_error(tiny_store, batch):
     augs = [beliefs.AugmentedSet(prompt_id="p", responses=[[5, 1]],
                                  tau=1.0, seed=0)]
     with pytest.raises(DataError):
-        ob.loss_bss(tiny_store, batch, augs, 0.5,
-                    ob.LossConfig(kind="bss", base_loss="ga"))
+        ob.forget_loss(ob.LossConfig(kind="bss", base_loss="ga",
+                                     lambda_bss=0.5),
+                       tiny_store, batch, augmented=augs)
 
 
 def test_bss_npo_base_requires_reference(tiny_store, batch):
     augs = [beliefs.AugmentedSet(prompt_id=f"p{i}", responses=[[5, 1]],
                                  tau=1.0, seed=0) for i in range(len(batch))]
     with pytest.raises(ConfigError):
-        ob.loss_bss(tiny_store, batch, augs, 0.5,
-                    ob.LossConfig(kind="bss", base_loss="npo"))
+        ob.forget_loss(ob.LossConfig(kind="bss", base_loss="npo",
+                                     lambda_bss=0.5),
+                       tiny_store, batch, augmented=augs)
 
 
 def test_retain_is_negated_ga_and_nonnegative(tiny_store, retain_batch):
-    ga = ob.loss_ga(tiny_store, retain_batch)
+    ga = ob.forget_loss(ob.LossConfig(kind="ga"), tiny_store, retain_batch)
     ret = ob.loss_retain(tiny_store, retain_batch)
     assert abs(ret.value + ga.value) <= 1e-12
     assert ret.value >= 0.0
 
 
 def test_all_losses_match_finite_differences(tiny_store, batch, retain_batch):
+    """Every kind in the loss table, through `step_loss`, plus the retain
+    NLL on its own."""
     ref = tiny_store.snapshot()
     for k in ref.entries:
         ref.entries[k] = ref.entries[k] + 0.01
@@ -235,27 +250,46 @@ def test_all_losses_match_finite_differences(tiny_store, batch, retain_batch):
                                  responses=[[5, 1], [6, 2, 1]],
                                  tau=1.0, seed=0)
             for i in range(len(batch))]
-    cases = {
-        "ga": lambda t: ob.loss_ga(tiny_store, batch, tensors=t),
-        "graddiff": lambda t: ob.step_loss(
-            ob.LossConfig(kind="graddiff", lambda_retain=1.5), tiny_store,
-            batch, retain_batch, tensors=t),
-        "npo": lambda t: ob.loss_npo(tiny_store, ref, batch, 0.1, tensors=t),
-        "wga": lambda t: ob.loss_wga(tiny_store, batch, 1.0, tensors=t),
-        "bst": lambda t: ob.loss_bst(tiny_store, batch, 0.3, 5, tensors=t),
-        "bss": lambda t: ob.loss_bss(tiny_store, batch, augs, 0.4,
-                                     ob.LossConfig(kind="bss",
-                                                   base_loss="bst"),
-                                     tensors=t),
-        "retain": lambda t: ob.loss_retain(tiny_store, retain_batch,
-                                           tensors=t),
-    }
     names = ["tok_emb", "layers.0.attn.wq", "layers.0.mlp.w1", "head"]
-    for kind, make in cases.items():
+    for kind in ob.LOSS_KINDS + ("retain",):
         tensors = lm.param_tensors(tiny_store)
-        lv = make(tensors)
+        if kind == "retain":
+            lv = ob.loss_retain(tiny_store, retain_batch, tensors)
+        else:
+            cfg = ob.LossConfig(
+                kind=kind, lambda_retain=1.5 if kind == "graddiff" else 0.0,
+                beta=0.1, alpha=1.0, lambda_bst=0.3, k=5, lambda_bss=0.4,
+                base_loss="bst")
+            lv = ob.step_loss(cfg, tiny_store, batch, retain_batch, ref,
+                              augs, tensors)
         worst = grad_vs_fd(lv, tensors, names)
         assert worst <= 1e-4, f"{kind}: rel err {worst}"
+
+
+def test_step_loss_calls_the_builder_module_attribute(tiny_store, batch,
+                                                      monkeypatch):
+    """The table looks each builder up at call time, so a wrapper set on
+    the module attribute is the one `step_loss` runs, also as bss's base."""
+    calls = []
+    real = ob.loss_bst
+
+    def spy(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(ob, "loss_bst", spy)
+    augs = [beliefs.AugmentedSet(prompt_id=f"p{i}", responses=[[5, 1]],
+                                 tau=1.0, seed=0) for i in range(len(batch))]
+    ob.step_loss(ob.LossConfig(kind="bst", k=5), tiny_store, batch)
+    ob.step_loss(ob.LossConfig(kind="bss", base_loss="bst", k=5), tiny_store,
+                 batch, augmented=augs)
+    assert calls == [len(batch), len(batch), len(batch)]
+
+
+def test_bss_without_augmented_sets_is_data_error(tiny_store, batch):
+    with pytest.raises(DataError):
+        ob.forget_loss(ob.LossConfig(kind="bss", base_loss="ga"), tiny_store,
+                       batch)
 
 
 def test_loss_config_validation():

@@ -10,7 +10,7 @@ import pytest
 
 from unlearnlab import beliefs, cli, corpus as cp, lm, runner
 from unlearnlab import judge as jd
-from unlearnlab.errors import ConfigError
+from unlearnlab.errors import ConfigError, DataError
 from unlearnlab.objectives import LossConfig
 from unlearnlab.optim import AdamW, OptimizerConfig, SchedulerConfig, lr_at
 
@@ -309,6 +309,17 @@ def test_dynamics_runner_untrained_tiny_arch(small_setup, tmp_path):
             assert pos["K_block"] is None
 
 
+def test_dynamics_without_forget_records_is_data_error(small_setup, tmp_path):
+    root, corp, make = small_setup
+    lines = (root / "corpus.jsonl").read_text().splitlines(keepends=True)
+    no_forget = tmp_path / "no_forget.jsonl"
+    no_forget.write_text("".join(line for line in lines
+                                 if '"split": "forget"' not in line))
+    cfg = make(tmp_path / "dyn", corpus_path=str(no_forget))
+    with pytest.raises(DataError, match="forget split is empty"):
+        runner.run_dynamics(cfg)
+
+
 def test_squeeze_runner_outputs(small_setup, small_theta_o, tmp_path):
     root, corp, make = small_setup
     cfg = make(tmp_path / "sq", loss=LossConfig(kind="ga"), epochs=5,
@@ -492,6 +503,7 @@ def test_cli_subcommand_rerun_byte_identical(tmp_path):
      "judge_endpoint"),
     ("sweep", {"sweep": {"arch.d_model": [8]}}, "arch.d_model"),
     ("sweep", {"sweep": {"loss.bogus.x": [1]}}, "loss.bogus.x"),
+    ("eval", {"judge": "mokc", "eval_checkpoints": ["ckpt.json"]}, "judge"),
 ])
 def test_cli_config_errors_exit_2(command, doc, key, tmp_path, capsys):
     doc.setdefault("run", {})["out_dir"] = str(tmp_path / "out")
