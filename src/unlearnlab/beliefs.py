@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import lm
-from .errors import ConfigError
+from . import lm, schema
+from .errors import ConfigError, DataError
 
 
 @dataclass
@@ -146,15 +146,5 @@ def save_augmented_sets(sets, path):
 
 
 def load_augmented_sets(path) -> list[AugmentedSet]:
-    import json
-
-    out = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                doc = json.loads(line)
-                out.append(AugmentedSet(prompt_id=doc["prompt_id"],
-                                        responses=doc["responses"],
-                                        tau=doc["tau"], seed=doc["seed"]))
-    return out
+    return schema.load_lines(AugmentedSet, path, "augmented-set file",
+                             DataError)

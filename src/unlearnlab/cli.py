@@ -8,49 +8,35 @@ squeeze, sweep. Exit codes: 0 success, 2 config error, 3 data error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import corpus as cp
 from . import judge as jd
-from . import runner
+from . import runner, schema
 from .errors import (CapabilityError, ConfigError, ContractError, DataError,
                      JudgeUnavailableError, UnlearnLabError)
 
 
-def _load_doc(path) -> dict:
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config file is not valid JSON: {e}")
-    if not isinstance(doc, dict):
-        raise ConfigError("config file must hold a JSON object")
-    return doc
+@dataclass
+class ConfigFile:
+    """The whole config document; every key is optional."""
+    run: runner.RunConfig = field(default_factory=runner.RunConfig)
+    gen: cp.GenConfig = field(default_factory=cp.GenConfig)
+    reference_checkpoint: str | None = None
+    eval_checkpoints: list[str] = field(default_factory=list)
+    judge: str = "none"
+    judge_endpoint: jd.EndpointConfig | None = None
+    sweep: str | dict[str, list] | None = None  # preset name or grid
 
-
-def _run_config(doc: dict, args) -> runner.RunConfig:
-    cfg = runner.RunConfig.from_dict(doc.get("run", {}))
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
-    cfg.validate()
-    return cfg
-
-
-def _endpoint(doc: dict) -> jd.EndpointConfig | None:
-    ep = doc.get("judge_endpoint")
-    return (runner.config_section(jd.EndpointConfig, ep, "judge_endpoint")
-            if ep else None)
-
-
-def _reference(doc: dict, args):
-    return args.checkpoint[0] if args.checkpoint else doc.get(
-        "reference_checkpoint")
+    def validate(self):
+        if self.judge not in ("none", "mock", "http"):
+            raise ConfigError(f"judge must be none, mock or http, got "
+                              f"{self.judge!r}")
+        if (isinstance(self.sweep, str)
+                and self.sweep not in runner.PRESET_GRIDS):
+            raise ConfigError(f"unknown sweep preset {self.sweep!r}")
 
 
 def main(argv=None) -> int:
@@ -70,12 +56,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        doc = _load_doc(args.config)
-        cfg = _run_config(doc, args)
+        conf = schema.load(ConfigFile, args.config, "config file",
+                           ConfigError)
+        cfg = conf.run
+        if args.seed is not None:
+            cfg.seed = args.seed
+        if args.out is not None:
+            cfg.out_dir = args.out
+        reference = (args.checkpoint[0] if args.checkpoint
+                     else conf.reference_checkpoint)
         if args.command == "gen-corpus":
-            gen = runner.config_section(cp.GenConfig, doc.get("gen", {}),
-                                        "gen")
-            corp = cp.generate_corpus(gen, cfg.seed)
+            corp = cp.generate_corpus(conf.gen, cfg.seed)
             out = Path(cfg.out_dir)
             out.mkdir(parents=True, exist_ok=True)
             cp.save_corpus(corp, out / "corpus.jsonl", out / "vocab.json")
@@ -86,33 +77,27 @@ def main(argv=None) -> int:
         elif args.command == "retrain":
             runner.run_retrain(cfg)
         elif args.command == "unlearn":
-            runner.run_unlearn(cfg, _reference(doc, args))
+            runner.run_unlearn(cfg, reference)
         elif args.command == "squeeze":
-            runner.run_squeeze(cfg, _reference(doc, args))
+            runner.run_squeeze(cfg, reference)
         elif args.command == "dynamics":
-            runner.run_dynamics(cfg, checkpoint=_reference(doc, args))
+            runner.run_dynamics(cfg, checkpoint=reference)
         elif args.command == "sweep":
-            grid = doc.get("sweep")
-            if isinstance(grid, str):
-                if grid not in runner.PRESET_GRIDS:
-                    raise ConfigError(f"unknown sweep preset {grid!r}")
-                grid = runner.PRESET_GRIDS[grid]
+            grid = (runner.PRESET_GRIDS[conf.sweep]
+                    if isinstance(conf.sweep, str) else conf.sweep)
             if not grid:
                 raise ConfigError("sweep requires a 'sweep' grid or preset")
-            runner.run_sweep(cfg, _reference(doc, args), grid)
+            runner.run_sweep(cfg, reference, grid)
         elif args.command == "eval":
-            ckpts = args.checkpoint or doc.get("eval_checkpoints")
+            ckpts = args.checkpoint or conf.eval_checkpoints
             if not ckpts:
                 raise ConfigError("eval needs --checkpoint or eval_checkpoints")
-            judge_mode = args.judge or doc.get("judge", "none")
-            if judge_mode not in ("none", "mock", "http"):
-                raise ConfigError(f"judge must be none, mock or http, got "
-                                  f"{judge_mode!r}")
-            if judge_mode == "http" and not doc.get("judge_endpoint"):
+            judge_mode = args.judge or conf.judge
+            if judge_mode == "http" and conf.judge_endpoint is None:
                 raise ConfigError("--judge http needs a judge_endpoint")
             reports = runner.run_eval(
-                cfg, ckpts, ref_checkpoint=doc.get("reference_checkpoint"),
-                judge_mode=judge_mode, endpoint=_endpoint(doc))
+                cfg, ckpts, ref_checkpoint=conf.reference_checkpoint,
+                judge_mode=judge_mode, endpoint=conf.judge_endpoint)
             if judge_mode == "http":
                 jdocs = [r.get("judge", {}) for r in reports]
                 if jdocs and all(j.get("errors", 0) == j.get("n", 0) > 0

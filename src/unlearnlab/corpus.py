@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import lm
+from . import lm, schema
 from .errors import ConfigError, DataError, VocabError
 
 FIRST_NAMES = [
@@ -218,6 +218,15 @@ class QaRecord:
     paraphrases: list[str]
     perturbed_answers: list[str]
 
+    def validate(self):
+        for name in ("paraphrases", "perturbed_answers"):
+            if not getattr(self, name):
+                raise DataError(f"{name!r} must be a non-empty array of "
+                                "strings")
+        if self.split not in SPLITS:
+            raise DataError(f"'split' must be one of {', '.join(SPLITS)}, "
+                            f"got {self.split!r}")
+
 
 SPLITS = ("forget", "retain", "holdout")
 
@@ -406,55 +415,20 @@ def save_corpus(corp: Corpus, records_path, vocab_path):
                    "tokens": corp.vocab.token_of}, vocab_path)
 
 
-def _parse_record(line: str, where: str) -> QaRecord:
-    """One corpus line as a QaRecord; DataError naming `where` and the field
-    when a field is missing, unknown or of the wrong type."""
-    try:
-        rec = QaRecord(**json.loads(line))
-    except (json.JSONDecodeError, TypeError) as e:
-        raise DataError(f"{where}: malformed record: {e}")
-    for name in ("id", "split", "question", "answer"):
-        if not isinstance(getattr(rec, name), str):
-            raise DataError(f"{where}: {name!r} must be a string")
-    for name in ("paraphrases", "perturbed_answers"):
-        texts = getattr(rec, name)
-        if not (isinstance(texts, list) and texts
-                and all(isinstance(t, str) for t in texts)):
-            raise DataError(f"{where}: {name!r} must be a non-empty array "
-                            "of strings")
-    if rec.split not in SPLITS:
-        raise DataError(f"{where}: 'split' must be one of "
-                        f"{', '.join(SPLITS)}, got {rec.split!r}")
-    return rec
+@dataclass
+class _VocabFile:
+    tokens: list[str]
+    specials: dict[str, int]
+
+    def validate(self):
+        if not all(k in self.specials for k in SPECIAL_TOKENS):
+            raise DataError(f"'specials' must map "
+                            f"{', '.join(SPECIAL_TOKENS)} to token ids")
 
 
 def load_corpus(records_path, vocab_path) -> Corpus:
-    records = []
-    try:
-        with open(records_path) as f:
-            for n, line in enumerate(f, 1):
-                if line.strip():
-                    records.append(_parse_record(
-                        line, f"corpus file {records_path} line {n}"))
-        with open(vocab_path) as f:
-            doc = json.load(f)
-    except FileNotFoundError as e:
-        raise DataError(f"corpus file not found: {e.filename}")
-    except (json.JSONDecodeError, TypeError, KeyError) as e:
-        raise DataError(f"corpus file is malformed: {e}")
-    if not isinstance(doc, dict):
-        raise DataError(f"vocab file {vocab_path} must hold a JSON object")
-    for key in ("tokens", "specials"):
-        if key not in doc:
-            raise DataError(f"vocab file {vocab_path} is missing {key!r}")
-    tokens, specials = doc["tokens"], doc["specials"]
-    if not (isinstance(tokens, list)
-            and all(isinstance(t, str) for t in tokens)):
-        raise DataError(f"vocab file {vocab_path}: 'tokens' must be an "
-                        "array of strings")
-    if not (isinstance(specials, dict) and all(
-            type(specials.get(k)) is int for k in SPECIAL_TOKENS)):
-        raise DataError(f"vocab file {vocab_path}: 'specials' must map "
-                        f"{', '.join(SPECIAL_TOKENS)} to token ids")
-    vocab = Vocabulary(token_of=tokens, specials=specials)
+    records = schema.load_lines(QaRecord, records_path, "corpus file",
+                                DataError)
+    doc = schema.load(_VocabFile, vocab_path, "vocab file", DataError)
+    vocab = Vocabulary(token_of=doc.tokens, specials=doc.specials)
     return Corpus(records=records, vocab=vocab, gen_config=None, seed=None)

@@ -15,7 +15,8 @@ import re
 import time
 from dataclasses import dataclass
 
-from .errors import ContractError, JudgeParseError, JudgeUnavailableError
+from .errors import (ConfigError, ContractError, JudgeParseError,
+                     JudgeUnavailableError)
 from .metrics import degeneracy_score, rouge_l_f1
 from .corpus import normalize
 
@@ -73,6 +74,15 @@ class EndpointConfig:
     auth_env: str = ""      # name of the env var holding the bearer token
     timeout: float = 30.0
     max_retries: int = 3
+
+    def validate(self):
+        if not self.url or not self.model_name:
+            raise ConfigError("url and model_name must be non-empty")
+        if not self.timeout > 0:
+            raise ConfigError(f"timeout must be > 0, got {self.timeout!r}")
+        if self.max_retries < 0:
+            raise ConfigError(f"max_retries must be >= 0, got "
+                              f"{self.max_retries!r}")
 
 
 def render_similarity_prompt(question: str, ground_truth: str,

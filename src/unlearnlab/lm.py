@@ -19,7 +19,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import autodiff as ad
+from . import autodiff as ad, schema
 from .errors import (ConfigError, ContractError, DataError, LengthError,
                      VocabError)
 
@@ -477,27 +477,18 @@ def save_checkpoint(store: ParamStore, path):
             f.write(text[start:start + _WRITE_SLICE])
 
 
+@dataclass
+class _CheckpointFile:
+    arch: ArchConfig
+    seed: int
+    params: dict  # name -> {"shape", "data"}, checked per parameter below
+
+
 def load_checkpoint(path) -> ParamStore:
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except FileNotFoundError as e:
-        raise DataError(f"checkpoint file not found: {e.filename}")
-    except json.JSONDecodeError as e:
-        raise DataError(f"checkpoint file is malformed: {e}")
-    if not isinstance(doc, dict):
-        raise DataError("checkpoint file must hold a JSON object")
-    for key in ("arch", "params", "seed"):
-        if key not in doc:
-            raise DataError(f"checkpoint file is missing {key!r}")
-    arch = _checkpoint_arch(doc["arch"])
-    params, seed = doc["params"], doc["seed"]
-    if not isinstance(params, dict):
-        raise DataError("checkpoint 'params' must be a JSON object")
-    if type(seed) is not int:
-        raise DataError(f"checkpoint 'seed' must be an integer, got {seed!r}")
+    ckpt = schema.load(_CheckpointFile, path, "checkpoint file", DataError)
+    params = ckpt.params
     entries = {}
-    for name, shape in param_shapes(arch).items():
+    for name, shape in param_shapes(ckpt.arch).items():
         if name not in params:
             raise DataError(f"checkpoint missing parameter {name!r}")
         rec = params[name]
@@ -514,23 +505,4 @@ def load_checkpoint(path) -> ParamStore:
                             f"malformed: {e}")
         if not np.isfinite(entries[name]).all():
             raise DataError(f"checkpoint parameter {name!r} is not finite")
-    return ParamStore(entries, arch, seed)
-
-
-def _checkpoint_arch(doc) -> ArchConfig:
-    """The checkpoint's `arch` object as an ArchConfig, or DataError naming
-    what is wrong with it."""
-    try:
-        arch = ArchConfig(**doc)
-    except TypeError as e:
-        raise DataError(f"checkpoint 'arch' is malformed: {e}")
-    for name, value in asdict(arch).items():
-        want = bool if name == "tie_output_head" else int
-        if type(value) is not want:
-            raise DataError(f"checkpoint arch.{name} must be "
-                            f"{want.__name__}, got {value!r}")
-    try:
-        arch.validate()
-    except ConfigError as e:
-        raise DataError(f"checkpoint 'arch' is out of range: {e}")
-    return arch
+    return ParamStore(entries, ckpt.arch, ckpt.seed)

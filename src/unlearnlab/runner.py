@@ -13,7 +13,6 @@ import dataclasses
 import itertools
 import math
 import time
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import beliefs, corpus as cp, dynamics, judge as jd, metrics as mt
-from . import lm, objectives as ob
+from . import lm, objectives as ob, schema
 from .errors import ConfigError, DataError, JudgeUnavailableError
 from .optim import AdamW, OptimizerConfig, SchedulerConfig, lr_at
 
@@ -63,7 +62,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        return config_section(cls, doc, "run")
+        return schema.read(cls, doc, "run config", ConfigError)
 
 
 @dataclass
@@ -88,32 +87,6 @@ def desk_arch() -> lm.ArchConfig:
     enough to memorize a 200-entity corpus."""
     return lm.ArchConfig(vocab_size=512, context_len=32, d_model=64,
                          n_layers=2, n_heads=4, tie_output_head=False)
-
-
-def config_section(klass, doc, section: str):
-    """Build the config dataclass `klass` from the JSON object `doc`.
-
-    Nested dataclass fields are built the same way. A non-object, an unknown
-    or missing key, or a value of the wrong JSON type raises ConfigError
-    naming the section or dotted key, e.g. `run.loss.bogus`."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{section} must be a JSON object")
-    hints = typing.get_type_hints(klass)
-    kwargs = {}
-    for name, value in doc.items():
-        hint, key = hints.get(name), f"{section}.{name}"
-        if hint is None:
-            raise ConfigError(f"unknown config key {key}")
-        if dataclasses.is_dataclass(hint):
-            value = config_section(hint, value, key)
-        elif not (isinstance(value, (int, float) if hint is float else hint)
-                  and isinstance(value, bool) == (hint is bool)):
-            raise ConfigError(f"{key} must be {hint.__name__}, got {value!r}")
-        kwargs[name] = value
-    try:
-        return klass(**kwargs)
-    except TypeError as e:  # a required key is missing
-        raise ConfigError(f"{section}: {e}")
 
 
 # Sweep presets: grid ranges for each objective's knobs.
@@ -358,8 +331,14 @@ def run_eval(config: RunConfig, checkpoint_paths, ref_checkpoint=None,
              judge_mode: str = "none", endpoint=None) -> list[dict]:
     """Full MetricsReport per checkpoint plus a flat sweep CSV."""
     config.validate()
-    checkpoint_paths = list(checkpoint_paths)
-    if not checkpoint_paths:
+    checkpoint_of = {}  # report file name -> checkpoint path
+    for ck in checkpoint_paths:
+        fname = f"metrics_{Path(ck).stem}.json"
+        if fname in checkpoint_of:
+            raise DataError(f"checkpoints {checkpoint_of[fname]} and {ck} "
+                            f"would both write {fname}")
+        checkpoint_of[fname] = ck
+    if not checkpoint_of:
         raise DataError("run_eval needs at least one checkpoint")
     corp = load_run_corpus(config)
     out = Path(config.out_dir)
@@ -367,8 +346,8 @@ def run_eval(config: RunConfig, checkpoint_paths, ref_checkpoint=None,
     ref_store = lm.load_checkpoint(ref_checkpoint) if ref_checkpoint else None
     ref_norm_probs = (mt.reference_norm_probs(ref_store, corp)
                       if ref_store else None)
-    reports, rows, report_files = [], [], []
-    for ck in checkpoint_paths:
+    reports, rows = [], []
+    for fname, ck in checkpoint_of.items():
         store = (ref_store if ref_store is not None
                  and Path(ck).resolve() == Path(ref_checkpoint).resolve()
                  else lm.load_checkpoint(ck))
@@ -377,11 +356,8 @@ def run_eval(config: RunConfig, checkpoint_paths, ref_checkpoint=None,
         if judge_mode != "none":
             doc["judge"] = _judge_scores(report.forget_generations, corp,
                                          judge_mode, endpoint)
-        stem = Path(ck).stem
-        fname = f"metrics_{stem}.json"
         lm.write_json(doc, out / fname)
-        report_files.append(fname)
-        row = {"checkpoint": stem}
+        row = {"checkpoint": Path(ck).stem}
         row.update(report.flat_row())
         rows.append(row)
         reports.append(doc)
@@ -389,7 +365,8 @@ def run_eval(config: RunConfig, checkpoint_paths, ref_checkpoint=None,
     _write_csv(out / "sweep.csv", header,
                [[r[h] for h in header] for r in rows])
     manifest = RunManifest(config=config.to_dict(), checkpoints=[],
-                           loss_csv=None, metrics_reports=report_files)
+                           loss_csv=None,
+                           metrics_reports=list(checkpoint_of))
     _finish_manifest(manifest, out, "eval")
     return reports
 
@@ -478,9 +455,7 @@ def _combo_config(config: RunConfig, combo, out_dir: str) -> RunConfig:
                 raise ConfigError(f"unknown sweep parameter {dotted!r}")
         node[last] = value  # an unknown leaf is rejected by from_dict
     doc["out_dir"] = out_dir
-    sub = RunConfig.from_dict(doc)
-    sub.validate()
-    return sub
+    return RunConfig.from_dict(doc)
 
 
 def run_sweep(config: RunConfig, reference_checkpoint, grid: dict) -> list[dict]:
@@ -490,8 +465,7 @@ def run_sweep(config: RunConfig, reference_checkpoint, grid: dict) -> list[dict]
     Reports every checkpoint of every combination in sweep.csv and leaves
     checkpoint selection to the reader.
     """
-    if not isinstance(grid, dict) or not all(
-            isinstance(v, (list, tuple)) and v for v in grid.values()):
+    if not grid or not all(grid.values()):
         raise ConfigError("sweep grid must map dotted keys to non-empty lists")
     keys = sorted(grid)
     combos = [list(zip(keys, values))

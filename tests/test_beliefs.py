@@ -3,7 +3,7 @@ import pytest
 
 from unlearnlab import autodiff as ad
 from unlearnlab import beliefs, corpus as cp, lm, objectives as ob
-from unlearnlab.errors import ConfigError
+from unlearnlab.errors import ConfigError, DataError
 
 
 def test_topk_belief_renormalizes():
@@ -198,6 +198,17 @@ def test_augmented_set_jsonl_roundtrip(tmp_path):
     assert again == sets
     beliefs.save_augmented_sets(again, tmp_path / "aug2.jsonl")
     assert path.read_bytes() == (tmp_path / "aug2.jsonl").read_bytes()
+
+
+def test_malformed_augmented_set_line_is_data_error(tmp_path):
+    path = tmp_path / "aug.jsonl"
+    beliefs.save_augmented_sets([beliefs.AugmentedSet(
+        prompt_id="r1", responses=[[4, 1]], tau=0.8, seed=7)], path)
+    path.write_text(path.read_text()
+                    + '{"prompt_id": "r2", "responses": [[2, "x"]], '
+                      '"seed": 7, "tau": 0.8}\n')
+    with pytest.raises(DataError, match=rf"{path} line 2: 'responses'\[0\]\[1\]"):
+        beliefs.load_augmented_sets(path)
 
 
 def test_belief_smoothing_temperature_flattens():

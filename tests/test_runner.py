@@ -473,7 +473,7 @@ def test_cli_gen_corpus_and_exit_codes(tmp_path):
                 "vocab_path": str(tmp_path / "nope.vocab"),
                 "out_dir": str(tmp_path / "y")}})
     rc = cli.main(["finetune", "--config", missing])
-    assert rc in (1, 3)
+    assert rc == 3
 
 
 def test_cli_subcommand_rerun_byte_identical(tmp_path):
@@ -511,6 +511,85 @@ def test_cli_config_errors_exit_2(command, doc, key, tmp_path, capsys):
     assert cli.main([command, "--config", cfgp]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+
+
+# case -> (command, config document, what its one stderr line names)
+_BAD_CONFIGS = {
+    "unknown_top_level_key": ("finetune", {"runs": {"epochs": 1}},
+                              ["'runs'"]),
+    "reference_int": ("unlearn", {"reference_checkpoint": 0},
+                      ["'reference_checkpoint'"]),
+    "reference_bool": ("unlearn", {"reference_checkpoint": True},
+                       ["'reference_checkpoint'"]),
+    "eval_checkpoints_string": ("eval", {"eval_checkpoints": "ckpt.json"},
+                                ["'eval_checkpoints'"]),
+    "eval_checkpoints_float": ("eval", {"eval_checkpoints": [5.5]},
+                               ["'eval_checkpoints'[0]"]),
+    "judge_int": ("eval", {"judge": 5, "eval_checkpoints": ["c.json"]},
+                  ["'judge'"]),
+    "max_retries_negative": (
+        "eval", {"judge_endpoint": {"url": "http://127.0.0.1:1/x",
+                                    "model_name": "m", "max_retries": -1},
+                 "eval_checkpoints": ["c.json"]},
+        ["'judge_endpoint'", "max_retries"]),
+    "gen_key_on_finetune": ("finetune", {"gen": {"bogus": 1}},
+                            ["'gen.bogus'"]),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_CONFIGS))
+def test_cli_bad_config_exits_2_naming_key(case, tmp_path, capsys):
+    command, doc, names = _BAD_CONFIGS[case]
+    doc = dict(doc, run={"out_dir": str(tmp_path / "out")})
+    cfgp = _write_config(tmp_path / "c.json", doc)
+    assert cli.main([command, "--config", cfgp]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert all(name in err for name in names), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,field,code", [
+    ("finetune", None, 2),
+    ("finetune", "corpus_path", 3),
+    ("finetune", "vocab_path", 3),
+    ("unlearn", "checkpoint", 3),
+])
+def test_cli_unreadable_path_exits_with_one_line(command, field, code,
+                                                 small_setup, tmp_path,
+                                                 capsys):
+    root, corp, make = small_setup
+    folder = tmp_path / "a_directory"
+    folder.mkdir()
+    run = {"corpus_path": str(root / "corpus.jsonl"),
+           "vocab_path": str(root / "vocab.json"),
+           "arch": {"vocab_size": 400, "context_len": 32, "d_model": 16,
+                    "n_layers": 1, "n_heads": 2},
+           "epochs": 1, "out_dir": str(tmp_path / "out")}
+    if field in run:
+        run[field] = str(folder)
+    cfgp = _write_config(tmp_path / "c.json", {"run": run})
+    argv = [command, "--config", str(folder) if field is None else cfgp]
+    if field == "checkpoint":
+        argv += ["--checkpoint", str(folder)]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(folder) in err
+    assert "Is a directory" in err
+
+
+def test_run_eval_rejects_checkpoints_sharing_a_report_name(
+        small_setup, small_theta_o, tmp_path):
+    root, corp, make = small_setup
+    paths = []
+    for sub in ("ft", "un"):
+        (tmp_path / sub).mkdir()
+        paths.append(tmp_path / sub / "ckpt_final.json")
+        shutil.copy(small_theta_o, paths[-1])
+    with pytest.raises(DataError, match="metrics_ckpt_final.json") as err:
+        runner.run_eval(make(tmp_path / "ev"), paths)
+    assert all(str(p) in str(err.value) for p in paths)
+    assert not (tmp_path / "ev").exists()
 
 
 def test_cli_eval_requires_checkpoint(tmp_path):
