@@ -117,8 +117,6 @@ def sample_augmentations(store: lm.ParamStore, prompts, prompt_ids, n: int,
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
-    if tau <= 0:
-        raise ConfigError("tau must be > 0")
     strategies = [lm.Temperature(tau=tau, seed=_mix(seed, c, j))
                   for c in counters for j in range(n)]
     outs = lm.decode_batch(store, [p for p in prompts for _ in range(n)],

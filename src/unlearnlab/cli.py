@@ -9,17 +9,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 
 from . import corpus as cp
 from . import judge as jd
 from . import runner, schema
-from .errors import (CapabilityError, ConfigError, ContractError, DataError,
-                     JudgeUnavailableError, UnlearnLabError)
+from .errors import (ConfigError, DataError, JudgeUnavailableError,
+                     UnlearnLabError)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConfigFile:
     """The whole config document; every key is optional."""
     run: runner.RunConfig = field(default_factory=runner.RunConfig)
@@ -30,7 +29,7 @@ class ConfigFile:
     judge_endpoint: jd.EndpointConfig | None = None
     sweep: str | dict[str, list] | None = None  # preset name or grid
 
-    def validate(self):
+    def __post_init__(self):
         if self.judge not in ("none", "mock", "http"):
             raise ConfigError(f"judge must be none, mock or http, got "
                               f"{self.judge!r}")
@@ -60,15 +59,14 @@ def main(argv=None) -> int:
                            ConfigError)
         cfg = conf.run
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg = replace(cfg, seed=args.seed)
         if args.out is not None:
-            cfg.out_dir = args.out
+            cfg = replace(cfg, out_dir=args.out)
         reference = (args.checkpoint[0] if args.checkpoint
                      else conf.reference_checkpoint)
         if args.command == "gen-corpus":
             corp = cp.generate_corpus(conf.gen, cfg.seed)
-            out = Path(cfg.out_dir)
-            out.mkdir(parents=True, exist_ok=True)
+            out = runner.make_out_dir(cfg.out_dir)
             cp.save_corpus(corp, out / "corpus.jsonl", out / "vocab.json")
             print(f"gen-corpus: {len(corp.records)} records, "
                   f"|vocab|={len(corp.vocab)} -> {out}")
@@ -115,7 +113,7 @@ def main(argv=None) -> int:
     except JudgeUnavailableError as e:
         print(f"judge unavailable: {e}", file=sys.stderr)
         return 4
-    except (ContractError, CapabilityError, UnlearnLabError) as e:
+    except UnlearnLabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

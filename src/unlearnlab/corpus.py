@@ -180,7 +180,7 @@ TEMPLATE_SETS = {
 _ALLOWED_SLOTS = {"name", "value"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenConfig:
     n_entities: int = 200
     attributes_per_entity: int = 1
@@ -190,7 +190,7 @@ class GenConfig:
     n_perturbed: int = 3
     template_set: str = "default"
 
-    def validate(self):
+    def __post_init__(self):
         if not 0 < self.forget_fraction < 1:
             raise ConfigError("forget_fraction must be in (0, 1)")
         if not 0 <= self.holdout_fraction < 1:
@@ -218,7 +218,7 @@ class QaRecord:
     paraphrases: list[str]
     perturbed_answers: list[str]
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("paraphrases", "perturbed_answers"):
             if not getattr(self, name):
                 raise DataError(f"{name!r} must be a non-empty array of "
@@ -300,7 +300,6 @@ def build_vocabulary(template_set: str = "default") -> Vocabulary:
 
 def generate_corpus(gen_config: GenConfig, seed: int) -> Corpus:
     """Deterministic corpus from a seeded PRNG; splits are entity-scoped."""
-    gen_config.validate()
     rng = np.random.default_rng(seed)
     templates = TEMPLATE_SETS[gen_config.template_set]
     _template_words(gen_config.template_set)  # slot validation
@@ -420,7 +419,7 @@ class _VocabFile:
     tokens: list[str]
     specials: dict[str, int]
 
-    def validate(self):
+    def __post_init__(self):
         if not all(k in self.specials for k in SPECIAL_TOKENS):
             raise DataError(f"'specials' must map "
                             f"{', '.join(SPECIAL_TOKENS)} to token ids")

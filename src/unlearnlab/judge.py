@@ -67,7 +67,7 @@ class JudgeScore:
     retries_used: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class EndpointConfig:
     url: str
     model_name: str
@@ -75,7 +75,7 @@ class EndpointConfig:
     timeout: float = 30.0
     max_retries: int = 3
 
-    def validate(self):
+    def __post_init__(self):
         if not self.url or not self.model_name:
             raise ConfigError("url and model_name must be non-empty")
         if not self.timeout > 0:

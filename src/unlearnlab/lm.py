@@ -38,7 +38,7 @@ class ArchConfig:
     n_heads: int
     tie_output_head: bool = False
 
-    def validate(self):
+    def __post_init__(self):
         if self.vocab_size < 1 or self.context_len < 1 or self.d_model < 1:
             raise ConfigError("vocab_size, context_len, d_model must be >= 1")
         if self.n_layers < 0:
@@ -60,7 +60,7 @@ class Temperature:
     tau: float
     seed: int
 
-    def validate(self):
+    def __post_init__(self):
         if self.tau <= 0:
             raise ConfigError("temperature tau must be > 0")
 
@@ -69,7 +69,7 @@ class Temperature:
 class Beam:
     width: int
 
-    def validate(self):
+    def __post_init__(self):
         if self.width < 1:
             raise ConfigError("beam width must be >= 1")
 
@@ -139,7 +139,6 @@ def init_model(arch: ArchConfig, seed: int) -> ParamStore:
     an exactly uniform next-token distribution. Residual output projections
     (attn.wo, mlp.w2) get the usual depth-scaled std.
     """
-    arch.validate()
     rng = np.random.default_rng(seed)
     base_std = 0.02
     res_std = base_std / math.sqrt(2.0 * max(arch.n_layers, 1))
@@ -289,7 +288,6 @@ def decode(store: ParamStore, prompt, strategy, max_len: int,
             raise ContractError("prompt must be non-empty")
         if max_len < 1:
             raise ConfigError("max_len must be >= 1")
-        strategy.validate()
         return _beam_decode(store, prompt, strategy.width, max_len, eos_id)
     return decode_batch(store, [prompt], [strategy], max_len, eos_id)
 
@@ -316,7 +314,6 @@ def decode_batch(store: ParamStore, prompts, strategies, max_len: int,
     rngs, taus = [], np.ones(len(prompts))
     for i, s in enumerate(strategies):
         if isinstance(s, Temperature):
-            s.validate()
             taus[i] = s.tau
             rngs.append(np.random.default_rng(s.seed))
         elif isinstance(s, Greedy):

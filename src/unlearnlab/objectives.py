@@ -25,7 +25,7 @@ from .errors import ConfigError, DataError
 Pair = tuple[list[int], list[int]]  # (prompt tokens, response tokens)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossConfig:
     kind: str = "ga"
     lambda_retain: float = 0.0
@@ -39,7 +39,7 @@ class LossConfig:
     base_loss: str = "bst"
     belief_smoothing_tau: float = 1.0
 
-    def validate(self):
+    def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ConfigError(f"unknown loss kind {self.kind!r}")
         if self.lambda_retain < 0:
@@ -128,8 +128,8 @@ def batch_sequence_logprobs(store: lm.ParamStore, pairs: list[Pair]) -> np.ndarr
 
 # Every forget builder has one signature,
 #   loss_<kind>(store, batch, cfg, tensors, ref_store=None, augmented=None),
-# reads its own hyperparameters from the LossConfig `cfg` (which
-# `forget_loss` has validated) and builds its graph on `tensors`.
+# reads its own hyperparameters from the LossConfig `cfg` (checked when it
+# was built) and builds its graph on `tensors`.
 
 
 def _value(tensors, forget: ad.Node, aug: ad.Node | None = None) -> LossValue:
@@ -252,10 +252,9 @@ BASE_KINDS = tuple(k for k in _TABLE if k not in ("bss", "graddiff"))
 def forget_loss(cfg: LossConfig, store: lm.ParamStore,
                 forget_batch: list[Pair], ref_store=None, augmented=None,
                 tensors=None) -> LossValue:
-    """The forget-side loss of `cfg.kind`, built by its table entry after
-    `cfg.validate()`. `ref_store` is the frozen npo reference; `augmented`
-    holds bss's sampled sets, one per forget pair."""
-    cfg.validate()
+    """The forget-side loss of `cfg.kind`, built by its table entry.
+    `ref_store` is the frozen npo reference; `augmented` holds bss's
+    sampled sets, one per forget pair."""
     tensors = lm.param_tensors(store) if tensors is None else tensors
     return globals()[_TABLE[cfg.kind]](store, forget_batch, cfg, tensors,
                                        ref_store, augmented)

@@ -9,7 +9,7 @@ import numpy as np
 from .errors import ConfigError
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
     lr: float = 1e-3
     weight_decay: float = 0.01
@@ -17,7 +17,7 @@ class OptimizerConfig:
     beta2: float = 0.999
     eps: float = 1e-8
 
-    def validate(self):
+    def __post_init__(self):
         if self.lr <= 0:
             raise ConfigError("lr must be > 0")
         if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
@@ -26,12 +26,12 @@ class OptimizerConfig:
             raise ConfigError("weight_decay must be >= 0 and eps > 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchedulerConfig:
     kind: str = "linear"  # linear | constant
     warmup_fraction: float = 0.05
 
-    def validate(self):
+    def __post_init__(self):
         if self.kind not in ("linear", "constant"):
             raise ConfigError(f"unknown scheduler kind {self.kind!r}")
         if not 0 <= self.warmup_fraction < 1:
@@ -62,7 +62,6 @@ class AdamW:
     """
 
     def __init__(self, entries: dict[str, np.ndarray], cfg: OptimizerConfig):
-        cfg.validate()
         self.cfg = cfg
         self.entries = entries
         self.m = {k: np.zeros_like(v) for k, v in entries.items()}

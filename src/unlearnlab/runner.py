@@ -27,7 +27,7 @@ from .optim import AdamW, OptimizerConfig, SchedulerConfig, lr_at
 ARTIFACT_VERSION = "0.1.0"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     corpus_path: str = "corpus.jsonl"
     vocab_path: str = "vocab.json"
@@ -45,17 +45,15 @@ class RunConfig:
     beam_width: int = 15
     squeeze_max_len: int = 12
 
-    def validate(self):
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.checkpoint_every < 1:
             raise ConfigError("checkpoint_every must be >= 1")
-        self.arch.validate()
-        self.optimizer.validate()
-        self.scheduler.validate()
-        self.loss.validate()
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -103,6 +101,17 @@ PRESET_GRIDS = {
 
 
 # IO helpers ------------------------------------------------------------------
+
+
+def make_out_dir(out_dir: str) -> Path:
+    """`out_dir` as a Path, created with its parents when missing; a path
+    that cannot be made a directory (a file, or under one) is a ConfigError."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"out_dir {out_dir}: {e.strerror}") from None
+    return out
 
 
 def _write_csv(path, header, rows):
@@ -162,7 +171,6 @@ def train(store: lm.ParamStore, records, vocab, loss_fn, config: RunConfig,
     rows. A non-finite loss or gradient raises ConfigError naming the step,
     before that step changes the parameters.
     """
-    config.validate()
     if not records:
         raise DataError("no records to train on (empty split?)")
     opt = AdamW(store.entries, config.optimizer)
@@ -196,8 +204,7 @@ def _train_and_write(config: RunConfig, store, records, vocab, loss_fn,
     the manifest under `config.out_dir`; appends a copy of `store` to
     `snapshots`, when given, after each epoch."""
     t0 = time.time()
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(config.out_dir)
     ckpts = []
 
     def epoch_end(done):
@@ -234,7 +241,6 @@ def _finish_manifest(manifest: RunManifest, out: Path, label: str):
 
 def _nll_run(config: RunConfig, splits, label: str) -> RunManifest:
     corp = load_run_corpus(config)
-    config.validate()
     records = [r for split in splits for r in corp.split(split)]
     return _train_and_write(config, lm.init_model(config.arch, config.seed),
                             records, corp.vocab, ob.loss_retain, label)
@@ -261,7 +267,6 @@ def run_unlearn(config: RunConfig, reference_checkpoint,
     holds a ParamStore copy at epoch 0 (the reference) and after each epoch;
     the squeeze tracer consumes these. Pass `corp` when it is loaded already.
     """
-    config.validate()
     if reference_checkpoint is None:
         raise ConfigError("unlearning requires a reference checkpoint")
     if corp is None:
@@ -330,7 +335,6 @@ def _judge_scores(generations, corp, judge_mode, endpoint=None):
 def run_eval(config: RunConfig, checkpoint_paths, ref_checkpoint=None,
              judge_mode: str = "none", endpoint=None) -> list[dict]:
     """Full MetricsReport per checkpoint plus a flat sweep CSV."""
-    config.validate()
     checkpoint_of = {}  # report file name -> checkpoint path
     for ck in checkpoint_paths:
         fname = f"metrics_{Path(ck).stem}.json"
@@ -341,8 +345,7 @@ def run_eval(config: RunConfig, checkpoint_paths, ref_checkpoint=None,
     if not checkpoint_of:
         raise DataError("run_eval needs at least one checkpoint")
     corp = load_run_corpus(config)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(config.out_dir)
     ref_store = lm.load_checkpoint(ref_checkpoint) if ref_checkpoint else None
     ref_norm_probs = (mt.reference_norm_probs(ref_store, corp)
                       if ref_store else None)
@@ -377,7 +380,6 @@ def run_eval(config: RunConfig, checkpoint_paths, ref_checkpoint=None,
 def run_dynamics(config: RunConfig, checkpoint=None,
                  etas=(1e-3, 5e-4, 2.5e-4)) -> dict:
     """Eta-scaling fit of the one-step prediction error on a capped model."""
-    config.validate()
     corp = load_run_corpus(config)
     forget = corp.split("forget")
     if not forget:
@@ -389,8 +391,7 @@ def run_dynamics(config: RunConfig, checkpoint=None,
     chi = dynamics.Chi(prompt=prompt, response=answer)
     loss_cfg = config.loss if config.loss.kind in dynamics.ORACLE_KINDS \
         else ob.LossConfig(kind="ga")
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(config.out_dir)
     slope, per_eta = dynamics.eta_scaling_slope(store, chi, chi, loss_cfg,
                                                 etas)
     doc = {"record_id": rec.id, "loss_kind": loss_cfg.kind,
@@ -474,7 +475,7 @@ def run_sweep(config: RunConfig, reference_checkpoint, grid: dict) -> list[dict]
     subs = [_combo_config(config, combo, str(out / f"combo_{i:03d}"))
             for i, combo in enumerate(combos)]
     corp = load_run_corpus(config)
-    out.mkdir(parents=True, exist_ok=True)
+    make_out_dir(config.out_dir)
     all_rows = []
     for i, (combo, sub) in enumerate(zip(combos, subs)):
         manifest = run_unlearn(sub, reference_checkpoint, corp=corp)

@@ -4,9 +4,10 @@
 JSON, with its type hints as the schema: an unknown or a missing required
 key is an error; an int passes for a float (and stays an int), a bool never
 passes for a number; a dataclass field is read the same way; `list[X]`,
-`dict[str, X]` and unions such as `X | None` are checked item by item; each
-dataclass read then calls its `validate()`, if it has one. Any failure
-raises the caller's `error` class naming `where` and the dotted key.
+`dict[str, X]` and unions such as `X | None` are checked item by item. A
+dataclass checks its own values when it is built, and the UnlearnLabError
+it raises is reported like a bad type. Any failure raises the caller's
+`error` class naming `where` and the dotted key.
 """
 
 from __future__ import annotations
@@ -136,20 +137,19 @@ def _container(hint, origin, item, value):
 
 @functools.cache
 def _fields(klass):
-    """(field name -> check, required field names, validate)."""
+    """(field name -> check, required field names)."""
     hints = typing.get_type_hints(klass)
     fields = dataclasses.fields(klass)
     required = {f.name for f in fields if f.default is dataclasses.MISSING
                 and f.default_factory is dataclasses.MISSING}
-    return ({f.name: _check(hints[f.name]) for f in fields}, required,
-            getattr(klass, "validate", lambda obj: None))
+    return {f.name: _check(hints[f.name]) for f in fields}, required
 
 
 def _object(klass, value):
     if not isinstance(value, dict):
         raise _Mismatch(f"expected a JSON object, got "
                         f"{reprlib.repr(value)}")
-    checks, required, validate = _fields(klass)
+    checks, required = _fields(klass)
     if not checks.keys() >= value.keys():
         raise _Invalid("unknown key", next(k for k in value
                                             if k not in checks))
@@ -162,9 +162,7 @@ def _object(klass, value):
     except _Invalid as e:
         e.path.insert(0, key)
         raise
-    obj = klass(**kwargs)
     try:
-        validate(obj)
+        return klass(**kwargs)
     except UnlearnLabError as e:
         raise _Invalid(str(e)) from None
-    return obj

@@ -7,6 +7,7 @@ run the real runner entry points.
 """
 
 import csv
+import dataclasses
 import json
 import shutil
 import time
@@ -405,13 +406,10 @@ def test_criterion_8_squeezing(desk_corpus_paths, theta_o, tmp_path):
     for seed in range(10):
         cfg = unlearn_config(records, vocab_path, tmp_path / f"sq{seed}",
                              kind="ga")
-        cfg.loss.lambda_retain = 0.0
-        cfg.epochs = epochs
-        cfg.batch_size = 8
-        cfg.seed = seed
-        cfg.checkpoint_every = epochs
-        cfg.squeeze_prompts = 10
-        cfg.beam_width = 15
+        cfg = dataclasses.replace(
+            cfg, loss=dataclasses.replace(cfg.loss, lambda_retain=0.0),
+            epochs=epochs, batch_size=8, seed=seed, checkpoint_every=epochs,
+            squeeze_prompts=10, beam_width=15)
         runner.run_squeeze(cfg, ref_path)
         out = Path(cfg.out_dir)
         bands_csv_found &= (out / "bands.csv").exists()

@@ -293,10 +293,10 @@ def test_bss_without_augmented_sets_is_data_error(tiny_store, batch):
 
 
 def test_loss_config_validation():
-    ob.LossConfig(kind="bst").validate()
+    ob.LossConfig(kind="bst")
     for bad in [dict(kind="rmu"), dict(beta=0.0), dict(alpha=-1.0),
                 dict(lambda_bst=1.2), dict(k=0), dict(lambda_bss=-0.1),
                 dict(n_aug=0), dict(tau=0.0), dict(base_loss="graddiff"),
                 dict(lambda_retain=-1.0)]:
         with pytest.raises(ConfigError):
-            ob.LossConfig(**bad).validate()
+            ob.LossConfig(**bad)

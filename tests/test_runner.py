@@ -66,9 +66,9 @@ def test_linear_scheduler_pointwise():
 
 def test_scheduler_validation():
     with pytest.raises(ConfigError):
-        SchedulerConfig(kind="cosine").validate()
+        SchedulerConfig(kind="cosine")
     with pytest.raises(ConfigError):
-        SchedulerConfig(kind="linear", warmup_fraction=1.0).validate()
+        SchedulerConfig(kind="linear", warmup_fraction=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -446,6 +446,25 @@ def test_run_config_roundtrip_and_unknown_keys():
         runner.RunConfig.from_dict({"no_such_key": 1})
 
 
+@pytest.mark.parametrize("default,name,bad", [
+    (runner.RunConfig(), "seed", -1),
+    (LossConfig(), "k", 0),
+    (OptimizerConfig(), "lr", 0.0),
+    (SchedulerConfig(), "warmup_fraction", 1.0),
+    (cp.GenConfig(), "n_perturbed", 2),
+    (runner.desk_arch(), "n_heads", 3),
+    (lm.Temperature(tau=1.0, seed=0), "tau", 0.0),
+    (lm.Beam(width=1), "width", 0),
+    (jd.EndpointConfig(url="u", model_name="m"), "max_retries", -1),
+    (cli.ConfigFile(), "judge", "mokc"),
+], ids=lambda v: type(v).__name__ if dataclasses.is_dataclass(v) else None)
+def test_configs_are_valid_by_construction(default, name, bad):
+    with pytest.raises(ConfigError):
+        dataclasses.replace(default, **{name: bad})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(default, name, getattr(default, name))
+
+
 # CLI ------------------------------------------------------------------------
 
 
@@ -534,13 +553,15 @@ _BAD_CONFIGS = {
         ["'judge_endpoint'", "max_retries"]),
     "gen_key_on_finetune": ("finetune", {"gen": {"bogus": 1}},
                             ["'gen.bogus'"]),
+    "seed_negative": ("gen-corpus", {"run": {"seed": -1}}, ["'run'", "seed"]),
 }
 
 
 @pytest.mark.parametrize("case", list(_BAD_CONFIGS))
 def test_cli_bad_config_exits_2_naming_key(case, tmp_path, capsys):
     command, doc, names = _BAD_CONFIGS[case]
-    doc = dict(doc, run={"out_dir": str(tmp_path / "out")})
+    doc = dict(doc, run=dict(doc.get("run", {}),
+                             out_dir=str(tmp_path / "out")))
     cfgp = _write_config(tmp_path / "c.json", doc)
     assert cli.main([command, "--config", cfgp]) == 2
     err = capsys.readouterr().err
@@ -576,6 +597,29 @@ def test_cli_unreadable_path_exits_with_one_line(command, field, code,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(folder) in err
     assert "Is a directory" in err
+
+
+@pytest.mark.parametrize("command,flags,name", [
+    ("gen-corpus", ["--out", "afile"], "out_dir"),
+    ("finetune", ["--out", "afile"], "out_dir"),
+    ("eval", ["--out", "afile", "--checkpoint", "ckpt.json"], "out_dir"),
+    ("dynamics", ["--out", "afile"], "out_dir"),
+    ("gen-corpus", ["--seed", "-1"], "seed"),
+])
+def test_cli_bad_flag_exits_2_writing_nothing(command, flags, name,
+                                              small_setup, tmp_path, capsys,
+                                              monkeypatch):
+    root, corp, make = small_setup
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("keep")
+    cfgp = _write_config(tmp_path / "c.json", {
+        "run": make(tmp_path / "out").to_dict(), "gen": {"n_entities": 10}})
+    assert cli.main([command, "--config", cfgp, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert name in err, err
+    assert (tmp_path / "afile").read_text() == "keep"
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_eval_rejects_checkpoints_sharing_a_report_name(

@@ -14,7 +14,7 @@ class Inner:
     rate: float
     flag: bool = False
 
-    def validate(self):
+    def __post_init__(self):
         if self.rate > 1:
             raise ConfigError("rate must be <= 1")
 
@@ -69,7 +69,7 @@ _BAD_DOCS = {
 
 @pytest.mark.parametrize("case", list(_BAD_DOCS))
 def test_read_raises_the_callers_error_naming_the_key(case):
-    # Inner.validate raises ConfigError; the caller asked for DataError.
+    # Building an Inner raises ConfigError; the caller asked for DataError.
     doc, match = _BAD_DOCS[case]
     with pytest.raises(DataError, match=re.escape(match)) as err:
         _read(doc)
