@@ -24,8 +24,8 @@ def main():
 
     chi = dy.Chi(prompt=[1, 2, 3, 4], response=[5, 6, 7, 1])
     print("\n  eta        max |actual - predicted|")
-    slope, per_eta = dy.eta_scaling_slope(store, chi, chi,
-                                          LossConfig(kind="ga"))
+    slope, _, per_eta = dy.eta_scaling_slope(store, chi, chi,
+                                             LossConfig(kind="ga"))
     for run in per_eta:
         print(f"  {run['eta']:8.1e}  {run['max_first_order_error']:.3e}")
     print(f"\nlog-log slope = {slope:.3f}  (2.0 means a clean eta^2 "

@@ -15,6 +15,7 @@ difference is lambda * (q[y] - 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,9 +29,8 @@ PARAM_CAP = 20_000
 ORACLE_KINDS = ("ga", "bst")
 
 
-@dataclass
-class Chi:
-    """A teacher-forced prompt/response pair."""
+class Chi(NamedTuple):
+    """A teacher-forced (prompt, response) pair."""
     prompt: list[int]
     response: list[int]
 
@@ -53,19 +53,14 @@ class DynamicsReport:
     first_order_error: float
     eta: float
 
-    def to_dict(self, A=None, G=None):
-        """JSON-ready fields. `A` and `G`, when given, are this report's
-        matrices already as lists, so reports that share them share one
-        list."""
+    def to_dict(self):
+        """The eta-dependent fields, JSON-ready. `A` and `G` do not depend
+        on eta; `eta_scaling_slope` lists them once per position."""
         return {
             "position": self.position,
-            "A": self.A.tolist() if A is None else A,
-            "G": self.G.tolist() if G is None else G,
-            "K_block": None,  # v0.1 file format; no run fills it
             "predicted_delta_logpi": self.predicted_delta_logpi.tolist(),
             "actual_delta_logpi": self.actual_delta_logpi.tolist(),
             "first_order_error": self.first_order_error,
-            "eta": self.eta,
         }
 
 
@@ -137,11 +132,6 @@ def _loss_for(store, chi_u: Chi, loss_cfg):
     return objectives.forget_loss(loss_cfg, store, batch)
 
 
-def _scored_logprob_rows(store, chi: Chi) -> np.ndarray:
-    logits = lm.forward_logits(store, chi.tokens())
-    return ad.arrays.log_softmax(logits)[chi.scored_positions()]
-
-
 def akg_check(store: lm.ParamStore, chi_u: Chi, chi_o: Chi, loss_cfg,
               eta: float) -> list[DynamicsReport]:
     """Compare predicted vs actual log-probability change for one SGD step.
@@ -169,10 +159,12 @@ def _akg_runs(store, chi_u, chi_o, loss_cfg, etas):
     gs = ad.grad(lv.scalar, [lv.param_tensors[n] for n in names])
     g_flat = np.concatenate([g.ravel() for g in gs])
 
-    lp_before = _scored_logprob_rows(store, chi_o)
+    scored = dict(lm.response_logits(store, [chi_o, chi_u]))
+    lp_before = ad.arrays.log_softmax(scored[0])
     pi_before = np.exp(lp_before)
 
-    residuals = _residual_rows(store, chi_u, loss_cfg)
+    residuals = _residual_rows(np.exp(ad.arrays.log_softmax(scored[1])),
+                               chi_u, loss_cfg)
 
     positions = []  # per position: (J_o @ g, A, G)
     for idx, pos in enumerate(chi_o.scored_positions()):
@@ -184,7 +176,8 @@ def _akg_runs(store, chi_u, chi_o, loss_cfg, etas):
 
     for eta in etas:
         stepped = store.add_flat(-eta * g_flat)
-        lp_after = _scored_logprob_rows(stepped, chi_o)
+        [(_, logits)] = lm.response_logits(stepped, [chi_o])
+        lp_after = ad.arrays.log_softmax(logits)
         reports = []
         for idx, (jg, a, g_row) in enumerate(positions):
             predicted = a @ (-eta * jg)
@@ -197,10 +190,9 @@ def _akg_runs(store, chi_u, chi_o, loss_cfg, etas):
         yield reports
 
 
-def _residual_rows(store, chi_u: Chi, loss_cfg) -> np.ndarray:
-    """Closed-form residuals at chi_u's scored positions (zero for custom)."""
-    lp = _scored_logprob_rows(store, chi_u)
-    pi = np.exp(lp)
+def _residual_rows(pi, chi_u: Chi, loss_cfg) -> np.ndarray:
+    """Closed-form residuals at chi_u's scored positions, whose
+    probabilities are the rows of `pi` (zero for custom)."""
     rows = np.zeros_like(pi)
     if callable(loss_cfg):
         return rows
@@ -213,24 +205,24 @@ def _residual_rows(store, chi_u: Chi, loss_cfg) -> np.ndarray:
 
 
 def eta_scaling_slope(store: lm.ParamStore, chi_u: Chi, chi_o: Chi, loss_cfg,
-                      etas=(1e-3, 5e-4, 2.5e-4)) -> tuple[float, list[dict]]:
-    """Least-squares slope of log(max first-order error) vs log(eta), and
-    per eta a dict of its max error and serialized per-position reports
-    (serialized before the next eta runs). The Jacobians are computed once
-    for all etas, and each position's eta-independent A and G are one list
-    object shared by every eta's report."""
-    errs, per_eta, shared = [], [], None
+                      etas=(1e-3, 5e-4, 2.5e-4)
+                      ) -> tuple[float, list[dict], list[dict]]:
+    """Least-squares slope of log(max first-order error) vs log(eta); per
+    position a dict of its eta-independent `A` and `G`; and per eta a dict
+    of its max error and serialized per-position reports (serialized before
+    the next eta runs). The Jacobians are computed once for all etas."""
+    errs, per_eta, positions = [], [], None
     for eta, reports in zip(etas, _akg_runs(store, chi_u, chi_o, loss_cfg,
                                             etas)):
-        if shared is None:
-            shared = [(r.A.tolist(), r.G.tolist()) for r in reports]
+        if positions is None:
+            positions = [{"position": r.position, "A": r.A.tolist(),
+                          "G": r.G.tolist()} for r in reports]
         err = max(r.first_order_error for r in reports)
         errs.append(err)
         per_eta.append({"eta": eta, "max_first_order_error": err,
-                        "positions": [r.to_dict(a, g) for r, (a, g)
-                                      in zip(reports, shared)]})
+                        "positions": [r.to_dict() for r in reports]})
     slope = np.polyfit(np.log(np.asarray(etas)), np.log(np.asarray(errs)), 1)[0]
-    return float(slope), per_eta
+    return float(slope), positions, per_eta
 
 
 # Squeezing-band tracer -------------------------------------------------------
@@ -296,9 +288,12 @@ def squeeze_trace(checkpoints: list[lm.ParamStore], prompts,
             raise DataError(
                 f"prompt {prompt_id}: only {len(cands)} candidates; bands "
                 "degenerate below 5")
-        pairs = [(list(prompt), list(c)) for c in cands]
-        scores = np.stack([objectives.batch_sequence_logprobs(ck, pairs)
-                           for ck in checkpoints])  # [E, C]
+        pairs = [(prompt, c) for c in cands]
+        scores = np.zeros((n_epochs, len(cands)))
+        for e, ck in enumerate(checkpoints):
+            for j, logits in lm.response_logits(ck, pairs):
+                lp = ad.arrays.log_softmax(logits)
+                scores[e, j] = lp[np.arange(len(cands[j])), cands[j]].sum()
         band_list = _assign_bands(scores[0])
         cand_ids = [f"{prompt_id}_c{j}" for j in range(len(cands))]
         per_epoch = np.zeros((n_epochs, 3))

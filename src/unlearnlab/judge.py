@@ -118,16 +118,20 @@ def parse_score(raw: str) -> float:
 
 
 def _default_transport(endpoint: EndpointConfig, payload: dict) -> str:
-    import requests
+    """POST `payload` as JSON and return the reply body; an HTTP error
+    status raises (`urllib.error.HTTPError`)."""
+    # Imported here: it loads ssl and email (about 7 MB of RSS), which only
+    # a run with an http judge needs.
+    import urllib.request
 
     headers = {"Content-Type": "application/json"}
     token = os.environ.get(endpoint.auth_env, "") if endpoint.auth_env else ""
     if token:
         headers["Authorization"] = f"Bearer {token}"
-    resp = requests.post(endpoint.url, json=payload, headers=headers,
-                         timeout=endpoint.timeout)
-    resp.raise_for_status()
-    return resp.text
+    req = urllib.request.Request(endpoint.url, json.dumps(payload).encode(),
+                                 headers)
+    with urllib.request.urlopen(req, timeout=endpoint.timeout) as resp:
+        return resp.read().decode(resp.headers.get_content_charset("utf-8"))
 
 
 def _extract_text(body: str) -> str:

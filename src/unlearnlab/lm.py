@@ -253,19 +253,32 @@ def length_groups(seqs) -> list[list[int]]:
             for start in range(0, len(idx), MAX_BATCH_ROWS)]
 
 
+def response_logits(store: ParamStore, pairs):
+    """The teacher-forced scorer: for each (prompt, response) pair `i`,
+    yields `(i, rows)`, where `rows` [|y|, V] are the logits that predict
+    the pair's response tokens.
+
+    Pairs are forwarded in exact-length groups of at most MAX_BATCH_ROWS
+    (`length_groups`), so a pair's rows equal its one-pair forward bit for
+    bit, whatever else is in the call. Pairs come out group by group, and
+    only one group's logits are held at a time.
+    """
+    pairs = [(list(p), list(r)) for p, r in pairs]
+    if not all(p for p, _ in pairs):
+        raise ContractError("prompt must be non-empty")
+    seqs = [p + r for p, r in pairs]
+    for rows in length_groups(seqs):
+        logits = batch_logits(store, [seqs[i] for i in rows])
+        for r, i in enumerate(rows):
+            start = len(pairs[i][0]) - 1
+            yield i, logits[r, start:start + len(pairs[i][1])]
+
+
 def token_logprobs(store: ParamStore, prompt, response) -> np.ndarray:
     """Per-position log pi(y_i | prompt, y<i) for every response token."""
-    prompt = list(prompt)
-    response = list(response)
-    if not prompt:
-        raise ContractError("prompt must be non-empty")
-    if not response:
-        return np.zeros(0)
-    seq = np.asarray(prompt + response, dtype=np.int64)
-    logits = forward_logits(store, seq)
-    lp = ad.arrays.log_softmax(logits)
-    pos = np.arange(len(prompt) - 1, len(seq) - 1)
-    return lp[pos, np.asarray(response)]
+    response = np.asarray(response, dtype=np.int64)
+    [(_, logits)] = response_logits(store, [(prompt, response)])
+    return ad.arrays.log_softmax(logits)[np.arange(response.size), response]
 
 
 def sequence_logprob(store: ParamStore, prompt, response) -> float:
@@ -424,9 +437,8 @@ def write_json(doc, path):
 
     Only the skeleton is walked here: dicts whose keys are all `str`, and
     lists or tuples that hold a dict. Every other value is a leaf, encoded
-    whole by `json.dumps` (the C encoder), and a leaf object that appears
-    more than once is encoded once."""
-    texts = {}  # id(leaf) -> text; every leaf stays alive inside `doc`
+    whole by `json.dumps` (the C encoder), so the document never exists as
+    one string."""
 
     def emit(node):
         if isinstance(node, dict) and all(isinstance(k, str) for k in node):
@@ -446,10 +458,7 @@ def write_json(doc, path):
                 emit(v)
             write("]")
         else:
-            text = texts.get(id(node))
-            if text is None:
-                text = texts[id(node)] = json.dumps(node, sort_keys=True)
-            write(text)
+            write(json.dumps(node, sort_keys=True))
 
     with atomic_write(path) as f:
         write = f.write

@@ -101,8 +101,8 @@ def teacher_forced_scores(store: lm.ParamStore, pairs) -> list[TeacherForced]:
     """Normalized probability, exact memorization and extraction strength of
     each (prompt, answer) pair, from one forward of prompt + answer.
 
-    Pairs of equal total length share a batched forward (`lm.length_groups`),
-    so every value equals the one a single-pair forward gives.
+    The rows come from `lm.response_logits`, so every value equals the one
+    a single-pair forward gives.
 
     Extraction strength needs no decoding. A greedy continuation of
     prompt + answer[:k] reproduces answer[k:] exactly when the teacher-forced
@@ -112,33 +112,24 @@ def teacher_forced_scores(store: lm.ParamStore, pairs) -> list[TeacherForced]:
     argmax (subtracting the log-normalizer can round two logits to one value).
     """
     pairs = [(list(p), list(a)) for p, a in pairs]
-    for prompt, answer in pairs:
-        if not answer:
-            raise DataError("answer must be non-empty")
-        if not prompt:
-            raise ContractError("prompt must be non-empty")
-    seqs = [p + a for p, a in pairs]
+    if not all(a for _, a in pairs):
+        raise DataError("answer must be non-empty")
     out: list[TeacherForced | None] = [None] * len(pairs)
-    for rows in lm.length_groups(seqs):
-        logits = lm.batch_logits(store, [seqs[i] for i in rows])
+    for i, logits in lm.response_logits(store, pairs):
+        ans = np.asarray(pairs[i][1])
+        n = ans.size
         lp = ad.arrays.log_softmax(logits)
-        for r, i in enumerate(rows):
-            prompt, answer = pairs[i]
-            n = len(answer)
-            pos = np.arange(len(prompt) - 1, len(seqs[i]) - 1)
-            ans = np.asarray(answer)
-            logprob = float(lp[r][pos, ans].sum())
-            hits = (lp[r][pos].argmax(axis=-1) == ans).tolist()
-            k = n
-            while k > 0 and hits[k - 1]:
-                k -= 1
-            out[i] = TeacherForced(
-                norm_prob=float(np.exp(logprob / n)),
-                exact_mem=float((logits[r][pos].argmax(axis=-1)
-                                 == ans).mean()),
-                # As the decode loop computed it: (n - k) / n can differ
-                # from 1 - k / n in the last ulp.
-                extraction_strength=1.0 - k / n)
+        logprob = float(lp[np.arange(n), ans].sum())
+        hits = (lp.argmax(axis=-1) == ans).tolist()
+        k = n
+        while k > 0 and hits[k - 1]:
+            k -= 1
+        out[i] = TeacherForced(
+            norm_prob=float(np.exp(logprob / n)),
+            exact_mem=float((logits.argmax(axis=-1) == ans).mean()),
+            # As the decode loop computed it: (n - k) / n can differ
+            # from 1 - k / n in the last ulp.
+            extraction_strength=1.0 - k / n)
     return out
 
 

@@ -115,15 +115,6 @@ def _seq_logprob_graph(store, pairs, tensors):
     return seq_lp, lp_rows, lp_y, tgt_ids, mask
 
 
-def batch_sequence_logprobs(store: lm.ParamStore, pairs: list[Pair]) -> np.ndarray:
-    """Plain-numpy per-sequence log-likelihoods (no graph)."""
-    tokens, tgt_pos, tgt_ids, mask = _pad_batch(pairs)
-    lp = ad.arrays.log_softmax(lm.batch_logits(store, tokens))
-    bidx = np.arange(len(pairs))[:, None]
-    lp_y = lp[bidx, tgt_pos, tgt_ids]
-    return (lp_y * mask).sum(axis=1)
-
-
 # Loss builders ---------------------------------------------------------------
 
 # Every forget builder has one signature,
@@ -165,14 +156,16 @@ def loss_npo(store: lm.ParamStore, forget_batch: list[Pair], cfg: LossConfig,
              tensors, ref_store=None, augmented=None) -> LossValue:
     """(2/beta) * mean softplus(beta * (log pi - log pi_ref)).
 
-    The reference store is a frozen snapshot; its log-likelihoods enter the
-    graph as constants.
+    The reference store is a frozen snapshot; its log-likelihoods come from
+    the same graph on its parameters as constants, so the margin is exactly
+    0 at the reference.
     """
     if ref_store is None:
         raise ConfigError("npo needs a reference store")
     seq_lp, *_ = _seq_logprob_graph(store, forget_batch, tensors)
-    ref_lp = batch_sequence_logprobs(ref_store, forget_batch)
-    margin = ad.sub(seq_lp, ad.constant(ref_lp))
+    ref_lp, *_ = _seq_logprob_graph(
+        ref_store, forget_batch, lm.param_tensors(ref_store, trainable=False))
+    margin = ad.sub(seq_lp, ref_lp)
     per_ex = ad.scale(ad.softplus(ad.scale(margin, cfg.beta)), 2.0 / cfg.beta)
     return _value(tensors, ad.mean_all(per_ex))
 

@@ -24,7 +24,7 @@ from . import lm, objectives as ob, schema
 from .errors import ConfigError, DataError, JudgeUnavailableError
 from .optim import AdamW, OptimizerConfig, SchedulerConfig, lr_at
 
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = "0.2.0"
 
 
 @dataclass(frozen=True)
@@ -392,10 +392,11 @@ def run_dynamics(config: RunConfig, checkpoint=None,
     loss_cfg = config.loss if config.loss.kind in dynamics.ORACLE_KINDS \
         else ob.LossConfig(kind="ga")
     out = make_out_dir(config.out_dir)
-    slope, per_eta = dynamics.eta_scaling_slope(store, chi, chi, loss_cfg,
-                                                etas)
+    slope, positions, per_eta = dynamics.eta_scaling_slope(
+        store, chi, chi, loss_cfg, etas)
     doc = {"record_id": rec.id, "loss_kind": loss_cfg.kind,
-           "etas": list(etas), "slope": slope, "reports": per_eta}
+           "etas": list(etas), "slope": slope, "positions": positions,
+           "reports": per_eta}
     lm.write_json(doc, out / "dynamics_report.json")
     print(f"dynamics: slope={slope:.3f} -> {out / 'dynamics_report.json'}")
     return doc

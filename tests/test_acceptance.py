@@ -193,8 +193,9 @@ def test_criterion_3_akg_eta_scaling():
             0, 0.08, store.entries[k].shape)
     assert store.param_count() <= 20_000
     chi = dy.Chi(prompt=[1, 2, 3, 4], response=[5, 6, 7, 1])
-    slope, _ = dy.eta_scaling_slope(store, chi, chi, ob.LossConfig(kind="ga"),
-                                    etas=(1e-3, 5e-4, 2.5e-4))
+    slope, _, _ = dy.eta_scaling_slope(store, chi, chi,
+                                       ob.LossConfig(kind="ga"),
+                                       etas=(1e-3, 5e-4, 2.5e-4))
     elapsed = time.time() - t0
     ok = slope >= 1.7 and elapsed <= 60
     report(3, ok, f"log-log error slope {slope:.3f} (>=1.7) on "

@@ -192,8 +192,8 @@ def test_akg_ga_pushes_label_down(dyn_store):
 
 def test_akg_eta_scaling_slope(dyn_store):
     chi = dy.Chi(prompt=[1, 2, 3, 4], response=[5, 6, 7, 1])
-    slope, _ = dy.eta_scaling_slope(dyn_store, chi, chi,
-                                    ob.LossConfig(kind="ga"))
+    slope, _, _ = dy.eta_scaling_slope(dyn_store, chi, chi,
+                                       ob.LossConfig(kind="ga"))
     assert slope >= 1.7
 
 
@@ -210,16 +210,15 @@ def test_eta_scaling_slope_computes_each_jacobian_once(dyn_store,
         return jacobian(store, tokens, position)
 
     monkeypatch.setattr(dy, "logit_jacobian", counted)
-    _, per_eta = dy.eta_scaling_slope(dyn_store, chi, chi, cfg, etas)
+    _, positions, per_eta = dy.eta_scaling_slope(dyn_store, chi, chi, cfg,
+                                                 etas)
     assert calls == chi.scored_positions()
     monkeypatch.undo()
     for eta, doc in zip(etas, per_eta):
-        want = [r.to_dict() for r in dy.akg_check(dyn_store, chi, chi, cfg,
-                                                  eta)]
-        assert doc["positions"] == want
-        for i, pos in enumerate(doc["positions"]):
-            assert pos["A"] is per_eta[0]["positions"][i]["A"]
-            assert pos["G"] is per_eta[0]["positions"][i]["G"]
+        reports = dy.akg_check(dyn_store, chi, chi, cfg, eta)
+        assert doc["positions"] == [r.to_dict() for r in reports]
+        assert positions == [{"position": r.position, "A": r.A.tolist(),
+                              "G": r.G.tolist()} for r in reports]
     with pytest.raises(ConfigError):
         dy.eta_scaling_slope(dyn_store, chi, chi, cfg, (1e-3, 0.0))
 

@@ -215,3 +215,84 @@ def test_score_batch_collects_failures_without_aborting():
                             [jd.render_naturalness_prompt("g")] * 3,
                             transport=transport)
     assert all(isinstance(s, JudgeUnavailableError) for s in scores)
+
+
+# The stdlib http transport, against a local server -----------------------
+
+
+@pytest.fixture
+def judge_server(monkeypatch):
+    """An http.server on 127.0.0.1 in this process. Set `replies` to the
+    (status, body) pairs to send in turn; `seen` collects each request's
+    headers and JSON payload."""
+    import threading
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    for var in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    state = {"replies": [], "seen": []}
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            state["seen"].append((dict(self.headers), json.loads(body)))
+            status, reply = state["replies"].pop(0)
+            data = reply.encode()
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    state["url"] = f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
+    yield state
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+def _chat_reply(text):
+    return json.dumps({"choices": [{"message": {"content": text}}]})
+
+
+def test_http_transport_good_reply(judge_server):
+    judge_server["replies"] = [(200, _chat_reply("Score: 3.2500"))]
+    ep = jd.EndpointConfig(url=judge_server["url"], model_name="m",
+                           timeout=5.0)
+    prompt = jd.render_naturalness_prompt("G.")
+    s = jd.query_judge(ep, prompt)
+    assert (s.value, s.raw, s.retries_used) == (3.25, "Score: 3.2500", 0)
+    headers, payload = judge_server["seen"][0]
+    assert payload == {"model": "m", "messages": [
+        {"role": "user", "content": prompt.text}]}
+    assert headers["Content-Type"] == "application/json"
+    assert "Authorization" not in headers
+
+
+def test_http_transport_retries_http_500_until_unavailable(judge_server):
+    judge_server["replies"] = [(500, "oops")] * 3
+    ep = jd.EndpointConfig(url=judge_server["url"], model_name="m",
+                           timeout=5.0, max_retries=2)
+    with pytest.raises(JudgeUnavailableError) as exc:
+        jd.query_judge(ep, jd.render_naturalness_prompt("G."),
+                       sleep=lambda s: None)
+    assert len(judge_server["seen"]) == 3
+    assert "500" in exc.value.last_reply
+
+
+def test_http_transport_sends_bearer_token_from_auth_env(judge_server,
+                                                         monkeypatch):
+    monkeypatch.setenv("UNLEARNLAB_TEST_JUDGE_TOKEN", "s3cret")
+    judge_server["replies"] = [(200, _chat_reply("1.0000"))]
+    ep = jd.EndpointConfig(url=judge_server["url"], model_name="m",
+                           auth_env="UNLEARNLAB_TEST_JUDGE_TOKEN",
+                           timeout=5.0)
+    assert jd.query_judge(ep, jd.render_naturalness_prompt("G.")).value == 1.0
+    headers, _ = judge_server["seen"][0]
+    assert headers["Authorization"] == "Bearer s3cret"

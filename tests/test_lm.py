@@ -225,6 +225,78 @@ def test_length_groups_cap_rows():
                                         lm.MAX_BATCH_ROWS, 1]
 
 
+def _v01_pad_batch(pairs):
+    """v0.1's `objectives._pad_batch`, verbatim: the padded scorer's input."""
+    b = len(pairs)
+    t = max(len(p) + len(r) for p, r in pairs)
+    r_max = max(len(r) for _, r in pairs)
+    tokens = np.zeros((b, t), dtype=np.int64)
+    tgt_pos = np.zeros((b, max(r_max, 1)), dtype=np.int64)
+    tgt_ids = np.zeros((b, max(r_max, 1)), dtype=np.int64)
+    mask = np.zeros((b, max(r_max, 1)))
+    for i, (p, r) in enumerate(pairs):
+        if not p:
+            raise DataError("prompt must be non-empty")
+        seq = list(p) + list(r)
+        tokens[i, :len(seq)] = seq
+        for j, y in enumerate(r):
+            tgt_pos[i, j] = len(p) - 1 + j
+            tgt_ids[i, j] = y
+            mask[i, j] = 1.0
+    return tokens, tgt_pos, tgt_ids, mask
+
+
+def _v01_batch_sequence_logprobs(store, pairs):
+    """v0.1's right-padded plain scorer (`objectives.batch_sequence_logprobs`),
+    verbatim: the drift oracle for `lm.response_logits`."""
+    tokens, tgt_pos, tgt_ids, mask = _v01_pad_batch(pairs)
+    lp = ad.arrays.log_softmax(lm.batch_logits(store, tokens))
+    bidx = np.arange(len(pairs))[:, None]
+    lp_y = lp[bidx, tgt_pos, tgt_ids]
+    return (lp_y * mask).sum(axis=1)
+
+
+def _mixed_pairs(seed, n=40):
+    rng = np.random.default_rng(seed)
+    return [(list(rng.integers(0, 12, rng.integers(1, 7))),
+             list(rng.integers(0, 12, rng.integers(1, 9)))) for _ in range(n)]
+
+
+def _scores(store, pairs):
+    """Sequence log-likelihood of every pair, read through the scorer."""
+    out = np.zeros(len(pairs))
+    for i, logits in lm.response_logits(store, pairs):
+        resp = pairs[i][1]
+        out[i] = ad.arrays.log_softmax(logits)[np.arange(len(resp)),
+                                               resp].sum()
+    return out
+
+
+def test_response_logits_agree_with_v01_padded_scorer(tiny_store):
+    for seed in range(3):
+        pairs = _mixed_pairs(seed)
+        old = _v01_batch_sequence_logprobs(tiny_store, pairs)
+        assert np.max(np.abs(_scores(tiny_store, pairs) - old)) <= 1e-12
+
+
+def test_response_logits_are_batch_invariant(tiny_store):
+    pairs = _mixed_pairs(7)
+    seen = []
+    for i, logits in lm.response_logits(tiny_store, pairs):
+        prompt, resp = pairs[i]
+        seen.append(i)
+        assert logits.shape == (len(resp), tiny_store.arch.vocab_size)
+        [(_, alone)] = lm.response_logits(tiny_store, [(prompt, resp)])
+        assert np.array_equal(logits, alone)
+        full = lm.forward_logits(tiny_store, prompt + resp)
+        assert np.array_equal(logits, full[len(prompt) - 1:-1])
+    assert sorted(seen) == list(range(len(pairs)))
+    mixed = _scores(tiny_store, pairs)
+    for (prompt, resp), score in zip(pairs, mixed):
+        assert score == _scores(tiny_store, [(prompt, resp)])[0]
+        assert score == lm.token_logprobs(tiny_store, prompt, resp).sum()
+
+
 def test_greedy_decode_batch_matches_per_prompt_decode(tiny_store):
     rng = np.random.default_rng(4)
     prompts = [list(rng.integers(0, 12, rng.integers(1, 6)))

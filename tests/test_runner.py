@@ -296,17 +296,27 @@ def test_dynamics_runner_untrained_tiny_arch(small_setup, tmp_path):
     written = (tmp_path / "dyn" / "dynamics_report.json").read_text()
     oracle = "".join(json.JSONEncoder(sort_keys=True).iterencode(doc)) + "\n"
     assert written == oracle
-    # The v0.1 report format: every position of every eta has exactly these
-    # keys, and K_block is always null.
-    keys = {"position", "A", "G", "K_block", "predicted_delta_logpi",
-            "actual_delta_logpi", "first_order_error", "eta"}
-    runs = json.loads(written)["reports"]
-    assert len(runs) == 3
+    # The v0.2 report format: each position's eta-independent A and G once,
+    # at the top level, and only the eta-dependent fields under each eta.
+    # "slope" still sorts last, so the file ends with it.
+    report = json.loads(written)
+    assert list(report) == ["etas", "loss_kind", "positions", "record_id",
+                            "reports", "slope"]
+    assert written.endswith(f'"slope": {doc["slope"]!r}}}\n')
+    n = len(report["positions"])
+    assert n and [p["position"] for p in report["positions"]] == list(range(n))
+    for pos in report["positions"]:
+        assert set(pos) == {"position", "A", "G"}
+    runs = report["reports"]
+    assert [run["eta"] for run in runs] == report["etas"]
     for run in runs:
-        assert run["positions"]
+        assert set(run) == {"eta", "max_first_order_error", "positions"}
+        assert [p["position"] for p in run["positions"]] == list(range(n))
         for pos in run["positions"]:
-            assert set(pos) == keys
-            assert pos["K_block"] is None
+            assert set(pos) == {"position", "predicted_delta_logpi",
+                                "actual_delta_logpi", "first_order_error"}
+        assert run["max_first_order_error"] == max(
+            p["first_order_error"] for p in run["positions"])
 
 
 def test_dynamics_without_forget_records_is_data_error(small_setup, tmp_path):
