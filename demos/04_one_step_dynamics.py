@@ -19,8 +19,7 @@ def main():
     for k in store.entries:
         store.entries[k] = store.entries[k] + rng.normal(
             0, 0.08, store.entries[k].shape)
-    print(f"model: {store.param_count()} parameters "
-          f"(explicit Jacobians are fine at this size)")
+    print(f"model: {store.param_count()} parameters")
 
     chi = dy.Chi(prompt=[1, 2, 3, 4], response=[5, 6, 7, 1])
     print("\n  eta        max |actual - predicted|")

@@ -8,6 +8,10 @@ Stop-gradient nodes (`stop_gradient`) block reverse accumulation and are
 *frozen* during re-evaluation: `finite_diff` differentiates the function
 with every stop-gradient subtree held at its captured value, which is the
 same function the reverse pass differentiates.
+
+Forward mode needs no graph: the `duals` op set carries a (value, tangent)
+pair through a model forward, so one pass gives the directional derivative
+of every output along the inputs' tangents.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -193,6 +198,13 @@ def _softmax(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _softmax_tangent(p, t):
+    """The Jacobian of softmax at output `p`, applied to `t`. It is
+    symmetric, so this is the forward (tangent) and reverse (cotangent)
+    rule alike."""
+    return p * (t - (t * p).sum(axis=-1, keepdims=True))
+
+
 def _log_softmax(x):
     z = x - x.max(axis=-1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
@@ -204,6 +216,14 @@ def _ln_stats(v, eps):
     xc = v - mu
     inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
     return xc, inv
+
+
+def _ln_tangent(xhat, inv, u):
+    """The Jacobian of the normalization v -> xhat = (v - mean) * inv,
+    applied to `u`. It is symmetric, so this is the forward and reverse
+    rule alike."""
+    return inv * (u - u.mean(axis=-1, keepdims=True)
+                  - xhat * (u * xhat).mean(axis=-1, keepdims=True))
 
 
 def _layer_norm(v, w, b, eps=1e-5):
@@ -219,6 +239,13 @@ def _gelu(x):
     return 0.5 * x * (1.0 + _gelu_tanh(x))
 
 
+def _gelu_slope(x):
+    """d gelu(x) / dx, elementwise."""
+    t = _gelu_tanh(x)
+    du = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_CUBIC * (x * x))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+
+
 # The graph ops a model forward uses, on plain arrays: a function written
 # over `ops` builds nodes with `ops=autodiff` and computes the same values
 # without nodes with `ops=autodiff.arrays`.
@@ -227,6 +254,44 @@ arrays = SimpleNamespace(
     scale=operator.mul, reshape=np.reshape, transpose=np.transpose,
     take_rows=lambda table, ids: table[ids], softmax=_softmax,
     log_softmax=_log_softmax, layer_norm=_layer_norm, gelu=_gelu)
+
+
+class Dual(NamedTuple):
+    """A value and its tangent: the derivative of the value along the
+    direction that the tangents of the inputs set."""
+    value: np.ndarray
+    tangent: np.ndarray
+
+
+def _dual_softmax(a):
+    p = _softmax(a.value)
+    return Dual(p, _softmax_tangent(p, a.tangent))
+
+
+def _dual_layer_norm(x, w, b, eps=1e-5):
+    xc, inv = _ln_stats(x.value, eps)
+    xhat = xc * inv
+    return Dual(xhat * w.value + b.value,
+                _ln_tangent(xhat, inv, x.tangent) * w.value
+                + xhat * w.tangent + b.tangent)
+
+
+# The same ops in forward mode, over `Dual`s: a function written over `ops`
+# gives, run with `ops=autodiff.duals`, the values `arrays` gives, bit for
+# bit, and with them their derivatives along the inputs' tangents.
+duals = SimpleNamespace(
+    constant=lambda x: Dual(x, np.zeros_like(x)),
+    add=lambda a, b: Dual(a.value + b.value, a.tangent + b.tangent),
+    matmul=lambda a, b: Dual(a.value @ b.value,
+                             a.tangent @ b.value + a.value @ b.tangent),
+    scale=lambda a, c: Dual(a.value * c, a.tangent * c),
+    reshape=lambda a, shape: Dual(np.reshape(a.value, shape),
+                                  np.reshape(a.tangent, shape)),
+    transpose=lambda a, axes: Dual(np.transpose(a.value, axes),
+                                   np.transpose(a.tangent, axes)),
+    take_rows=lambda table, ids: Dual(table.value[ids], table.tangent[ids]),
+    softmax=_dual_softmax, layer_norm=_dual_layer_norm,
+    gelu=lambda a: Dual(_gelu(a.value), a.tangent * _gelu_slope(a.value)))
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +504,7 @@ def softmax(a: Node) -> Node:
     """Stable softmax over the last axis."""
 
     def bwd(node, g):
-        p = node.value
-        return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
+        return (_softmax_tangent(node.value, g),)
 
     return _node("softmax", (a,), _softmax, bwd)
 
@@ -465,9 +529,7 @@ def layer_norm(x: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
         v, w, _ = (i.value for i in node.inputs)
         xc, inv = _ln_stats(v, eps)
         xhat = xc * inv
-        dxhat = g * w
-        gx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        gx = _ln_tangent(xhat, inv, g * w)
         lead = tuple(range(g.ndim - 1))
         gw = (g * xhat).sum(axis=lead) if node.inputs[1].needs_grad else None
         gb = g.sum(axis=lead) if node.inputs[2].needs_grad else None
@@ -480,10 +542,7 @@ def gelu(a: Node) -> Node:
     """Tanh-approximation GELU."""
 
     def bwd(node, g):
-        x = node.inputs[0].value
-        t = _gelu_tanh(x)
-        du = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_CUBIC * (x * x))
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du),)
+        return (g * _gelu_slope(node.inputs[0].value),)
 
     return _node("gelu", (a,), _gelu, bwd)
 

@@ -23,6 +23,8 @@ from . import autodiff as ad
 from . import beliefs, lm, objectives
 from .errors import CapabilityError, ConfigError, ContractError, DataError
 
+# The largest model `entk_block` builds explicit Jacobians for: one reverse
+# pass per vocabulary row, each row as long as the parameter vector.
 PARAM_CAP = 20_000
 # The loss kinds with a closed-form residual, so the only ones the one-step
 # oracle can check.
@@ -45,8 +47,11 @@ class Chi(NamedTuple):
 
 @dataclass
 class DynamicsReport:
+    """One scored position of one SGD step. `pi` is the position's
+    next-token distribution before the step; `softmax_jacobian(pi)` is its
+    A."""
     position: int
-    A: np.ndarray
+    pi: np.ndarray
     G: np.ndarray
     predicted_delta_logpi: np.ndarray
     actual_delta_logpi: np.ndarray
@@ -54,7 +59,7 @@ class DynamicsReport:
     eta: float
 
     def to_dict(self):
-        """The eta-dependent fields, JSON-ready. `A` and `G` do not depend
+        """The eta-dependent fields, JSON-ready. `pi` and `G` do not depend
         on eta; `eta_scaling_slope` lists them once per position."""
         return {
             "position": self.position,
@@ -89,13 +94,6 @@ def residual(loss_kind: str, probs: np.ndarray, target_id: int,
     return t - probs
 
 
-def _check_cap(store: lm.ParamStore):
-    n = store.param_count()
-    if n > PARAM_CAP:
-        raise CapabilityError(f"model has {n} parameters, above the "
-                              f"explicit-Jacobian cap {PARAM_CAP}")
-
-
 def logit_jacobian(store: lm.ParamStore, tokens, position: int) -> np.ndarray:
     """J[v, :] = d z[position, v] / d theta (flattened, sorted-name order)."""
     tensors = lm.param_tensors(store)
@@ -117,7 +115,10 @@ def entk_block(store: lm.ParamStore, chi_a: Chi, chi_b: Chi,
     Positions index rows of the concatenated-token logit matrix. Refuses to
     run above the parameter cap rather than approximating.
     """
-    _check_cap(store)
+    n = store.param_count()
+    if n > PARAM_CAP:
+        raise CapabilityError(f"model has {n} parameters, above the "
+                              f"explicit-Jacobian cap {PARAM_CAP}")
     j_a = logit_jacobian(store, chi_a.tokens(), pos_a)
     j_b = logit_jacobian(store, chi_b.tokens(), pos_b)
     return j_a @ j_b.T
@@ -138,7 +139,9 @@ def akg_check(store: lm.ParamStore, chi_u: Chi, chi_o: Chi, loss_cfg,
 
     The prediction contracts the transport sum K G into J_o @ grad_theta(L),
     which is algebraically identical and avoids materializing K
-    (`entk_block` computes K itself).
+    (`entk_block` computes K itself). J_o @ g is the derivative of chi_o's
+    logits along g, taken by one forward-mode pass, so J_o is never formed
+    either and the check runs at any model size.
 
     `loss_cfg` may be a LossConfig (kinds 'ga' / 'bst') or any callable
     (store, batch) -> LossValue.
@@ -148,16 +151,19 @@ def akg_check(store: lm.ParamStore, chi_u: Chi, chi_o: Chi, loss_cfg,
 
 def _akg_runs(store, chi_u, chi_o, loss_cfg, etas):
     """Yield `akg_check`'s reports for each eta in turn. Only the step and
-    -eta * (J_o @ g) depend on eta, so the gradient g, each position's
-    J_o @ g (J_o itself is dropped: about 38 MB per position at the
-    parameter cap), A and G are computed once for all etas."""
+    -eta * (J_o @ g) depend on eta, so the gradient g and each position's
+    J_o @ g, pi and G are computed once for all etas. One dual forward over
+    chi_o, with the parameters as values and g as their tangents, gives
+    J_o @ g at every position."""
     if any(eta <= 0 for eta in etas):
         raise ConfigError("eta must be > 0")
-    _check_cap(store)
     lv = _loss_for(store, chi_u, loss_cfg)
     names = sorted(lv.param_tensors)
     gs = ad.grad(lv.scalar, [lv.param_tensors[n] for n in names])
     g_flat = np.concatenate([g.ravel() for g in gs])
+    along_g = {n: ad.Dual(store.entries[n], g) for n, g in zip(names, gs)}
+    jg_rows = lm._logits(ad.duals, along_g, store.arch,
+                         [chi_o.tokens()]).tangent[0, chi_o.scored_positions()]
 
     scored = dict(lm.response_logits(store, [chi_o, chi_u]))
     lp_before = ad.arrays.log_softmax(scored[0])
@@ -166,24 +172,23 @@ def _akg_runs(store, chi_u, chi_o, loss_cfg, etas):
     residuals = _residual_rows(np.exp(ad.arrays.log_softmax(scored[1])),
                                chi_u, loss_cfg)
 
-    positions = []  # per position: (J_o @ g, A, G)
-    for idx, pos in enumerate(chi_o.scored_positions()):
-        j_o = logit_jacobian(store, chi_o.tokens(), pos)
+    positions = []  # per position: (J_o @ g, pi, G)
+    for idx, jg in enumerate(jg_rows):
         g_row = (residuals[idx] if idx < len(residuals)
                  else np.zeros(store.arch.vocab_size))
-        positions.append((j_o @ g_flat, softmax_jacobian(pi_before[idx]),
-                          g_row))
+        positions.append((jg, pi_before[idx], g_row))
 
     for eta in etas:
         stepped = store.add_flat(-eta * g_flat)
         [(_, logits)] = lm.response_logits(stepped, [chi_o])
         lp_after = ad.arrays.log_softmax(logits)
         reports = []
-        for idx, (jg, a, g_row) in enumerate(positions):
-            predicted = a @ (-eta * jg)
+        for idx, (jg, pi, g_row) in enumerate(positions):
+            dz = -eta * jg  # the first-order change of the logits
+            predicted = dz - pi @ dz  # A @ dz, without forming A
             actual = lp_after[idx] - lp_before[idx]
             reports.append(DynamicsReport(
-                position=idx, A=a, G=g_row,
+                position=idx, pi=pi, G=g_row,
                 predicted_delta_logpi=predicted, actual_delta_logpi=actual,
                 first_order_error=float(np.max(np.abs(actual - predicted))),
                 eta=eta))
@@ -208,14 +213,15 @@ def eta_scaling_slope(store: lm.ParamStore, chi_u: Chi, chi_o: Chi, loss_cfg,
                       etas=(1e-3, 5e-4, 2.5e-4)
                       ) -> tuple[float, list[dict], list[dict]]:
     """Least-squares slope of log(max first-order error) vs log(eta); per
-    position a dict of its eta-independent `A` and `G`; and per eta a dict
+    position a dict of its eta-independent `pi` and `G`; and per eta a dict
     of its max error and serialized per-position reports (serialized before
-    the next eta runs). The Jacobians are computed once for all etas."""
+    the next eta runs). The gradient and J_o @ g are computed once for all
+    etas."""
     errs, per_eta, positions = [], [], None
     for eta, reports in zip(etas, _akg_runs(store, chi_u, chi_o, loss_cfg,
                                             etas)):
         if positions is None:
-            positions = [{"position": r.position, "A": r.A.tolist(),
+            positions = [{"position": r.position, "pi": r.pi.tolist(),
                           "G": r.G.tolist()} for r in reports]
         err = max(r.first_order_error for r in reports)
         errs.append(err)

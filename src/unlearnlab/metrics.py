@@ -60,6 +60,7 @@ class MetricsReport:
         for split, vals in self.per_split.items():
             for k, v in vals.items():
                 row[f"{split}.{k}"] = v
+        row.update(self.relative_to_ref or {})
         return row
 
 

@@ -24,7 +24,7 @@ from . import lm, objectives as ob, schema
 from .errors import ConfigError, DataError, JudgeUnavailableError
 from .optim import AdamW, OptimizerConfig, SchedulerConfig, lr_at
 
-ARTIFACT_VERSION = "0.2.0"
+ARTIFACT_VERSION = "0.3.0"
 
 
 @dataclass(frozen=True)
@@ -379,7 +379,8 @@ def run_eval(config: RunConfig, checkpoint_paths, ref_checkpoint=None,
 
 def run_dynamics(config: RunConfig, checkpoint=None,
                  etas=(1e-3, 5e-4, 2.5e-4)) -> dict:
-    """Eta-scaling fit of the one-step prediction error on a capped model."""
+    """Eta-scaling fit of the one-step prediction error, at any model
+    size."""
     corp = load_run_corpus(config)
     forget = corp.split("forget")
     if not forget:
@@ -464,8 +465,9 @@ def run_sweep(config: RunConfig, reference_checkpoint, grid: dict) -> list[dict]
     """Cartesian product over dotted config keys; one unlearn+eval each.
 
     Every combination's config is built and checked before the first run.
-    Reports every checkpoint of every combination in sweep.csv and leaves
-    checkpoint selection to the reader.
+    Reports every checkpoint of every combination in sweep.csv, with its
+    retain/holdout normalized-probability ratios against the reference, and
+    leaves checkpoint selection to the reader.
     """
     if not grid or not all(grid.values()):
         raise ConfigError("sweep grid must map dotted keys to non-empty lists")
@@ -477,12 +479,15 @@ def run_sweep(config: RunConfig, reference_checkpoint, grid: dict) -> list[dict]
             for i, combo in enumerate(combos)]
     corp = load_run_corpus(config)
     make_out_dir(config.out_dir)
-    all_rows = []
+    all_rows, ref_norm_probs = [], None
     for i, (combo, sub) in enumerate(zip(combos, subs)):
         manifest = run_unlearn(sub, reference_checkpoint, corp=corp)
+        if ref_norm_probs is None:  # run_unlearn has checked the reference
+            ref_norm_probs = mt.reference_norm_probs(
+                lm.load_checkpoint(reference_checkpoint), corp)
         for ck in manifest.checkpoints:
             store = lm.load_checkpoint(Path(sub.out_dir) / ck)
-            report = mt.evaluate_model(store, corp)
+            report = mt.evaluate_model(store, corp, ref_norm_probs)
             row = {"combo": i, "checkpoint": Path(ck).stem}
             row.update({k: v for k, v in combo})
             row.update(report.flat_row())

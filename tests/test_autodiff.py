@@ -223,3 +223,44 @@ def test_every_op_gradient_matches_fd(op):
             g = ad.grad(root, [leafn])[0]
             fd = ad.finite_diff(root, leafn, 1e-5)
             assert rel_err(g, fd) <= 1e-4, f"{op}: rel err {rel_err(g, fd)}"
+
+
+# Forward mode: each dual op's tangent against a finite difference ----------
+
+
+DUAL_CASES = {
+    "constant": ([(2, 3)],
+                 lambda ops, a: ops.add(a, ops.constant(np.ones((2, 3))))),
+    "add": ([(2, 3), (3,)], lambda ops, a, b: ops.add(a, b)),
+    "matmul": ([(2, 2, 3), (3, 4)], lambda ops, a, b: ops.matmul(a, b)),
+    "scale": ([(2, 3)], lambda ops, a: ops.scale(a, -1.7)),
+    "reshape": ([(2, 3)], lambda ops, a: ops.reshape(a, (3, 2))),
+    "transpose": ([(2, 3, 4)], lambda ops, a: ops.transpose(a, (0, 2, 1))),
+    "take_rows": ([(4, 3)],
+                  lambda ops, a: ops.take_rows(a, np.array([[0, 2], [3, 2]]))),
+    "softmax": ([(2, 4)], lambda ops, a: ops.softmax(a)),
+    "layer_norm": ([(2, 4), (4,), (4,)],
+                   lambda ops, a, g, b: ops.layer_norm(a, g, b)),
+    "gelu": ([(2, 3)], lambda ops, a: ops.gelu(a)),
+}
+
+
+def test_dual_cases_cover_every_dual_op():
+    assert set(DUAL_CASES) == set(vars(ad.duals))
+
+
+@pytest.mark.parametrize("op", sorted(DUAL_CASES))
+def test_every_dual_op_tangent_matches_fd(op):
+    shapes, fn = DUAL_CASES[op]
+    rng = np.random.default_rng(sorted(DUAL_CASES).index(op))
+    eps = 1e-5
+    for _ in range(50):
+        xs = [rng.uniform(-2, 2, s) for s in shapes]
+        ts = [rng.uniform(-1, 1, s) for s in shapes]
+        out = fn(ad.duals, *[ad.Dual(x, t) for x, t in zip(xs, ts)])
+        assert np.array_equal(out.value, fn(ad.arrays, *xs))
+        hi = fn(ad.arrays, *[x + eps * t for x, t in zip(xs, ts)])
+        lo = fn(ad.arrays, *[x - eps * t for x, t in zip(xs, ts)])
+        fd = (hi - lo) / (2 * eps)
+        assert rel_err(out.tangent, fd) <= 1e-8, \
+            f"{op}: rel err {rel_err(out.tangent, fd)}"

@@ -8,16 +8,20 @@ from unlearnlab.errors import (CapabilityError, ConfigError, ContractError,
                                DataError)
 
 
-@pytest.fixture(scope="module")
-def dyn_store():
-    arch = lm.ArchConfig(vocab_size=24, context_len=20, d_model=8,
-                         n_layers=1, n_heads=2)
-    store = lm.init_model(arch, 5)
-    rng = np.random.default_rng(2)
+def _perturbed_model(arch, seed, noise_seed):
+    store = lm.init_model(arch, seed)
+    rng = np.random.default_rng(noise_seed)
     for k in store.entries:
         store.entries[k] = store.entries[k] + rng.normal(
             0, 0.08, store.entries[k].shape)
     return store
+
+
+@pytest.fixture(scope="module")
+def dyn_store():
+    arch = lm.ArchConfig(vocab_size=24, context_len=20, d_model=8,
+                         n_layers=1, n_heads=2)
+    return _perturbed_model(arch, 5, 2)
 
 
 def test_softmax_jacobian_uniform_two():
@@ -151,6 +155,51 @@ def test_entk_matches_finite_difference_jacobians(dyn_store):
     assert np.max(np.abs(k - k_fd)) / denom <= 1e-5
 
 
+def _dual_logits(store, tokens, direction):
+    """Logits of one row and their derivative along `direction`."""
+    return lm._logits(ad.duals, {k: ad.Dual(v, direction[k])
+                                 for k, v in store.entries.items()},
+                      store.arch, [tokens])
+
+
+@pytest.mark.parametrize("n_layers,tied", [(1, False), (1, True),
+                                           (2, False), (2, True)])
+def test_dual_jg_matches_logit_jacobian(n_layers, tied):
+    arch = lm.ArchConfig(vocab_size=24, context_len=20, d_model=8,
+                         n_layers=n_layers, n_heads=2, tie_output_head=tied)
+    store = _perturbed_model(arch, 5, 6)
+    rng = np.random.default_rng(7)
+    g = {k: rng.normal(size=v.shape) for k, v in store.entries.items()}
+    g_flat = np.concatenate([g[k].ravel() for k in sorted(g)])
+    tokens = [1, 2, 3, 4, 5, 6]
+    dual = _dual_logits(store, tokens, g)
+    assert np.array_equal(dual.value, lm.batch_logits(store, [tokens]))
+    for pos in range(len(tokens)):
+        want = dy.logit_jacobian(store, tokens, pos) @ g_flat
+        assert np.max(np.abs(dual.tangent[0, pos] - want)) <= 1e-12
+
+
+def test_dual_jg_above_cap_matches_finite_difference():
+    arch = lm.ArchConfig(vocab_size=512, context_len=32, d_model=64,
+                         n_layers=2, n_heads=4)
+    store = _perturbed_model(arch, 3, 4)
+    assert store.param_count() > dy.PARAM_CAP
+    rng = np.random.default_rng(4)
+    g = {k: rng.normal(size=v.shape) for k, v in store.entries.items()}
+    g_flat = np.concatenate([g[k].ravel() for k in sorted(g)])
+    tokens = list(range(1, 13))
+    dual = _dual_logits(store, tokens, g)
+    assert np.array_equal(dual.value, lm.batch_logits(store, [tokens]))
+    # The truncation error of the central difference is about 2e-8 at this
+    # step (it falls 100-fold per 10-fold smaller step down to 1e-6).
+    eps = 1e-6
+    hi = lm.batch_logits(store.add_flat(eps * g_flat), [tokens])
+    lo = lm.batch_logits(store.add_flat(-eps * g_flat), [tokens])
+    scale = np.max(np.abs(dual.tangent))
+    assert scale > 1.0
+    assert np.max(np.abs(dual.tangent - (hi - lo) / (2 * eps))) <= 1e-8 * scale
+
+
 def test_entk_refuses_above_cap(dyn_store, monkeypatch):
     chi = dy.Chi(prompt=[1], response=[2])
     monkeypatch.setattr(dy, "PARAM_CAP", 10)
@@ -202,22 +251,29 @@ def test_eta_scaling_slope_computes_each_jacobian_once(dyn_store,
     chi = dy.Chi(prompt=[1, 2, 3], response=[5, 6, 7])
     cfg = ob.LossConfig(kind="ga")
     etas = (1e-3, 5e-4, 2.5e-4)
-    calls = []
-    jacobian = dy.logit_jacobian
+    jacobians, dual_forwards = [], []
+    jacobian, logits = dy.logit_jacobian, lm._logits
 
-    def counted(store, tokens, position):
-        calls.append(position)
+    def counted_jacobian(store, tokens, position):
+        jacobians.append(position)
         return jacobian(store, tokens, position)
 
-    monkeypatch.setattr(dy, "logit_jacobian", counted)
+    def counted_logits(ops, *args):
+        if ops is ad.duals:
+            dual_forwards.append(args[2])
+        return logits(ops, *args)
+
+    monkeypatch.setattr(dy, "logit_jacobian", counted_jacobian)
+    monkeypatch.setattr(lm, "_logits", counted_logits)
     _, positions, per_eta = dy.eta_scaling_slope(dyn_store, chi, chi, cfg,
                                                  etas)
-    assert calls == chi.scored_positions()
+    assert jacobians == []
+    assert dual_forwards == [[chi.tokens()]]
     monkeypatch.undo()
     for eta, doc in zip(etas, per_eta):
         reports = dy.akg_check(dyn_store, chi, chi, cfg, eta)
         assert doc["positions"] == [r.to_dict() for r in reports]
-        assert positions == [{"position": r.position, "A": r.A.tolist(),
+        assert positions == [{"position": r.position, "pi": r.pi.tolist(),
                               "G": r.G.tolist()} for r in reports]
     with pytest.raises(ConfigError):
         dy.eta_scaling_slope(dyn_store, chi, chi, cfg, (1e-3, 0.0))
@@ -234,7 +290,11 @@ def test_akg_bst_reports_carry_residuals(dyn_store):
         want = dy.residual("bst", pi, y, bel, 0.2)
         assert np.max(np.abs(r.G - want)) <= 1e-10
         assert abs(r.G.sum()) <= 1e-10
-        assert np.max(np.abs(r.A @ np.ones(len(pi)))) <= 1e-10
+        assert np.array_equal(r.pi, pi)
+        a = dy.softmax_jacobian(r.pi)
+        assert np.max(np.abs(a @ np.ones(len(pi)))) <= 1e-10
+        # predicted = A @ dz with A = I - 1 pi^T, so pi . predicted = 0
+        assert abs(r.pi @ r.predicted_delta_logpi) <= 1e-15
 
 
 # Squeeze bands ---------------------------------------------------------------

@@ -2,13 +2,14 @@ import csv
 import dataclasses
 import itertools
 import json
+import math
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from unlearnlab import beliefs, cli, corpus as cp, lm, runner
+from unlearnlab import beliefs, cli, corpus as cp, dynamics, lm, runner
 from unlearnlab import judge as jd
 from unlearnlab.errors import ConfigError, DataError
 from unlearnlab.objectives import LossConfig
@@ -296,9 +297,9 @@ def test_dynamics_runner_untrained_tiny_arch(small_setup, tmp_path):
     written = (tmp_path / "dyn" / "dynamics_report.json").read_text()
     oracle = "".join(json.JSONEncoder(sort_keys=True).iterencode(doc)) + "\n"
     assert written == oracle
-    # The v0.2 report format: each position's eta-independent A and G once,
-    # at the top level, and only the eta-dependent fields under each eta.
-    # "slope" still sorts last, so the file ends with it.
+    # The v0.3 report format: each position's eta-independent pi and G
+    # once, at the top level, and only the eta-dependent fields under each
+    # eta. "slope" still sorts last, so the file ends with it.
     report = json.loads(written)
     assert list(report) == ["etas", "loss_kind", "positions", "record_id",
                             "reports", "slope"]
@@ -306,7 +307,7 @@ def test_dynamics_runner_untrained_tiny_arch(small_setup, tmp_path):
     n = len(report["positions"])
     assert n and [p["position"] for p in report["positions"]] == list(range(n))
     for pos in report["positions"]:
-        assert set(pos) == {"position", "A", "G"}
+        assert set(pos) == {"position", "pi", "G"}
     runs = report["reports"]
     assert [run["eta"] for run in runs] == report["etas"]
     for run in runs:
@@ -317,6 +318,19 @@ def test_dynamics_runner_untrained_tiny_arch(small_setup, tmp_path):
                                 "actual_delta_logpi", "first_order_error"}
         assert run["max_first_order_error"] == max(
             p["first_order_error"] for p in run["positions"])
+
+
+def test_dynamics_runs_above_the_jacobian_cap(small_setup, tmp_path):
+    root, corp, make = small_setup
+    cfg = make(tmp_path / "dyn", arch=runner.desk_arch())
+    assert lm.init_model(cfg.arch, 0).param_count() > dynamics.PARAM_CAP
+    doc = runner.run_dynamics(cfg)
+    assert doc["slope"] >= 1.7
+    report = json.loads(
+        (tmp_path / "dyn" / "dynamics_report.json").read_text())
+    assert report["slope"] == doc["slope"]
+    assert all(len(p["pi"]) == cfg.arch.vocab_size
+               for p in report["positions"])
 
 
 def test_dynamics_without_forget_records_is_data_error(small_setup, tmp_path):
@@ -352,8 +366,13 @@ def test_sweep_over_small_grid(small_setup, small_theta_o, tmp_path):
     rows = runner.run_sweep(cfg, small_theta_o,
                             {"loss.lambda_bst": [0.1, 0.3]})
     assert len(rows) == 2  # one checkpoint per combo (final only)
-    assert (tmp_path / "sw" / "sweep.csv").exists()
     assert {r["loss.lambda_bst"] for r in rows} == {0.1, 0.3}
+    with open(tmp_path / "sw" / "sweep.csv") as f:
+        written = list(csv.DictReader(f))
+    assert len(written) == 2
+    for row in written:
+        for col in ("retain_norm_prob_ratio", "holdout_norm_prob_ratio"):
+            assert math.isfinite(float(row[col])), (col, row[col])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
