@@ -235,13 +235,18 @@ def _gelu_tanh(x):
     return np.tanh(_SQRT_2_OVER_PI * (x + _GELU_CUBIC * (x * x * x)))
 
 
-def _gelu(x):
-    return 0.5 * x * (1.0 + _gelu_tanh(x))
+def _gelu(x, t=None):
+    """GELU of `x`; `t` is `_gelu_tanh(x)` when the caller has it."""
+    if t is None:
+        t = _gelu_tanh(x)
+    return 0.5 * x * (1.0 + t)
 
 
-def _gelu_slope(x):
-    """d gelu(x) / dx, elementwise."""
-    t = _gelu_tanh(x)
+def _gelu_slope(x, t=None):
+    """d gelu(x) / dx, elementwise; `t` is `_gelu_tanh(x)` when the caller
+    has it."""
+    if t is None:
+        t = _gelu_tanh(x)
     du = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_CUBIC * (x * x))
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 
@@ -539,12 +544,20 @@ def layer_norm(x: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
 
 
 def gelu(a: Node) -> Node:
-    """Tanh-approximation GELU."""
+    """Tanh-approximation GELU. Each forward keeps its tanh for the next
+    backward, which frees it: a graph whose backward has run holds no
+    copy, and a second backward without a re-evaluation computes it
+    again."""
+    kept = {}
+
+    def fwd(x):
+        kept["t"] = t = _gelu_tanh(x)
+        return _gelu(x, t)
 
     def bwd(node, g):
-        return (g * _gelu_slope(node.inputs[0].value),)
+        return (g * _gelu_slope(node.inputs[0].value, kept.pop("t", None)),)
 
-    return _node("gelu", (a,), _gelu, bwd)
+    return _node("gelu", (a,), fwd, bwd)
 
 
 def softplus(a: Node) -> Node:

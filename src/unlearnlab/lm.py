@@ -11,10 +11,12 @@ without building nodes. Both compute the same values, bit for bit.
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import json
 import math
 import os
+import reprlib
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -413,9 +415,6 @@ def _beam_decode(store, prompt, width, max_len, eos_id):
 # Checkpoint file ------------------------------------------------------------
 
 
-_WRITE_SLICE = 1 << 16
-
-
 @contextlib.contextmanager
 def atomic_write(path):
     """Write text to `<path>.tmp` and rename it over `path` when the block
@@ -467,20 +466,18 @@ def write_json(doc, path):
 
 
 def save_checkpoint(store: ParamStore, path):
-    doc = {
+    """Write `store` to `path` as `{"arch", "seed", "params": {name:
+    {"shape", "data"}}}`, each `data` the base64 of the parameter's
+    little-endian float64 bytes in C order, so values round-trip bit for
+    bit."""
+    write_json({
         "arch": asdict(store.arch),
         "seed": store.seed,
-        "params": {k: {"shape": list(v.shape), "data": v.ravel().tolist()}
+        "params": {k: {"shape": list(v.shape),
+                       "data": base64.b64encode(
+                           np.asarray(v, "<f8").tobytes()).decode("ascii")}
                    for k, v in store.entries.items()},
-    }
-    # One json.dumps over the whole document, not write_json: its ~3 MB text
-    # is C-encoded either way, and walking the thousands of small
-    # parameter lists as separate leaves made the write slower. Writing in
-    # slices keeps the encoded copy small instead of doubling the text.
-    text = json.dumps(doc, sort_keys=True) + "\n"
-    with atomic_write(path) as f:
-        for start in range(0, len(text), _WRITE_SLICE):
-            f.write(text[start:start + _WRITE_SLICE])
+    }, path)
 
 
 @dataclass
@@ -488,6 +485,33 @@ class _CheckpointFile:
     arch: ArchConfig
     seed: int
     params: dict  # name -> {"shape", "data"}, checked per parameter below
+
+
+def _param_values(name: str, data, shape: tuple) -> np.ndarray:
+    """A parameter's `data` as a writable, native float64 array of `shape`.
+    `data` is the base64 of its "<f8" bytes, or, in checkpoints of
+    v0.1-v0.3, a list of numbers."""
+    if isinstance(data, str):
+        n_bytes = 8 * math.prod(shape)
+        try:
+            raw = base64.b64decode(data, validate=True)
+        except ValueError as e:  # binascii.Error, or a non-ASCII character
+            raise DataError(f"checkpoint parameter {name!r} data is not "
+                            f"base64: {e}") from None
+        if len(raw) != n_bytes:
+            raise DataError(f"checkpoint parameter {name!r} data holds "
+                            f"{len(raw)} bytes, expected {n_bytes}")
+        # frombuffer gives a read-only view; AdamW updates entries in place.
+        return np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
+    if not isinstance(data, list):
+        raise DataError(f"checkpoint parameter {name!r} data must be a "
+                        f"base64 string or a list of numbers, got "
+                        f"{reprlib.repr(data)}")
+    try:
+        return np.asarray(data, dtype=np.float64).reshape(shape)
+    except (TypeError, ValueError) as e:
+        raise DataError(f"checkpoint parameter {name!r} data is "
+                        f"malformed: {e}") from None
 
 
 def load_checkpoint(path) -> ParamStore:
@@ -503,12 +527,7 @@ def load_checkpoint(path) -> ParamStore:
                             "object with 'shape' and 'data'")
         if rec["shape"] != list(shape):
             raise DataError(f"checkpoint shape mismatch for {name!r}")
-        try:
-            entries[name] = np.asarray(rec["data"],
-                                       dtype=np.float64).reshape(shape)
-        except (TypeError, ValueError) as e:
-            raise DataError(f"checkpoint parameter {name!r} data is "
-                            f"malformed: {e}")
+        entries[name] = _param_values(name, rec["data"], shape)
         if not np.isfinite(entries[name]).all():
             raise DataError(f"checkpoint parameter {name!r} is not finite")
     return ParamStore(entries, ckpt.arch, ckpt.seed)

@@ -5,6 +5,10 @@ and the unlearned checkpoints) are trained once per session through the
 real runner entry points and reused by the acceptance suite.
 """
 
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -41,6 +45,16 @@ def unlearn_config(corpus_path, vocab_path, out_dir, kind="bst"):
         epochs=500, batch_size=32,
         loss=LossConfig(kind=kind, lambda_bst=0.2, k=10, lambda_retain=3.0),
         seed=0, checkpoint_every=500, out_dir=str(out_dir))
+
+
+def save_v03_checkpoint(store, path):
+    """Write `store` in the checkpoint layout of v0.1-v0.3, the bytes the
+    lab wrote then: each parameter's `data` is a list of decimal floats.
+    Such files are still a supported input."""
+    doc = {"arch": dataclasses.asdict(store.arch), "seed": store.seed,
+           "params": {k: {"shape": list(v.shape), "data": v.ravel().tolist()}
+                      for k, v in store.entries.items()}}
+    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
 @pytest.fixture(scope="session")

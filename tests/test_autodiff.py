@@ -225,6 +225,24 @@ def test_every_op_gradient_matches_fd(op):
             assert rel_err(g, fd) <= 1e-4, f"{op}: rel err {rel_err(g, fd)}"
 
 
+def test_gelu_backward_reuses_the_latest_forward_tanh():
+    rng = np.random.default_rng(7)
+    x = ad.leaf(rng.uniform(-3, 3, (4, 5)))
+    node = ad.gelu(x)
+    g = rng.uniform(-1, 1, (4, 5))
+    for _ in range(2):
+        assert np.array_equal(node.value, ad.arrays.gelu(x.value))
+        # The second backward finds the kept tanh freed by the first.
+        for _ in range(2):
+            (gx,) = node._backward(node, g)
+            assert np.array_equal(gx, g * ad._gelu_slope(x.value))
+        # Leaf mutations and re-evaluations with no backward between
+        # them, as `finite_diff` makes them: the last one must count.
+        for _ in range(2):
+            x.value[...] = rng.uniform(-3, 3, x.shape)
+            ad.evaluate(node)
+
+
 # Forward mode: each dual op's tangent against a finite difference ----------
 
 

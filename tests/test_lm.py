@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import io
 import json
@@ -11,6 +12,7 @@ from unlearnlab import corpus as cp
 from unlearnlab import lm, runner
 from unlearnlab.errors import (ConfigError, ContractError, DataError,
                                LengthError, VocabError)
+from conftest import save_v03_checkpoint
 
 
 def test_init_is_deterministic(tiny_arch):
@@ -500,17 +502,76 @@ def test_checkpoint_roundtrip_and_byte_identity(tiny_store, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
+
+
 def test_checkpoint_bytes_equal_streamed_json_dump(tiny_store, tmp_path):
     p = tmp_path / "a.json"
     lm.save_checkpoint(tiny_store, p)
     doc = {"arch": dataclasses.asdict(tiny_store.arch),
            "seed": tiny_store.seed,
-           "params": {k: {"shape": list(v.shape), "data": v.ravel().tolist()}
+           "params": {k: {"shape": list(v.shape),
+                          "data": _b64(v.astype("<f8").tobytes())}
                       for k, v in tiny_store.entries.items()}}
     streamed = io.StringIO()
     json.dump(doc, streamed, sort_keys=True)
     streamed.write("\n")
     assert p.read_text() == streamed.getvalue()
+
+
+# Values a decimal or a lossy encoding could change: the sign of zero, the
+# smallest subnormal, the largest finite floats, and 17-digit values.
+_EXACT_VALUES = [-0.0, 5e-324, 1.7976931348623157e308,
+                 -1.7976931348623157e308, 0.1 + 0.2, 1 / 3, -2 / 3e-300,
+                 2.2250738585072014e-308]
+
+
+def _exact_store(tied):
+    arch = lm.ArchConfig(vocab_size=12, context_len=16, d_model=8,
+                         n_layers=1, n_heads=2, tie_output_head=tied)
+    store = lm.init_model(arch, 3)
+    rng = np.random.default_rng(1)
+    for v in store.entries.values():
+        flat = v.reshape(-1)
+        flat[:] = rng.normal(size=flat.size)
+        flat[:len(_EXACT_VALUES)] = _EXACT_VALUES[:flat.size]
+    return store
+
+
+def _assert_same_bits(a, b):
+    assert a.entries.keys() == b.entries.keys()
+    for k in a.entries:
+        assert a.entries[k].shape == b.entries[k].shape
+        assert np.array_equal(a.entries[k].view(np.uint64),
+                              b.entries[k].view(np.uint64)), k
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_checkpoint_roundtrip_is_bit_exact(tied, tmp_path):
+    store = _exact_store(tied)
+    p = tmp_path / "a.json"
+    lm.save_checkpoint(store, p)
+    loaded = lm.load_checkpoint(p)
+    _assert_same_bits(store, loaded)
+    assert ("head" in loaded.entries) is not tied
+    for v in loaded.entries.values():
+        assert v.dtype == np.float64 and v.dtype.isnative
+        assert v.flags.writeable and v.flags.c_contiguous
+    loaded.entries["tok_emb"][0, 0] += 1.0  # AdamW updates in place
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_list_form_checkpoint_loads_to_the_bits_of_its_rewrite(tied,
+                                                               tmp_path):
+    store = _exact_store(tied)
+    save_v03_checkpoint(store, tmp_path / "v03.json")
+    old = lm.load_checkpoint(tmp_path / "v03.json")
+    lm.save_checkpoint(old, tmp_path / "v04.json")
+    assert isinstance(json.loads((tmp_path / "v04.json").read_text())
+                      ["params"]["pos_emb"]["data"], str)
+    _assert_same_bits(store, old)
+    _assert_same_bits(old, lm.load_checkpoint(tmp_path / "v04.json"))
 
 
 _SHARED_LEAF = [0.1, 0.2, 0.3]
@@ -566,7 +627,7 @@ def test_checkpoint_missing_field_is_data_error(case, tiny_store, tmp_path):
 
 def test_non_finite_checkpoint_is_data_error(tiny_store, tmp_path):
     p = tmp_path / "bad.json"
-    lm.save_checkpoint(tiny_store, p)
+    save_v03_checkpoint(tiny_store, p)
     doc = json.loads(p.read_text())
     doc["params"]["head"]["data"][3] = float("nan")
     p.write_text(json.dumps(doc))
@@ -598,7 +659,8 @@ def _head(doc):
     return doc["params"]["head"]
 
 
-# case -> (edit of the saved checkpoint document, what the error names)
+# case -> (edit of a list-form (v0.3) checkpoint document, what the error
+# names)
 _BAD_CHECKPOINTS = {
     "record_not_object": (lambda d: d["params"].update(head=[1, 2]),
                           "'head'"),
@@ -615,11 +677,58 @@ _BAD_CHECKPOINTS = {
 }
 
 
-@pytest.mark.parametrize("case", list(_BAD_CHECKPOINTS))
+def _edit_head_bytes(doc, edit):
+    """Replace the head's base64 `data` with that of `edit(raw bytes)`."""
+    raw = base64.b64decode(_head(doc)["data"])
+    _head(doc)["data"] = _b64(edit(raw))
+
+
+def _head_value_bytes(value):
+    """Bytes of the head with entry 3 set to `value`."""
+    def edit(raw):
+        values = np.frombuffer(raw, "<f8").copy()
+        values[3] = value
+        return values.tobytes()
+    return edit
+
+
+# case -> (edit of a saved (base64) checkpoint document, what the error says)
+_BAD_BASE64 = {
+    "not_base64_char": (lambda d: _head(d).update(data="*" + _head(d)["data"]
+                                                  [1:]), "'head'.*base64"),
+    "non_ascii_char": (lambda d: _head(d).update(data="\u00e9" + _head(d)
+                                                 ["data"][1:]),
+                       "'head'.*base64"),
+    "inner_newline": (lambda d: _head(d).update(data=_head(d)["data"][:8]
+                                                + "\n" + _head(d)["data"][8:]),
+                      "'head'.*base64"),
+    "bad_padding": (lambda d: _head(d).update(data=_head(d)["data"][:-1]),
+                    "'head'.*base64"),
+    "short_by_one_value": (lambda d: _edit_head_bytes(d, lambda r: r[:-8]),
+                           "'head' data holds 760 bytes, expected 768"),
+    "long_by_one_value": (lambda d: _edit_head_bytes(d, lambda r: r + r[:8]),
+                          "'head' data holds 776 bytes, expected 768"),
+    "partial_value": (lambda d: _edit_head_bytes(d, lambda r: r[:-3]),
+                      "'head' data holds 765 bytes"),
+    "empty": (lambda d: _head(d).update(data=""), "'head' data holds 0 bytes"),
+    "number": (lambda d: _head(d).update(data=1.5), "'head'.*got 1.5"),
+    "null": (lambda d: _head(d).update(data=None), "'head'.*got None"),
+    "object": (lambda d: _head(d).update(data={"b64": _head(d)["data"]}),
+               "'head'.*got \\{"),
+    "nan_bytes": (lambda d: _edit_head_bytes(d, _head_value_bytes(np.nan)),
+                  "'head' is not finite"),
+    "inf_bytes": (lambda d: _edit_head_bytes(d, _head_value_bytes(-np.inf)),
+                  "'head' is not finite"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_CHECKPOINTS) + list(_BAD_BASE64))
 def test_malformed_checkpoint_is_data_error(case, tiny_store, tmp_path):
-    edit, match = _BAD_CHECKPOINTS[case]
+    save, (edit, match) = ((save_v03_checkpoint, _BAD_CHECKPOINTS[case])
+                           if case in _BAD_CHECKPOINTS
+                           else (lm.save_checkpoint, _BAD_BASE64[case]))
     p = tmp_path / "bad.json"
-    lm.save_checkpoint(tiny_store, p)
+    save(tiny_store, p)
     doc = json.loads(p.read_text())
     edit(doc)
     p.write_text(json.dumps(doc))

@@ -14,6 +14,7 @@ from unlearnlab import judge as jd
 from unlearnlab.errors import ConfigError, DataError
 from unlearnlab.objectives import LossConfig
 from unlearnlab.optim import AdamW, OptimizerConfig, SchedulerConfig, lr_at
+from conftest import save_v03_checkpoint
 
 
 def test_adamw_single_step_matches_scalar_oracle():
@@ -724,3 +725,46 @@ def test_cli_eval_checkpoint_with_malformed_record_exits_3(
     })
     assert cli.main(["eval", "--config", cfgp]) == 3
     assert "'head'" in capsys.readouterr().err
+
+
+def _eval_config(root, path, out_dir, checkpoints):
+    return _write_config(path, {
+        "run": {"corpus_path": str(root / "corpus.jsonl"),
+                "vocab_path": str(root / "vocab.json"),
+                "arch": {"vocab_size": 400, "context_len": 32, "d_model": 16,
+                         "n_layers": 1, "n_heads": 2,
+                         "tie_output_head": False},
+                "out_dir": str(out_dir)},
+        "eval_checkpoints": [str(c) for c in checkpoints],
+    })
+
+
+def test_cli_eval_checkpoint_with_wrong_byte_count_exits_3(
+        small_setup, small_theta_o, tmp_path, capsys):
+    root, corp, make = small_setup
+    doc = json.loads(Path(small_theta_o).read_text())
+    head = doc["params"]["head"]
+    head["data"] = head["data"][:-12]  # one float64 short
+    bad = tmp_path / "short.json"
+    bad.write_text(json.dumps(doc))
+    cfgp = _eval_config(root, tmp_path / "ev3.json", tmp_path / "ev3", [bad])
+    assert cli.main(["eval", "--config", cfgp]) == 3
+    assert "'head' data holds" in capsys.readouterr().err
+
+
+def test_cli_eval_of_list_form_checkpoint_writes_the_same_metrics(
+        small_setup, small_theta_o, tmp_path):
+    root, corp, make = small_setup
+    v03 = tmp_path / "v03" / "ckpt_final.json"
+    v03.parent.mkdir()
+    save_v03_checkpoint(lm.load_checkpoint(small_theta_o), v03)
+    assert isinstance(json.loads(v03.read_text())["params"]["head"]["data"],
+                      list)
+    outs = []
+    for name, ck in (("v03", v03), ("v04", small_theta_o)):
+        outs.append(tmp_path / f"ev_{name}")
+        cfgp = _eval_config(root, tmp_path / f"{name}.json", outs[-1], [ck])
+        assert cli.main(["eval", "--config", cfgp]) == 0
+    for fname in ("metrics_ckpt_final.json", "sweep.csv"):
+        assert ((outs[0] / fname).read_bytes()
+                == (outs[1] / fname).read_bytes())
