@@ -7,6 +7,8 @@ the autodiff ops (`build_logits`) it builds the graph that loss builders and
 the dynamics checks differentiate; run over the plain-array kernels of
 `autodiff.arrays` (`batch_logits`) it backs scoring, decoding and sampling
 without building nodes. Both compute the same values, bit for bit.
+Decoding prefills a key/value cache with one forward of the prompts and
+then steps one position at a time through the same `_logits`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import math
 import os
 import reprlib
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
@@ -165,35 +167,60 @@ def param_tensors(store: ParamStore, trainable: bool = True) -> dict[str, ad.Nod
 # Forward passes -------------------------------------------------------------
 
 
-def _check_tokens(arch: ArchConfig, tokens):
+def _check_tokens(arch: ArchConfig, tokens, start: int = 0):
+    """Token ids as an int64 [B, T] array, checked to fit the vocabulary and,
+    placed after `start` earlier positions, the context."""
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim == 1:
         tokens = tokens[None, :]
-    if tokens.shape[-1] > arch.context_len:
+    if start + tokens.shape[-1] > arch.context_len:
         raise LengthError(
-            f"sequence length {tokens.shape[-1]} exceeds context "
+            f"sequence length {start + tokens.shape[-1]} exceeds context "
             f"{arch.context_len}")
     if tokens.size and (tokens.min() < 0 or tokens.max() >= arch.vocab_size):
         raise VocabError("token id out of vocabulary range")
     return tokens
 
 
-def _causal_mask(t: int) -> np.ndarray:
-    return np.triu(np.full((t, t), NEG_INF), k=1)[None, None]
+def _causal_mask(t: int, start: int = 0) -> np.ndarray:
+    """[1, 1, t, start + t]: query i (at position start + i) sees keys
+    0..start + i."""
+    return np.triu(np.full((t, start + t), NEG_INF), k=start + 1)[None, None]
 
 
-def _logits(ops, params, arch: ArchConfig, tokens):
+@dataclass
+class _Cache:
+    """Keys and values of the `pos` positions a decode has forwarded so far:
+    one (K, V) pair of [B, H, pos, dh] arrays per layer. `_logits` extends
+    it in place."""
+    pos: int = 0
+    kv: list = field(default_factory=list)
+
+    def take(self, rows) -> "_Cache":
+        """The cache of the rows `rows` (indices or a boolean mask)."""
+        return _Cache(self.pos, [(k[rows], v[rows]) for k, v in self.kv])
+
+
+def _logits(ops, params, arch: ArchConfig, tokens, cache=None):
     """The transformer, written once over an op set: `ops` is the autodiff
     module (`params` holds nodes, the result is a logits node) or
     `autodiff.arrays` (`params` holds arrays, the result is an array). Token
-    ids [B, T] -> logits [B, T, V]."""
-    tokens = _check_tokens(arch, tokens)
+    ids [B, T] -> logits [B, T, V].
+
+    `cache` (a `_Cache`, with `autodiff.arrays` only) holds the keys and
+    values of P earlier positions of the same B rows. The tokens then sit at
+    positions P..P+T-1 and attend to those P as well; their keys and values
+    are appended, so the next call continues where this one ended. Without
+    a cache the tokens start at position 0."""
+    start = cache.pos if cache is not None else 0
+    tokens = _check_tokens(arch, tokens, start)
     b, t = tokens.shape
     d, h = arch.d_model, arch.n_heads
     dh = d // h
     x = ops.take_rows(params["tok_emb"], tokens)
-    x = ops.add(x, ops.take_rows(params["pos_emb"], np.arange(t)))
-    mask = ops.constant(_causal_mask(t))
+    x = ops.add(x, ops.take_rows(params["pos_emb"],
+                                 np.arange(start, start + t)))
+    mask = ops.constant(_causal_mask(t, start))
 
     def heads(z):  # [B, T, D] -> [B, H, T, dh]
         return ops.transpose(ops.reshape(z, (b, t, h, dh)), (0, 2, 1, 3))
@@ -204,6 +231,13 @@ def _logits(ops, params, arch: ArchConfig, tokens):
         q = heads(ops.matmul(a, params[p + "attn.wq"]))
         k = heads(ops.matmul(a, params[p + "attn.wk"]))
         v = heads(ops.matmul(a, params[p + "attn.wv"]))
+        if cache is not None:
+            if start:
+                k = np.concatenate([cache.kv[i][0], k], axis=2)
+                v = np.concatenate([cache.kv[i][1], v], axis=2)
+                cache.kv[i] = (k, v)
+            else:
+                cache.kv.append((k, v))
         att = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))),
                         1.0 / math.sqrt(dh))
         att = ops.softmax(ops.add(att, mask))
@@ -215,6 +249,8 @@ def _logits(ops, params, arch: ArchConfig, tokens):
                              params[p + "mlp.b1"]))
         m = ops.add(ops.matmul(m, params[p + "mlp.w2"]), params[p + "mlp.b2"])
         x = ops.add(x, m)
+    if cache is not None:
+        cache.pos += t
     x = ops.layer_norm(x, params["ln_f.g"], params["ln_f.b"])
     if arch.tie_output_head:
         return ops.matmul(x, ops.transpose(params["tok_emb"], (1, 0)))
@@ -247,7 +283,9 @@ def forward_logits(store: ParamStore, tokens) -> np.ndarray:
 
 def length_groups(seqs) -> list[list[int]]:
     """Indices of `seqs` grouped by length, at most MAX_BATCH_ROWS per
-    group: the row sets `batch_logits` can take without padding."""
+    group: the row sets `batch_logits` can take without padding, and the
+    prompt sets that decoding prefills together and then steps in
+    lock-step."""
     by_len: dict[int, list[int]] = {}
     for i, s in enumerate(seqs):
         by_len.setdefault(len(s), []).append(i)
@@ -313,11 +351,12 @@ def decode_batch(store: ParamStore, prompts, strategies, max_len: int,
     prompt: for each prompt, the (tokens, logprob) pair a one-prompt decode
     gives it.
 
-    Prompts of one length decode in lock-step, one forward per step, and a
-    row that emits `eos_id` leaves the batch. A greedy row takes the
-    log-softmax argmax (lowest id on ties); a temperature row draws from
-    softmax(logits / tau) with its own `default_rng(seed)`, so its draws do
-    not depend on the other rows.
+    Prompts of one length decode in lock-step: one forward of the prompts
+    fills a key/value cache, then each step forwards only the tokens just
+    emitted, and a row that emits `eos_id` leaves the batch with its cache
+    rows. A greedy row takes the log-softmax argmax (lowest id on ties); a
+    temperature row draws from softmax(logits / tau) with its own
+    `default_rng(seed)`, so its draws do not depend on the other rows.
     """
     prompts = [list(p) for p in prompts]
     if len(strategies) != len(prompts):
@@ -326,6 +365,8 @@ def decode_batch(store: ParamStore, prompts, strategies, max_len: int,
         raise ContractError("prompt must be non-empty")
     if max_len < 1:
         raise ConfigError("max_len must be >= 1")
+    for p in prompts:
+        _check_tokens(store.arch, p)
     rngs, taus = [], np.ones(len(prompts))
     for i, s in enumerate(strategies):
         if isinstance(s, Temperature):
@@ -342,9 +383,11 @@ def decode_batch(store: ParamStore, prompts, strategies, max_len: int,
     for rows in length_groups(prompts):
         live = np.asarray(rows)
         sampled = np.asarray([rngs[i] is not None for i in rows])
-        seqs = np.asarray([prompts[i] for i in rows], dtype=np.int64)
-        for _ in range(min(max_len, ctx - seqs.shape[1])):
-            logits = batch_logits(store, seqs)[:, -1]
+        step_in = np.asarray([prompts[i] for i in rows], dtype=np.int64)
+        cache = _Cache()
+        for _ in range(min(max_len, ctx - step_in.shape[1])):
+            logits = _logits(ad.arrays, store.entries, store.arch, step_in,
+                             cache)[:, -1]
             lp = ad.arrays.log_softmax(logits)
             nxt = lp.argmax(axis=-1)
             if sampled.any():
@@ -357,30 +400,28 @@ def decode_batch(store: ParamStore, prompts, strategies, max_len: int,
                                       picked.tolist()):
                 outs[i].append(tok)
                 totals[i] += tok_lp
-            seqs = np.concatenate([seqs, nxt[:, None]], axis=1)
-            if eos_id is not None:
+            step_in = nxt[:, None]
+            if eos_id is not None and (nxt == eos_id).any():
                 keep = nxt != eos_id
-                live, seqs, sampled = live[keep], seqs[keep], sampled[keep]
-                if not live.size:
+                if not keep.any():
                     break
+                live, sampled, step_in = live[keep], sampled[keep], step_in[keep]
+                cache = cache.take(keep)
     return list(zip(outs, totals))
 
 
-def _last_logits(store: ParamStore, seqs: np.ndarray) -> np.ndarray:
-    """Last-position logits of equal-length rows, at most MAX_BATCH_ROWS
-    per forward: [B, T] ids -> [B, V]."""
-    return np.concatenate([
-        batch_logits(store, seqs[start:start + MAX_BATCH_ROWS])[:, -1]
-        for start in range(0, len(seqs), MAX_BATCH_ROWS)])
-
-
 def _beam_decode(store, prompt, width, max_len, eos_id):
-    """Beam search; open beams always share one length, so each step
-    forwards them together. A beam's candidates outside its own best
-    `min(width, V)` continuations cannot make the global top `width`, so
-    only those enter the merge."""
+    """Beam search; open beams always share one length. One forward of the
+    prompt fills a key/value cache; each step then gathers every open beam's
+    cache rows from its parent and forwards the beams' last tokens together.
+    A beam's candidates outside its own best `min(width, V)` continuations
+    cannot make the global top `width`, so only those enter the merge."""
+    _check_tokens(store.arch, prompt)
     ctx = store.arch.context_len
-    beams = [((), 0.0, False)]  # (tokens, logprob, finished)
+    cache = _Cache()
+    step_in = np.asarray([prompt], dtype=np.int64)
+    # (tokens, logprob, finished, row of its parent's logits and cache)
+    beams = [((), 0.0, False, 0)]
     while True:
         open_beams = [b for b in beams if not b[2]]
         if not open_beams:
@@ -388,18 +429,21 @@ def _beam_decode(store, prompt, width, max_len, eos_id):
         nxt = [b for b in beams if b[2]]
         n = len(open_beams[0][0])
         if n >= max_len or len(prompt) + n >= ctx:
-            nxt += [(toks, lp, True) for toks, lp, _ in open_beams]
+            nxt += [(toks, lp, True, -1) for toks, lp, _, _ in open_beams]
         else:
-            seqs = np.asarray([prompt + list(toks)
-                               for toks, _, _ in open_beams], dtype=np.int64)
-            step = ad.arrays.log_softmax(_last_logits(store, seqs))
-            total = np.asarray([lp for _, lp, _ in open_beams])[:, None] + step
+            if n:
+                cache = cache.take([b[3] for b in open_beams])
+                step_in = np.asarray([[b[0][-1]] for b in open_beams],
+                                     dtype=np.int64)
+            step = ad.arrays.log_softmax(_logits(
+                ad.arrays, store.entries, store.arch, step_in, cache)[:, -1])
+            total = np.asarray([b[1] for b in open_beams])[:, None] + step
             # stable: equal totals keep id order, lowest id first
             top = np.argsort(-total, axis=-1, kind="stable")[:, :width]
-            for (toks, _, _), vs, lps in zip(
+            for r, (b, vs, lps) in enumerate(zip(
                     open_beams, top.tolist(),
-                    np.take_along_axis(total, top, axis=-1).tolist()):
-                nxt += [(toks + (v,), lp, v == eos_id)
+                    np.take_along_axis(total, top, axis=-1).tolist())):
+                nxt += [(b[0] + (v,), lp, v == eos_id, r)
                         for v, lp in zip(vs, lps)]
         # Stable: best logprob first, ties toward lexicographically low ids.
         # No sequence appears twice: open beams share one length, children
@@ -409,7 +453,7 @@ def _beam_decode(store, prompt, width, max_len, eos_id):
         nxt.sort(key=lambda c: (-c[1], c[0]))
         beams = nxt[:width]
     beams.sort(key=lambda c: (-c[1], c[0]))
-    return [(list(t), lp) for t, lp, _ in beams]
+    return [(list(t), lp) for t, lp, _, _ in beams]
 
 
 # Checkpoint file ------------------------------------------------------------

@@ -170,6 +170,48 @@ def test_array_kernels_equal_the_numpy_oracle():
                           _layer_norm_np(x, g, b))
 
 
+@pytest.mark.parametrize("n_layers", [0, 1, 2])
+@pytest.mark.parametrize("tied", [False, True])
+def test_cached_steps_match_the_full_forward(n_layers, tied):
+    """Prefill, then steps that reuse the key/value cache: at every position
+    the logits agree with one forward of the whole sequence to 1e-12, and
+    the prefill's logits are a forward of the prefix alone, bit for bit."""
+    store = _jittered(lm.ArchConfig(vocab_size=12, context_len=10, d_model=12,
+                                    n_layers=n_layers, n_heads=2,
+                                    tie_output_head=tied), 4)
+    arch = store.arch
+    toks = np.random.default_rng(9).integers(0, 12, (3, 10))
+    full = lm.batch_logits(store, toks)
+    # one position per step, and steps of several positions
+    for chunks in ((1,) * 10, (4,) + (1,) * 6, (4, 2, 1, 1, 2)):
+        cache = lm._Cache()
+        got, pos = [], 0
+        for t in chunks:
+            got.append(lm._logits(ad.arrays, store.entries, arch,
+                                  toks[:, pos:pos + t], cache))
+            pos += t
+        assert cache.pos == 10
+        assert np.array_equal(got[0],
+                              lm.batch_logits(store, toks[:, :chunks[0]]))
+        assert np.max(np.abs(np.concatenate(got, axis=1) - full)) <= 1e-12
+        # a step past the context raises, as a full forward would
+        with pytest.raises(LengthError):
+            lm._logits(ad.arrays, store.entries, arch, toks[:, :1], cache)
+
+
+def test_cache_rows_follow_their_sequences(tiny_store):
+    """A cache gathered to some rows continues exactly those rows."""
+    toks = np.random.default_rng(2).integers(0, 12, (4, 6))
+    full = lm.batch_logits(tiny_store, toks)
+    cache = lm._Cache()
+    lm._logits(ad.arrays, tiny_store.entries, tiny_store.arch, toks[:, :5],
+               cache)
+    rows = [3, 1, 1]
+    last = lm._logits(ad.arrays, tiny_store.entries, tiny_store.arch,
+                      toks[rows, 5:], cache.take(rows))
+    assert np.max(np.abs(last[:, 0] - full[rows, 5])) <= 1e-12
+
+
 def test_sequence_logprob_empty_response(tiny_store):
     assert lm.sequence_logprob(tiny_store, [1, 2], []) == 0.0
 
@@ -372,12 +414,21 @@ def _mixed_prompts(seed):
     return prompts + [[3] * 14, [4] * 15, [2] * 16]
 
 
+def _assert_decodes_agree(got, want):
+    """The drift oracle for cached decoding: the same token sequences in the
+    same order, and totals within 1e-12. A cached step sums the attention
+    and the matmuls in another order than a re-forward of the prefix."""
+    assert [t for t, _ in got] == [t for t, _ in want]
+    assert all(abs(a - b) <= 1e-12 for (_, a), (_, b) in zip(got, want))
+
+
 def test_decode_matches_one_row_oracle(tiny_store):
     for eos in (None, 0, 5):
         for i, p in enumerate(_mixed_prompts(6)):
             for strat in (lm.Greedy(), lm.Temperature(0.7, 40 + i)):
-                assert (lm.decode(tiny_store, p, strat, 6, eos_id=eos)
-                        == _decode_one_row(tiny_store, p, strat, 6, eos))
+                _assert_decodes_agree(
+                    lm.decode(tiny_store, p, strat, 6, eos_id=eos),
+                    _decode_one_row(tiny_store, p, strat, 6, eos))
 
 
 def test_temperature_batch_rows_equal_per_prompt_decode(tiny_store):
@@ -386,14 +437,19 @@ def test_temperature_batch_rows_equal_per_prompt_decode(tiny_store):
         for tau in (0.5, 1.0, 3.0):
             strats = [lm.Temperature(tau, 100 + i) for i in range(len(prompts))]
             got = lm.decode_batch(tiny_store, prompts, strats, 7, eos_id=eos)
-            want = [_decode_one_row(tiny_store, p, s, 7, eos)[0]
-                    for p, s in zip(prompts, strats)]
-            assert got == want
+            _assert_decodes_agree(got, [
+                _decode_one_row(tiny_store, p, s, 7, eos)[0]
+                for p, s in zip(prompts, strats)])
+            # a batch row is its one-prompt decode, bit for bit
+            assert got == [lm.decode(tiny_store, p, s, 7, eos_id=eos)[0]
+                           for p, s in zip(prompts, strats)]
     # greedy and temperature rows of one length share the batch
     strats = [lm.Greedy() if i % 2 else lm.Temperature(1.0, i)
               for i in range(len(prompts))]
     got = lm.decode_batch(tiny_store, prompts, strats, 5, eos_id=0)
-    assert got == [_decode_one_row(tiny_store, p, s, 5, 0)[0]
+    _assert_decodes_agree(got, [_decode_one_row(tiny_store, p, s, 5, 0)[0]
+                                for p, s in zip(prompts, strats)])
+    assert got == [lm.decode(tiny_store, p, s, 5, eos_id=0)[0]
                    for p, s in zip(prompts, strats)]
     with pytest.raises(ContractError):
         lm.decode_batch(tiny_store, prompts, strats[:-1], 5)
@@ -403,14 +459,16 @@ def test_temperature_batch_rows_equal_per_prompt_decode(tiny_store):
         lm.decode_batch(tiny_store, [[1]], [lm.Temperature(0.0, 1)], 5)
 
 
-# 1, 4, V and V + 3 for tiny_store's 12-token vocabulary
-@pytest.mark.parametrize("width", [1, 4, 12, 15])
+# 1, 4, V and V + 3 for tiny_store's 12-token vocabulary, and a width
+# whose steps forward more than MAX_BATCH_ROWS open beams at once
+@pytest.mark.parametrize("width", [1, 4, 12, 15, 70])
 def test_beam_matches_per_beam_oracle(tiny_store, width):
     for eos in (None, 0, 5):
         for prompt, max_len in (([2, 3], 4), ([7], 3), ([1] * 14, 5)):
-            assert (lm.decode(tiny_store, prompt, lm.Beam(width), max_len,
-                              eos_id=eos)
-                    == _beam_one_row(tiny_store, prompt, width, max_len, eos))
+            _assert_decodes_agree(
+                lm.decode(tiny_store, prompt, lm.Beam(width), max_len,
+                          eos_id=eos),
+                _beam_one_row(tiny_store, prompt, width, max_len, eos))
 
 
 def test_beam_matches_per_beam_oracle_when_all_logits_tie():
@@ -467,6 +525,24 @@ def test_decode_strategy_validation(tiny_store):
         lm.decode(tiny_store, [1], lm.Beam(0), 4)
     with pytest.raises(ConfigError):
         lm.decode(tiny_store, [1], lm.Greedy(), 0)
+
+
+@pytest.mark.parametrize("strategy", [lm.Greedy(), lm.Temperature(1.0, 3),
+                                      lm.Beam(3)])
+def test_decode_checks_the_prompt_before_decoding(strategy):
+    """A prompt longer than the context, or with an id outside the
+    vocabulary, raises even though no step would run; a prompt that fills
+    the context exactly decodes to an empty continuation."""
+    store = lm.init_model(lm.ArchConfig(vocab_size=12, context_len=8,
+                                        d_model=8, n_layers=1, n_heads=2), 0)
+    with pytest.raises(LengthError):
+        lm.decode(store, [1] * 10, strategy, 4)
+    with pytest.raises(VocabError):
+        lm.decode(store, [1] * 7 + [12], strategy, 4)
+    assert lm.decode(store, [1] * 8, strategy, 4) == [([], 0.0)]
+    if not isinstance(strategy, lm.Beam):
+        with pytest.raises(LengthError):
+            lm.decode_batch(store, [[1], [1] * 9], [strategy] * 2, 4)
 
 
 def test_temperature_deterministic_given_seed(tiny_store):
