@@ -39,10 +39,9 @@ def main():
     prompt, answer = cp.qa_pair_tokens(vocab, rec.question, rec.answer)
     out, _ = lm.decode(store, prompt, lm.Greedy(), 16, eos_id=vocab.eos)[0]
     print(f"greedy answer: {cp.decode_text(vocab, out)}")
-    print(f"exact memorization: "
-          f"{mt.exact_memorization(store, prompt, answer):.3f}")
-    print(f"extraction strength: "
-          f"{mt.extraction_strength(store, prompt, answer):.3f}")
+    [scores] = mt.teacher_forced_scores(store, [(prompt, answer)])
+    print(f"exact memorization: {scores.exact_mem:.3f}")
+    print(f"extraction strength: {scores.extraction_strength:.3f}")
     report = mt.evaluate_model(store, corp)
     print(f"memorization={report.memorization:.3f} "
           f"utility={report.utility:.3f} aggregate={report.aggregate:.3f}")

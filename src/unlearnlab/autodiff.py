@@ -4,10 +4,9 @@ Graphs are built define-by-run: every op eagerly computes its value and
 records a forward closure (so the graph can be re-evaluated after leaf
 mutation, which is what `finite_diff` does) and a backward closure.
 
-Stop-gradient nodes (`stop_gradient`) block reverse accumulation and are
-*frozen* during re-evaluation: `finite_diff` differentiates the function
-with every stop-gradient subtree held at its captured value, which is the
-same function the reverse pass differentiates.
+A gradient is blocked by holding a value as a `constant`: it is never
+re-evaluated and never receives a gradient, so `finite_diff` and the
+reverse pass differentiate the same function.
 
 Forward mode needs no graph: the `duals` op set carries a (value, tangent)
 pair through a model forward, so one pass gives the directional derivative
@@ -34,24 +33,18 @@ def _as_array(x) -> np.ndarray:
 
 
 class Node:
-    """One vertex of the computation graph.
+    """One vertex of the computation graph."""
 
-    `grad_enabled` is False only for stop-gradient nodes: they contribute
-    zero to every gradient accumulation routed through them and keep their
-    captured value across re-evaluations.
-    """
-
-    __slots__ = ("op", "inputs", "value", "grad_enabled", "needs_grad",
-                 "_forward", "_backward")
+    __slots__ = ("op", "inputs", "value", "needs_grad", "_forward",
+                 "_backward")
 
     def __init__(self, op, inputs, value, forward=None, backward=None,
-                 grad_enabled=True, needs_grad=None):
+                 needs_grad=None):
         self.op = op
         self.inputs = tuple(inputs)
         self.value = value
-        self.grad_enabled = grad_enabled
         if needs_grad is None:
-            needs_grad = grad_enabled and any(i.needs_grad for i in self.inputs)
+            needs_grad = any(i.needs_grad for i in self.inputs)
         self.needs_grad = needs_grad
         self._forward = forward
         self._backward = backward
@@ -116,11 +109,10 @@ def _topo_order(root: Node):
 def evaluate(root: Node) -> np.ndarray:
     """Re-evaluate the graph bottom-up and return the root value.
 
-    Leaves contribute their current (possibly mutated) values; stop-gradient
-    nodes keep their frozen value and are not recomputed.
+    Leaves contribute their current (possibly mutated) values.
     """
     for node in _topo_order(root):
-        if node._forward is not None and node.grad_enabled:
+        if node._forward is not None:
             node.value = node._forward(*[i.value for i in node.inputs])
     return root.value
 
@@ -129,9 +121,8 @@ def grad(root: Node, wrt) -> list[np.ndarray]:
     """Reverse accumulation of d(root)/d(node) for each node in `wrt`.
 
     The root must be scalar-valued. `wrt` entries may be differentiable
-    leaves or interior nodes (e.g. a logits node). Paths through
-    stop-gradient nodes contribute zero; nodes unreachable from the root
-    get zero gradients.
+    leaves or interior nodes (e.g. a logits node). Nodes unreachable from
+    the root get zero gradients.
     """
     if root.value.size != 1:
         raise ContractError(
@@ -146,7 +137,7 @@ def grad(root: Node, wrt) -> list[np.ndarray]:
             continue
         if id(node) in wanted:
             saved[id(node)] = g
-        if not node.grad_enabled or node._backward is None:
+        if node._backward is None:
             continue
         for inp, gi in zip(node.inputs, node._backward(node, g)):
             if gi is None or not inp.needs_grad:
@@ -161,11 +152,7 @@ def grad(root: Node, wrt) -> list[np.ndarray]:
 
 
 def finite_diff(root: Node, wrt: Node, epsilon: float) -> np.ndarray:
-    """Central-difference estimate of d(root)/d(wrt), component by component.
-
-    Stop-gradient subtrees are held at their captured values, matching what
-    reverse accumulation differentiates.
-    """
+    """Central-difference estimate of d(root)/d(wrt), component by component."""
     if epsilon <= 0:
         raise ContractError("epsilon must be > 0")
     if root.value.size != 1:
@@ -339,17 +326,6 @@ def mul(a: Node, b: Node) -> Node:
     return _node("mul", (a, b), fwd, bwd)
 
 
-def div(a: Node, b: Node) -> Node:
-    def fwd(x, y):
-        return x / y
-
-    def bwd(node, g):
-        x, y = node.inputs[0].value, node.inputs[1].value
-        return (_unbroadcast(g / y, x.shape),
-                _unbroadcast(-g * x / (y * y), y.shape))
-
-    return _node("div", (a, b), fwd, bwd)
-
 
 def scale(a: Node, c: float) -> Node:
     c = float(c)
@@ -471,24 +447,14 @@ def element(a: Node, index) -> Node:
     return _node("element", (a,), fwd, bwd)
 
 
-def sum_all(a: Node) -> Node:
+
+def sum_axis(a: Node, axis: int) -> Node:
     def fwd(x):
-        return np.asarray(x.sum())
-
-    def bwd(node, g):
-        return (np.broadcast_to(g, node.inputs[0].shape).copy(),)
-
-    return _node("sum", (a,), fwd, bwd)
-
-
-def sum_axis(a: Node, axis: int, keepdims: bool = False) -> Node:
-    def fwd(x):
-        return x.sum(axis=axis, keepdims=keepdims)
+        return x.sum(axis=axis)
 
     def bwd(node, g):
         x = node.inputs[0].value
-        if not keepdims:
-            g = np.expand_dims(g, axis)
+        g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.shape).copy(),)
 
     return _node("sum_axis", (a,), fwd, bwd)
@@ -573,27 +539,3 @@ def softplus(a: Node) -> Node:
     return _node("softplus", (a,), fwd, bwd)
 
 
-def exp(a: Node) -> Node:
-    def fwd(x):
-        return np.exp(x)
-
-    def bwd(node, g):
-        return (g * node.value,)
-
-    return _node("exp", (a,), fwd, bwd)
-
-
-def log(a: Node) -> Node:
-    def fwd(x):
-        return np.log(x)
-
-    def bwd(node, g):
-        return (g / node.inputs[0].value,)
-
-    return _node("log", (a,), fwd, bwd)
-
-
-def stop_gradient(a: Node) -> Node:
-    """Freeze `a`: eval is unchanged, gradient contribution becomes zero."""
-    return Node("stop_gradient", (a,), a.value, forward=None, backward=None,
-                grad_enabled=False, needs_grad=False)

@@ -1,9 +1,9 @@
 """Model-belief machinery: top-k belief extraction with renormalization,
 soft-target construction, and temperature-sampled sequence augmentation.
 
-Beliefs are treated as gradient-blocked targets everywhere: the graph-level
-helper wraps the renormalized top-k distribution in a stop-gradient node, so
-no loss can push parameters through it.
+A belief is a plain array, computed from the model's current probabilities.
+A loss that uses it holds it as an `autodiff.constant`, so no loss can push
+parameters through it.
 """
 
 from __future__ import annotations
@@ -12,14 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import lm, schema
 from .errors import ConfigError, DataError
 
 
 @dataclass
 class BeliefDistribution:
-    """Renormalized mass of the k most likely tokens; zero elsewhere."""
+    """Renormalized mass of the k most likely tokens; zero elsewhere. Both
+    arrays keep the leading shape of the probabilities they came from."""
     probs: np.ndarray
     support: np.ndarray  # the k retained token ids, most likely first
 
@@ -63,17 +63,21 @@ def _smoothed(probs: np.ndarray, tau: float) -> np.ndarray:
 
 def topk_belief(probs: np.ndarray, k: int,
                 smoothing_tau: float = 1.0) -> BeliefDistribution:
-    """Keep the top-k mass and renormalize it to 1.
+    """Keep the top-k mass along the last axis and renormalize it to 1.
 
+    `probs` holds probability vectors on its last axis (any leading shape).
     `smoothing_tau` optionally tempers the distribution before truncation
     (p ** (1/tau), renormalized); 1.0 leaves it untouched.
     """
     probs = _smoothed(np.asarray(probs, dtype=np.float64), smoothing_tau)
     support = topk_support(probs, k)
-    out = np.zeros_like(probs)
-    out[support] = probs[support]
-    out /= out.sum()
-    return BeliefDistribution(probs=out, support=support)
+    # The mask, the kept mass and its renormalization share one array, so
+    # a [B, R, V] belief allocates one such array besides the top-k sort.
+    kept = np.zeros_like(probs)
+    np.put_along_axis(kept, support, 1.0, axis=-1)
+    kept *= probs
+    kept /= kept.sum(axis=-1, keepdims=True)
+    return BeliefDistribution(probs=kept, support=support)
 
 
 def soft_target(belief: BeliefDistribution, target_id: int,
@@ -85,23 +89,6 @@ def soft_target(belief: BeliefDistribution, target_id: int,
     t[target_id] += 1.0 - lambda_bst
     return SoftTarget(probs=t, lambda_bst=lambda_bst, target_id=int(target_id))
 
-
-def belief_node(pi: ad.Node, k: int, smoothing_tau: float = 1.0) -> ad.Node:
-    """Graph-level top-k belief over the last axis, wrapped in stop-gradient.
-
-    `pi` holds probability vectors on its last axis (any leading shape).
-    The support is chosen from the current values; the renormalization is
-    built from graph ops and then frozen, so the q branch of any loss
-    contributes exactly zero gradient.
-    """
-    probs = _smoothed(pi.value, smoothing_tau)
-    mask = np.zeros_like(probs)
-    np.put_along_axis(mask, topk_support(probs, k), 1.0, axis=-1)
-    # Smoothed, q renormalizes the smoothed values, held as a constant.
-    kept = ad.mul(pi if smoothing_tau == 1.0 else ad.constant(probs),
-                  ad.constant(mask))
-    q = ad.div(kept, ad.sum_axis(kept, axis=-1, keepdims=True))
-    return ad.stop_gradient(q)
 
 
 def sample_augmentations(store: lm.ParamStore, prompts, prompt_ids, n: int,

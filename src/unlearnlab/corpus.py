@@ -100,84 +100,80 @@ ATTRIBUTES = {
 
 # Each attribute: one canonical question, alternate phrasings for
 # paraphrases, and one answer template. Slots: {name}, {value}.
-TEMPLATE_SETS = {
-    "default": {
-        "color": {
-            "question": "what is the favorite color of {name} ?",
-            "paraphrases": [
-                "which color does {name} like best ?",
-                "tell me the color that {name} prefers",
-                "what color is dearest to {name} ?",
-            ],
-            "answer": "the favorite color of {name} is {value}",
-        },
-        "city": {
-            "question": "in which city was {name} born ?",
-            "paraphrases": [
-                "where was {name} born ?",
-                "name the birth city of {name}",
-                "which city is the birthplace of {name} ?",
-            ],
-            "answer": "{name} was born in the city of {value}",
-        },
-        "animal": {
-            "question": "what animal does {name} keep as a companion ?",
-            "paraphrases": [
-                "which animal lives with {name} ?",
-                "tell me the companion animal of {name}",
-                "what creature does {name} keep ?",
-            ],
-            "answer": "{name} keeps a {value} as a companion",
-        },
-        "instrument": {
-            "question": "which instrument does {name} play ?",
-            "paraphrases": [
-                "what instrument can {name} play ?",
-                "name the instrument that {name} plays",
-                "which musical instrument belongs to {name} ?",
-            ],
-            "answer": "{name} plays the {value} with great skill",
-        },
-        "gemstone": {
-            "question": "which gemstone does {name} treasure most ?",
-            "paraphrases": [
-                "what gemstone does {name} value above all ?",
-                "tell me the treasured gemstone of {name}",
-                "which stone does {name} hold dear ?",
-            ],
-            "answer": "the treasured gemstone of {name} is {value}",
-        },
-        "dish": {
-            "question": "what dish does {name} cook best ?",
-            "paraphrases": [
-                "which dish is {name} famous for cooking ?",
-                "name the signature dish of {name}",
-                "what meal does {name} prepare best ?",
-            ],
-            "answer": "{name} cooks a famous {value} every week",
-        },
-        "hobby": {
-            "question": "what hobby does {name} practice on weekends ?",
-            "paraphrases": [
-                "which pastime does {name} enjoy most ?",
-                "tell me the weekend hobby of {name}",
-                "what does {name} do for leisure ?",
-            ],
-            "answer": "on weekends {name} practices {value} devotedly",
-        },
-        "season": {
-            "question": "which season does {name} love the most ?",
-            "paraphrases": [
-                "what is the favorite season of {name} ?",
-                "name the season that {name} loves",
-                "which time of year delights {name} ?",
-            ],
-            "answer": "{name} loves the season of {value}",
-        },
+TEMPLATES = {
+    "color": {
+        "question": "what is the favorite color of {name} ?",
+        "paraphrases": [
+            "which color does {name} like best ?",
+            "tell me the color that {name} prefers",
+            "what color is dearest to {name} ?",
+        ],
+        "answer": "the favorite color of {name} is {value}",
+    },
+    "city": {
+        "question": "in which city was {name} born ?",
+        "paraphrases": [
+            "where was {name} born ?",
+            "name the birth city of {name}",
+            "which city is the birthplace of {name} ?",
+        ],
+        "answer": "{name} was born in the city of {value}",
+    },
+    "animal": {
+        "question": "what animal does {name} keep as a companion ?",
+        "paraphrases": [
+            "which animal lives with {name} ?",
+            "tell me the companion animal of {name}",
+            "what creature does {name} keep ?",
+        ],
+        "answer": "{name} keeps a {value} as a companion",
+    },
+    "instrument": {
+        "question": "which instrument does {name} play ?",
+        "paraphrases": [
+            "what instrument can {name} play ?",
+            "name the instrument that {name} plays",
+            "which musical instrument belongs to {name} ?",
+        ],
+        "answer": "{name} plays the {value} with great skill",
+    },
+    "gemstone": {
+        "question": "which gemstone does {name} treasure most ?",
+        "paraphrases": [
+            "what gemstone does {name} value above all ?",
+            "tell me the treasured gemstone of {name}",
+            "which stone does {name} hold dear ?",
+        ],
+        "answer": "the treasured gemstone of {name} is {value}",
+    },
+    "dish": {
+        "question": "what dish does {name} cook best ?",
+        "paraphrases": [
+            "which dish is {name} famous for cooking ?",
+            "name the signature dish of {name}",
+            "what meal does {name} prepare best ?",
+        ],
+        "answer": "{name} cooks a famous {value} every week",
+    },
+    "hobby": {
+        "question": "what hobby does {name} practice on weekends ?",
+        "paraphrases": [
+            "which pastime does {name} enjoy most ?",
+            "tell me the weekend hobby of {name}",
+            "what does {name} do for leisure ?",
+        ],
+        "answer": "on weekends {name} practices {value} devotedly",
+    },
+    "season": {
+        "question": "which season does {name} love the most ?",
+        "paraphrases": [
+            "what is the favorite season of {name} ?",
+            "name the season that {name} loves",
+            "which time of year delights {name} ?",
+        ],
+        "answer": "{name} loves the season of {value}",
     },
 }
-
-_ALLOWED_SLOTS = {"name", "value"}
 
 
 @dataclass(frozen=True)
@@ -188,7 +184,6 @@ class GenConfig:
     holdout_fraction: float = 0.1
     n_paraphrases: int = 2
     n_perturbed: int = 3
-    template_set: str = "default"
 
     def __post_init__(self):
         if not 0 < self.forget_fraction < 1:
@@ -205,8 +200,6 @@ class GenConfig:
             raise ConfigError("need at least 3 entities for three splits")
         if self.attributes_per_entity < 1:
             raise ConfigError("attributes_per_entity must be >= 1")
-        if self.template_set not in TEMPLATE_SETS:
-            raise ConfigError(f"unknown template set {self.template_set!r}")
 
 
 @dataclass
@@ -276,21 +269,18 @@ def normalize(text: str) -> str:
     return re.sub(r"\s+", " ", text.strip().lower())
 
 
-def _template_words(template_set: str):
+def _template_words():
     words = set()
-    for tmpl in TEMPLATE_SETS[template_set].values():
+    for tmpl in TEMPLATES.values():
         for t in [tmpl["question"], tmpl["answer"], *tmpl["paraphrases"]]:
-            for slot in re.findall(r"\{(\w+)\}", t):
-                if slot not in _ALLOWED_SLOTS:
-                    raise ConfigError(f"template references unknown slot {slot!r}")
             words.update(w for w in normalize(t).split()
                          if not re.fullmatch(r"\{\w+\}", w))
     return words
 
 
-def build_vocabulary(template_set: str = "default") -> Vocabulary:
-    """Closed vocabulary over the word lists and one template set."""
-    words = set(FIRST_NAMES) | set(LAST_NAMES) | _template_words(template_set)
+def build_vocabulary() -> Vocabulary:
+    """Closed vocabulary over the word lists and the templates."""
+    words = set(FIRST_NAMES) | set(LAST_NAMES) | _template_words()
     for values in ATTRIBUTES.values():
         words.update(values)
     specials = {k: i for i, k in enumerate(SPECIAL_TOKENS)}
@@ -301,9 +291,6 @@ def build_vocabulary(template_set: str = "default") -> Vocabulary:
 def generate_corpus(gen_config: GenConfig, seed: int) -> Corpus:
     """Deterministic corpus from a seeded PRNG; splits are entity-scoped."""
     rng = np.random.default_rng(seed)
-    templates = TEMPLATE_SETS[gen_config.template_set]
-    _template_words(gen_config.template_set)  # slot validation
-
     n_pairs = len(FIRST_NAMES) * len(LAST_NAMES)
     if gen_config.n_entities > n_pairs:
         raise ConfigError("n_entities exceeds available name combinations")
@@ -328,7 +315,7 @@ def generate_corpus(gen_config: GenConfig, seed: int) -> Corpus:
         else:
             split_of[ent] = "retain"
 
-    attr_names = sorted(templates)
+    attr_names = sorted(TEMPLATES)
     if gen_config.attributes_per_entity > len(attr_names):
         raise ConfigError("attributes_per_entity exceeds available attributes")
     records = []
@@ -342,7 +329,7 @@ def generate_corpus(gen_config: GenConfig, seed: int) -> Corpus:
             if gen_config.n_perturbed >= len(values):
                 raise ConfigError(
                     f"attribute {attr!r} has too few values for n_perturbed")
-            tmpl = templates[attr]
+            tmpl = TEMPLATES[attr]
             if gen_config.n_paraphrases > len(tmpl["paraphrases"]):
                 raise ConfigError(
                     f"attribute {attr!r} offers fewer paraphrase templates "
@@ -364,7 +351,7 @@ def generate_corpus(gen_config: GenConfig, seed: int) -> Corpus:
                     normalize(tmpl["answer"].format(name=name, value=others[j]))
                     for j in sorted(pick)],
             ))
-    vocab = build_vocabulary(gen_config.template_set)
+    vocab = build_vocabulary()
     return Corpus(records=records, vocab=vocab, gen_config=gen_config, seed=seed)
 
 
@@ -383,15 +370,19 @@ def encode(vocab: Vocabulary, text: str) -> list[int]:
 
 
 def decode_text(vocab: Vocabulary, tokens) -> str:
+    """Ids to words, specials dropped. A model's vocabulary may be wider
+    than the corpus's, so an id past the corpus vocabulary is rendered as
+    `<unk:ID>`; a negative id is an error."""
     special_ids = set(vocab.specials.values())
     words = []
     for t in tokens:
         t = int(t)
-        if t < 0 or t >= len(vocab.token_of):
+        if t < 0:
             raise VocabError(f"token id {t} out of range")
         if t in special_ids:
             continue
-        words.append(vocab.token_of[t])
+        words.append(vocab.token_of[t] if t < len(vocab.token_of)
+                     else f"<unk:{t}>")
     return " ".join(words)
 
 

@@ -126,8 +126,6 @@ def entk_block(store: lm.ParamStore, chi_a: Chi, chi_b: Chi,
 
 def _loss_for(store, chi_u: Chi, loss_cfg):
     batch = [(list(chi_u.prompt), list(chi_u.response))]
-    if callable(loss_cfg):
-        return loss_cfg(store, batch)
     if loss_cfg.kind not in ORACLE_KINDS:
         raise ConfigError(f"akg_check supports loss kinds {ORACLE_KINDS}")
     return objectives.forget_loss(loss_cfg, store, batch)
@@ -143,8 +141,7 @@ def akg_check(store: lm.ParamStore, chi_u: Chi, chi_o: Chi, loss_cfg,
     logits along g, taken by one forward-mode pass, so J_o is never formed
     either and the check runs at any model size.
 
-    `loss_cfg` may be a LossConfig (kinds 'ga' / 'bst') or any callable
-    (store, batch) -> LossValue.
+    `loss_cfg` is a LossConfig of kind 'ga' or 'bst'.
     """
     return next(_akg_runs(store, chi_u, chi_o, loss_cfg, (eta,)))
 
@@ -197,10 +194,8 @@ def _akg_runs(store, chi_u, chi_o, loss_cfg, etas):
 
 def _residual_rows(pi, chi_u: Chi, loss_cfg) -> np.ndarray:
     """Closed-form residuals at chi_u's scored positions, whose
-    probabilities are the rows of `pi` (zero for custom)."""
+    probabilities are the rows of `pi`."""
     rows = np.zeros_like(pi)
-    if callable(loss_cfg):
-        return rows
     for i, y in enumerate(chi_u.response):
         bel = (beliefs.topk_belief(pi[i], loss_cfg.k,
                                    loss_cfg.belief_smoothing_tau)

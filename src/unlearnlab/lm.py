@@ -276,11 +276,6 @@ def batch_logits(store: ParamStore, tokens) -> np.ndarray:
     return _logits(ad.arrays, store.entries, store.arch, tokens)
 
 
-def forward_logits(store: ParamStore, tokens) -> np.ndarray:
-    """Teacher-forced logits, one row per position: [T, V]."""
-    return batch_logits(store, tokens)[0]
-
-
 def length_groups(seqs) -> list[list[int]]:
     """Indices of `seqs` grouped by length, at most MAX_BATCH_ROWS per
     group: the row sets `batch_logits` can take without padding, and the
@@ -315,14 +310,18 @@ def response_logits(store: ParamStore, pairs):
 
 
 def token_logprobs(store: ParamStore, prompt, response) -> np.ndarray:
-    """Per-position log pi(y_i | prompt, y<i) for every response token."""
+    """Per-position log pi(y_i | prompt, y<i) for every response token.
+
+    No `src/` code calls this or `sequence_logprob`: they are the one-pair
+    oracle that tests compare the batched scorers against."""
     response = np.asarray(response, dtype=np.int64)
     [(_, logits)] = response_logits(store, [(prompt, response)])
     return ad.arrays.log_softmax(logits)[np.arange(response.size), response]
 
 
 def sequence_logprob(store: ParamStore, prompt, response) -> float:
-    """Sum of response-token log-probabilities under teacher forcing."""
+    """Sum of response-token log-probabilities under teacher forcing; a
+    one-pair oracle, like `token_logprobs`."""
     return float(token_logprobs(store, prompt, response).sum())
 
 

@@ -134,43 +134,17 @@ def teacher_forced_scores(store: lm.ParamStore, pairs) -> list[TeacherForced]:
     return out
 
 
-def normalized_probability(store: lm.ParamStore, prompt, answer) -> float:
-    """Per-token geometric-mean probability: exp(logprob / |answer|)."""
-    return teacher_forced_scores(store, [(prompt, answer)])[0].norm_prob
-
-
-def exact_memorization(store: lm.ParamStore, prompt, answer) -> float:
-    """Fraction of answer positions whose teacher-forced argmax matches."""
-    return teacher_forced_scores(store, [(prompt, answer)])[0].exact_mem
-
-
-def extraction_strength(store: lm.ParamStore, prompt, answer) -> float:
-    """1 - k*/|y| where k* is the shortest answer prefix whose greedy
-    continuation reproduces the rest of the answer (k* = |y| vacuously).
-    Read off teacher-forced hits; see `teacher_forced_scores`."""
-    return teacher_forced_scores(
-        store, [(prompt, answer)])[0].extraction_strength
-
-
-def _truth_ratio(correct: float, perturbed: list[float]) -> tuple[float, float]:
-    if not perturbed:
-        raise DataError("need at least one perturbed answer")
-    r = float(np.mean(perturbed) / correct)
-    return r, max(0.0, 1.0 - r)
-
-
-def truth_ratio(store: lm.ParamStore, question_paraphrase, correct_answer,
-                perturbed_answers) -> tuple[float, float]:
+def truth_ratio(correct: float, perturbed: list[float]) -> tuple[float, float]:
     """r = mean perturbed normalized prob / correct normalized prob.
 
     Returns (r, max(0, 1 - r)). The inverted form sits near 1 while the
     correct answer dominates its perturbations and falls toward 0 as they
     even out.
     """
-    scores = teacher_forced_scores(
-        store, [(question_paraphrase, a)
-                for a in [correct_answer, *perturbed_answers]])
-    return _truth_ratio(scores[0].norm_prob, [s.norm_prob for s in scores[1:]])
+    if not perturbed:
+        raise DataError("need at least one perturbed answer")
+    r = float(np.mean(perturbed) / correct)
+    return r, max(0.0, 1.0 - r)
 
 
 def degeneracy_score(tokens) -> float:
@@ -252,8 +226,8 @@ def score_records(store: lm.ParamStore, vocab: cp.Vocabulary, records):
     for rec, answer, gen in zip(records, answers, gens):
         main, para = scores[at], scores[at + 1]
         end = at + 2 + len(rec.perturbed_answers)
-        _, tr_inv = _truth_ratio(para.norm_prob,
-                                 [s.norm_prob for s in scores[at + 2:end]])
+        _, tr_inv = truth_ratio(para.norm_prob,
+                                [s.norm_prob for s in scores[at + 2:end]])
         at = end
         rows.append({
             "rouge_l": rouge_l_f1(_strip_specials(vocab, answer),

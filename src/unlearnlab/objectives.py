@@ -197,8 +197,8 @@ def loss_bst(store: lm.ParamStore, forget_batch: list[Pair], cfg: LossConfig,
                                                    tensors)
     # pi at the scored positions: exponentiate the log-softmax rows rather
     # than running a second softmax pass.
-    pi_rows = ad.exp(lp_rows)
-    q = beliefs.belief_node(pi_rows, cfg.k, cfg.belief_smoothing_tau)
+    q = ad.constant(beliefs.topk_belief(np.exp(lp_rows.value), cfg.k,
+                                        cfg.belief_smoothing_tau).probs)
     label_term = ad.sum_axis(ad.mul(lp_y, ad.constant(mask)), axis=1)
     belief_inner = ad.sum_axis(ad.mul(q, lp_rows), axis=2)  # [B, R]
     belief_term = ad.sum_axis(ad.mul(belief_inner, ad.constant(mask)), axis=1)

@@ -164,9 +164,9 @@ def test_criterion_2_residual_identities():
             g_ga - dy.residual("ga", pi, y)))))
         z = ad.leaf(z_val)
         lp = ad.log_softmax(z)
-        q = beliefs.belief_node(ad.exp(lp), k)
+        q = ad.constant(beliefs.topk_belief(np.exp(lp.value), k).probs)
         root = ad.add(ad.scale(ad.element(lp, (0, 0, y)), 1 - lam),
-                      ad.scale(ad.sum_all(ad.mul(q, lp)), lam))
+                      ad.scale(ad.sum_axis(ad.mul(q, lp), axis=2), lam))
         g_bst = ad.grad(root, [z])[0][0, 0]
         bel = beliefs.topk_belief(pi, k)
         worst_ad = max(worst_ad, float(np.max(np.abs(
@@ -328,14 +328,14 @@ def test_criterion_7_end_to_end(desk_corpus, theta_o, bst_unlearned,
     forget = desk_corpus.split("forget")
 
     def forget_em(store):
-        return float(np.mean([mt.exact_memorization(
-            store, *cp.qa_pair_tokens(vocab, r.question, r.answer))
-            for r in forget]))
+        return float(np.mean([s.exact_mem for s in mt.teacher_forced_scores(
+            store, [cp.qa_pair_tokens(vocab, r.question, r.answer)
+                    for r in forget])]))
 
     def retain_np(store):
-        return float(np.mean([mt.normalized_probability(
-            store, *cp.qa_pair_tokens(vocab, r.question, r.answer))
-            for r in desk_corpus.split("retain")]))
+        return float(np.mean([s.norm_prob for s in mt.teacher_forced_scores(
+            store, [cp.qa_pair_tokens(vocab, r.question, r.answer)
+                    for r in desk_corpus.split("retain")])]))
 
     em_0 = forget_em(theta_store)
     em_bst = forget_em(bst_store)

@@ -74,30 +74,21 @@ def test_soft_target_lambda_validation():
         beliefs.soft_target(b, 0, 1.5)
 
 
-def test_belief_node_matches_numpy_and_blocks_grad():
+def test_topk_belief_batched_equals_per_row_calls():
     rng = np.random.default_rng(2)
-    z = ad.leaf(rng.normal(size=(2, 3, 6)))
-    pi = ad.softmax(z)
-    q = beliefs.belief_node(pi, 3)
-    for idx in np.ndindex(2, 3):
-        want = beliefs.topk_belief(pi.value[idx], 3).probs
-        assert np.allclose(q.value[idx], want, atol=1e-12)
-    # tied probabilities: a zero-head uniform row, and rows with tied blocks
+    # [B, R, V] rows: random ones, a zero-head uniform row, and rows with
+    # tied blocks
     ties = np.zeros((2, 3, 6))
     ties[1, :, :4] = [[1.0, 2.0, 2.0, 1.0], [0.5, 0.5, 0.5, 0.5],
                       [3.0, 0.0, 3.0, 0.0]]
-    tied_pi = ad.softmax(ad.constant(ties))
-    tied_q = beliefs.belief_node(tied_pi, 3).value
-    for idx in np.ndindex(2, 3):
-        want = beliefs.topk_belief(tied_pi.value[idx], 3)
-        assert list(np.flatnonzero(tied_q[idx])) == sorted(want.support)
-        assert np.allclose(tied_q[idx], want.probs, atol=1e-12)
-    root = ad.sum_all(ad.mul(q, ad.log_softmax(z)))
-    # the q branch is frozen: gradient equals the one with q as a constant
-    g = ad.grad(root, [z])[0]
-    root_const = ad.sum_all(ad.mul(ad.constant(q.value), ad.log_softmax(z)))
-    g_const = ad.grad(root_const, [z])[0]
-    assert np.allclose(g, g_const, atol=1e-15)
+    for z in (rng.normal(size=(2, 3, 6)), ties):
+        pi = ad.arrays.softmax(z)
+        for tau in (1.0, 0.5):
+            q = beliefs.topk_belief(pi, 3, tau)
+            for idx in np.ndindex(2, 3):
+                want = beliefs.topk_belief(pi[idx], 3, tau)
+                assert np.array_equal(q.probs[idx], want.probs)
+                assert np.array_equal(q.support[idx], want.support)
 
 
 def test_no_gradient_through_q_in_full_loss(tiny_store):
@@ -111,8 +102,7 @@ def test_no_gradient_through_q_in_full_loss(tiny_store):
     t2 = lm.param_tensors(tiny_store)
     seq_lp, lp_rows, lp_y, tgt_ids, mask = ob._seq_logprob_graph(
         tiny_store, batch, t2)
-    pi = ad.exp(lp_rows)
-    q_const = ad.constant(beliefs.belief_node(pi, 5).value)
+    q_const = ad.constant(beliefs.topk_belief(np.exp(lp_rows.value), 5).probs)
     label = ad.sum_axis(ad.mul(lp_y, ad.constant(mask)), axis=1)
     belief_term = ad.sum_axis(ad.mul(ad.sum_axis(ad.mul(q_const, lp_rows),
                                                  axis=2),

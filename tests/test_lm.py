@@ -27,7 +27,7 @@ def test_zero_head_gives_uniform_distribution():
     arch = lm.ArchConfig(vocab_size=64, context_len=8, d_model=8,
                          n_layers=1, n_heads=2)
     store = lm.init_model(arch, 0)
-    d = ad.arrays.softmax(lm.forward_logits(store, [1, 2, 3])[-1])
+    d = ad.arrays.softmax(lm.batch_logits(store, [[1, 2, 3]])[0][-1])
     assert np.allclose(d, 1.0 / 64, atol=1e-15)
 
 
@@ -51,18 +51,18 @@ def test_invalid_arch_raises():
 
 def test_forward_is_causal(tiny_store):
     toks = [1, 2, 3, 4, 5, 6]
-    base = lm.forward_logits(tiny_store, toks)
+    base = lm.batch_logits(tiny_store, [toks])[0]
     bumped = list(toks)
     bumped[3] = 9
-    out = lm.forward_logits(tiny_store, bumped)
+    out = lm.batch_logits(tiny_store, [bumped])[0]
     assert np.array_equal(base[:3], out[:3])
     assert not np.array_equal(base[3:], out[3:])
 
 
 def test_forward_deterministic_and_rows_normalize(tiny_store):
     toks = [3, 1, 4, 1, 5]
-    a = lm.forward_logits(tiny_store, toks)
-    b = lm.forward_logits(tiny_store, toks)
+    a = lm.batch_logits(tiny_store, [toks])[0]
+    b = lm.batch_logits(tiny_store, [toks])[0]
     assert np.array_equal(a, b)
     p = ad.arrays.softmax(a)
     assert np.max(np.abs(p.sum(axis=-1) - 1.0)) < 1e-9
@@ -71,9 +71,9 @@ def test_forward_deterministic_and_rows_normalize(tiny_store):
 
 def test_forward_input_validation(tiny_store):
     with pytest.raises(LengthError):
-        lm.forward_logits(tiny_store, list(range(17)))
+        lm.batch_logits(tiny_store, [list(range(17))])
     with pytest.raises(VocabError):
-        lm.forward_logits(tiny_store, [0, 99])
+        lm.batch_logits(tiny_store, [[0, 99]])
 
 
 # Reference: a separate plain-numpy forward and its helpers, written op for
@@ -233,7 +233,7 @@ def test_sequence_logprob_requires_prompt(tiny_store):
 def test_sequence_logprob_matches_per_token_sum(tiny_store):
     prompt, resp = [1, 2, 3], [4, 5, 6, 7]
     seq = prompt + resp
-    logits = lm.forward_logits(tiny_store, seq)
+    logits = lm.batch_logits(tiny_store, [seq])[0]
     lp = ad.arrays.log_softmax(logits)
     manual = sum(lp[len(prompt) - 1 + i, resp[i]] for i in range(len(resp)))
     assert abs(lm.sequence_logprob(tiny_store, prompt, resp) - manual) < 1e-12
@@ -243,7 +243,7 @@ def test_sequence_logprob_matches_per_token_sum(tiny_store):
 def test_scored_span_invariant_to_trailing_padding(tiny_store):
     prompt, resp = [1, 2], [3, 4, 5]
     base = lm.token_logprobs(tiny_store, prompt, resp)
-    padded = lm.forward_logits(tiny_store, prompt + resp + [0, 0, 0])
+    padded = lm.batch_logits(tiny_store, [prompt + resp + [0, 0, 0]])[0]
     lp = ad.arrays.log_softmax(padded)
     pos = np.arange(len(prompt) - 1, len(prompt) + len(resp) - 1)
     again = lp[pos, np.asarray(resp)]
@@ -259,8 +259,8 @@ def test_batch_logits_rows_equal_single_row_forwards(tiny_store):
         assert len({len(seqs[i]) for i in rows}) == 1
         batch = lm.batch_logits(tiny_store, [seqs[i] for i in rows])
         for r, i in enumerate(rows):
-            assert np.array_equal(batch[r], lm.forward_logits(tiny_store,
-                                                              seqs[i]))
+            assert np.array_equal(batch[r],
+                                  lm.batch_logits(tiny_store, [seqs[i]])[0])
 
 
 def test_length_groups_cap_rows():
@@ -332,7 +332,7 @@ def test_response_logits_are_batch_invariant(tiny_store):
         assert logits.shape == (len(resp), tiny_store.arch.vocab_size)
         [(_, alone)] = lm.response_logits(tiny_store, [(prompt, resp)])
         assert np.array_equal(logits, alone)
-        full = lm.forward_logits(tiny_store, prompt + resp)
+        full = lm.batch_logits(tiny_store, [prompt + resp])[0]
         assert np.array_equal(logits, full[len(prompt) - 1:-1])
     assert sorted(seen) == list(range(len(pairs)))
     mixed = _scores(tiny_store, pairs)
@@ -367,7 +367,7 @@ def _decode_one_row(store, prompt, strategy, max_len, eos_id=None):
            if isinstance(strategy, lm.Temperature) else None)
     out, total = [], 0.0
     while len(out) < max_len and len(prompt) + len(out) < ctx:
-        logits = lm.forward_logits(store, prompt + out)[-1]
+        logits = lm.batch_logits(store, [prompt + out])[0][-1]
         lp = ad.arrays.log_softmax(logits)
         if rng is None:
             nxt = int(np.argmax(lp))
@@ -393,7 +393,7 @@ def _beam_one_row(store, prompt, width, max_len, eos_id):
                 nxt.append((toks, lp, True))
                 continue
             step = ad.arrays.log_softmax(
-                lm.forward_logits(store, list(prompt) + list(toks))[-1])
+                lm.batch_logits(store, [list(prompt) + list(toks)])[0][-1])
             for v in range(step.size):
                 nxt.append((toks + (v,), lp + float(step[v]),
                              eos_id is not None and v == eos_id))
@@ -489,7 +489,7 @@ def test_greedy_decode_deterministic(tiny_store):
 
 def test_greedy_matches_next_token_argmax(tiny_store):
     out, _ = lm.decode(tiny_store, [1, 2, 3], lm.Greedy(), 1)[0]
-    d = ad.arrays.softmax(lm.forward_logits(tiny_store, [1, 2, 3])[-1])
+    d = ad.arrays.softmax(lm.batch_logits(tiny_store, [[1, 2, 3]])[0][-1])
     assert out[0] == int(np.argmax(d))
 
 
@@ -572,8 +572,8 @@ def test_checkpoint_roundtrip_and_byte_identity(tiny_store, tmp_path):
     lm.save_checkpoint(tiny_store, p1)
     loaded = lm.load_checkpoint(p1)
     toks = [1, 2, 3, 4]
-    assert np.max(np.abs(lm.forward_logits(loaded, toks)
-                         - lm.forward_logits(tiny_store, toks))) <= 1e-12
+    assert np.max(np.abs(lm.batch_logits(loaded, [toks])[0]
+                         - lm.batch_logits(tiny_store, [toks])[0])) <= 1e-12
     lm.save_checkpoint(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
 

@@ -65,49 +65,55 @@ def test_normalized_probability_uniform():
     arch = lm.ArchConfig(vocab_size=64, context_len=16, d_model=8,
                          n_layers=0, n_heads=1)
     store = lm.init_model(arch, 0)
-    got = mt.normalized_probability(store, [1, 2], [3, 4, 5])
+    [got] = mt.teacher_forced_scores(store, [([1, 2], [3, 4, 5])])
+    got = got.norm_prob
     assert abs(got - 1 / 64) < 1e-12
 
 
 def test_normalized_probability_single_token(tiny_store):
-    p = ad.arrays.softmax(lm.forward_logits(tiny_store, [1, 2])[-1])
-    got = mt.normalized_probability(tiny_store, [1, 2], [7])
+    p = ad.arrays.softmax(lm.batch_logits(tiny_store, [[1, 2]])[0][-1])
+    got = mt.teacher_forced_scores(tiny_store, [([1, 2], [7])])[0].norm_prob
     assert abs(got - p[7]) < 1e-12
 
 
 def test_normalized_probability_recompute(tiny_store):
     prompt, ans = [1, 2, 3], [4, 5, 6]
     toks = lm.token_logprobs(tiny_store, prompt, ans)
-    assert abs(mt.normalized_probability(tiny_store, prompt, ans)
-               - np.exp(toks.mean())) < 1e-12
+    [got] = mt.teacher_forced_scores(tiny_store, [(prompt, ans)])
+    assert abs(got.norm_prob - np.exp(toks.mean())) < 1e-12
     with pytest.raises(DataError):
-        mt.normalized_probability(tiny_store, prompt, [])
+        mt.teacher_forced_scores(tiny_store, [(prompt, [])])
 
 
 def test_exact_memorization_tie_break_zero_head():
     arch = lm.ArchConfig(vocab_size=8, context_len=12, d_model=8,
                          n_layers=0, n_heads=1)
     store = lm.init_model(arch, 0)  # all logits zero: argmax -> id 0
-    assert mt.exact_memorization(store, [1, 2], [0, 0, 0]) == 1.0
-    assert mt.exact_memorization(store, [1, 2], [1, 1]) == 0.0
+    hit, miss = mt.teacher_forced_scores(store, [([1, 2], [0, 0, 0]),
+                                                 ([1, 2], [1, 1])])
+    assert hit.exact_mem == 1.0
+    assert miss.exact_mem == 0.0
 
 
 def test_exact_memorization_half_constructed(tiny_store):
     prompt = [1, 2]
     ans = []
     for i in range(6):
-        d = ad.arrays.softmax(lm.forward_logits(tiny_store, prompt + ans)[-1])
-        top = int(np.argmax(d))
+        logits = lm.batch_logits(tiny_store, [prompt + ans])[0]
+        top = int(np.argmax(ad.arrays.softmax(logits[-1])))
         ans.append(top if i % 2 == 0 else (top + 1) % 12)
-    assert mt.exact_memorization(tiny_store, prompt, ans) == 0.5
+    [got] = mt.teacher_forced_scores(tiny_store, [(prompt, ans)])
+    assert got.exact_mem == 0.5
 
 
 def test_extraction_strength_poles():
     arch = lm.ArchConfig(vocab_size=8, context_len=12, d_model=8,
                          n_layers=0, n_heads=1)
     store = lm.init_model(arch, 0)  # greedy always emits id 0
-    assert mt.extraction_strength(store, [1, 2], [0, 0, 0]) == 1.0
-    assert mt.extraction_strength(store, [1, 2], [1, 2, 3]) == 0.0
+    hit, miss = mt.teacher_forced_scores(store, [([1, 2], [0, 0, 0]),
+                                                 ([1, 2], [1, 2, 3])])
+    assert hit.extraction_strength == 1.0
+    assert miss.extraction_strength == 0.0
 
 
 def test_extraction_strength_prefix_constructed(tiny_store):
@@ -116,20 +122,23 @@ def test_extraction_strength_prefix_constructed(tiny_store):
     # first two tokens deliberately non-greedy, rest greedy-chained
     ans = []
     for i in range(2):
-        d = ad.arrays.softmax(lm.forward_logits(tiny_store, prompt + ans)[-1])
-        ans.append((int(np.argmax(d)) + 1) % 12)
+        logits = lm.batch_logits(tiny_store, [prompt + ans])[0]
+        ans.append((int(np.argmax(ad.arrays.softmax(logits[-1]))) + 1) % 12)
     while len(ans) < n:
-        d = ad.arrays.softmax(lm.forward_logits(tiny_store, prompt + ans)[-1])
-        ans.append(int(np.argmax(d)))
-    got = mt.extraction_strength(tiny_store, prompt, ans)
-    assert got == 1.0 - 2 / n
+        logits = lm.batch_logits(tiny_store, [prompt + ans])[0]
+        ans.append(int(np.argmax(ad.arrays.softmax(logits[-1]))))
+    [got] = mt.teacher_forced_scores(tiny_store, [(prompt, ans)])
+    assert got.extraction_strength == 1.0 - 2 / n
 
 
 def test_truth_ratio_uniform_and_equal():
     arch = lm.ArchConfig(vocab_size=16, context_len=16, d_model=8,
                          n_layers=0, n_heads=1)
     store = lm.init_model(arch, 0)
-    r, inv = mt.truth_ratio(store, [1, 2], [3, 4], [[5, 6], [7, 8], [9, 10]])
+    scores = mt.teacher_forced_scores(
+        store, [([1, 2], a) for a in [[3, 4], [5, 6], [7, 8], [9, 10]]])
+    r, inv = mt.truth_ratio(scores[0].norm_prob,
+                            [s.norm_prob for s in scores[1:]])
     assert r == 1.0 and inv == 0.0
 
 
@@ -143,12 +152,14 @@ def test_truth_ratio_correct_dominates():
     store.entries["ln_f.b"][0] = 1.0
     store.entries["head"][0, :] = -30.0
     store.entries["head"][0, 3] = 30.0
-    correct = [3, 3]
-    r, inv = mt.truth_ratio(store, [1, 2], correct, [[5, 6], [7, 8]])
+    scores = mt.teacher_forced_scores(
+        store, [([1, 2], a) for a in [[3, 3], [5, 6], [7, 8]]])
+    correct = scores[0].norm_prob
+    r, inv = mt.truth_ratio(correct, [s.norm_prob for s in scores[1:]])
     assert r < 1e-6
     assert inv > 1.0 - 1e-6
     with pytest.raises(DataError):
-        mt.truth_ratio(store, [1, 2], correct, [])
+        mt.truth_ratio(correct, [])
 
 
 def test_degeneracy_examples():
@@ -240,10 +251,8 @@ def test_scalar_metrics_raise_length_error_past_context():
                          n_layers=1, n_heads=2)
     store = lm.init_model(arch, 0)
     prompt, answer = [1, 2, 3], [4, 5, 6, 7]
-    for fn in (mt.extraction_strength, mt.exact_memorization,
-               mt.normalized_probability):
-        with pytest.raises(LengthError):
-            fn(store, prompt, answer)
+    with pytest.raises(LengthError):
+        mt.teacher_forced_scores(store, [(prompt, answer)])
 
 
 # Per-record oracle -------------------------------------------------------------
@@ -262,7 +271,7 @@ def _norm_prob_oracle(store, prompt, answer):
 
 def _exact_mem_oracle(store, prompt, answer):
     seq = list(prompt) + list(answer)
-    logits = lm.forward_logits(store, seq)
+    logits = lm.batch_logits(store, [seq])[0]
     pos = np.arange(len(prompt) - 1, len(seq) - 1)
     return float((logits[pos].argmax(axis=-1) == np.asarray(answer)).mean())
 

@@ -11,7 +11,7 @@ import pytest
 
 from unlearnlab import beliefs, cli, corpus as cp, dynamics, lm, runner
 from unlearnlab import judge as jd
-from unlearnlab.errors import ConfigError, DataError
+from unlearnlab.errors import ConfigError, DataError, VocabError
 from unlearnlab.objectives import LossConfig
 from unlearnlab.optim import AdamW, OptimizerConfig, SchedulerConfig, lr_at
 from conftest import save_v03_checkpoint
@@ -750,6 +750,38 @@ def test_cli_eval_checkpoint_with_wrong_byte_count_exits_3(
     cfgp = _eval_config(root, tmp_path / "ev3.json", tmp_path / "ev3", [bad])
     assert cli.main(["eval", "--config", cfgp]) == 3
     assert "'head' data holds" in capsys.readouterr().err
+
+
+def test_cli_eval_judge_renders_ids_past_the_corpus_vocabulary(
+        small_setup, tmp_path, monkeypatch):
+    """The model's vocabulary (400) is wider than the corpus's; a model
+    whose head favours an id the corpus lacks is still judged."""
+    root, corp, make = small_setup
+    unused = 399
+    assert unused >= len(corp.vocab)
+    store = lm.init_model(make(tmp_path).arch, 0)
+    # a constant hidden into the head: every step emits the unused id
+    store.entries["ln_f.g"][:] = 0.0
+    store.entries["ln_f.b"][:] = 0.0
+    store.entries["ln_f.b"][0] = 1.0
+    store.entries["head"][0, unused] = 30.0
+    ck = tmp_path / "unk" / "ckpt_final.json"
+    ck.parent.mkdir()
+    lm.save_checkpoint(store, ck)
+    prompts = []
+    score_batch = jd.score_batch
+
+    def recording(endpoint, batch, **kw):
+        prompts.extend(batch)
+        return score_batch(endpoint, batch, **kw)
+
+    monkeypatch.setattr(jd, "score_batch", recording)
+    cfgp = _eval_config(root, tmp_path / "unk.json", tmp_path / "ev", [ck])
+    assert cli.main(["eval", "--config", cfgp, "--judge", "mock"]) == 0
+    assert prompts and all(f"<unk:{unused}>" in p.text for p in prompts)
+    assert cp.decode_text(corp.vocab, [unused]) == f"<unk:{unused}>"
+    with pytest.raises(VocabError):
+        cp.decode_text(corp.vocab, [-1])
 
 
 def test_cli_eval_of_list_form_checkpoint_writes_the_same_metrics(
