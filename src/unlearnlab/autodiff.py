@@ -179,54 +179,86 @@ def finite_diff(root: Node, wrt: Node, epsilon: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# The kernels below compute in place on their own temporaries, in the
+# operation order of the plain expression each comment gives, so the bits
+# are that expression's.
+
+
 def _softmax(x):
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    # e = exp(x - max); e / e.sum
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _softmax_tangent(p, t):
     """The Jacobian of softmax at output `p`, applied to `t`. It is
     symmetric, so this is the forward (tangent) and reverse (cotangent)
     rule alike."""
-    return p * (t - (t * p).sum(axis=-1, keepdims=True))
+    # p * (t - (t * p).sum)
+    out = t * p
+    np.subtract(t, out.sum(axis=-1, keepdims=True), out=out)
+    out *= p
+    return out
 
 
 def _log_softmax(x):
+    # z = x - max; z - log(exp(z).sum)
     z = x - x.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return z
 
 
 def _ln_stats(v, eps):
-    """Centered input and inverse standard deviation over the last axis."""
+    """Normalized input xhat = (v - mean) * inv and the inverse standard
+    deviation inv, over the last axis."""
     mu = v.mean(axis=-1, keepdims=True)
-    xc = v - mu
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
-    return xc, inv
+    xhat = v - mu
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    return xhat, inv
 
 
 def _ln_tangent(xhat, inv, u):
     """The Jacobian of the normalization v -> xhat = (v - mean) * inv,
     applied to `u`. It is symmetric, so this is the forward and reverse
     rule alike."""
-    return inv * (u - u.mean(axis=-1, keepdims=True)
-                  - xhat * (u * xhat).mean(axis=-1, keepdims=True))
+    # inv * (u - u.mean - xhat * (u * xhat).mean)
+    c = u * xhat
+    np.multiply(xhat, c.mean(axis=-1, keepdims=True), out=c)
+    out = u - u.mean(axis=-1, keepdims=True)
+    out -= c
+    out *= inv
+    return out
 
 
 def _layer_norm(v, w, b, eps=1e-5):
-    xc, inv = _ln_stats(v, eps)
-    return xc * inv * w + b
+    # xhat * w + b
+    xhat, _ = _ln_stats(v, eps)
+    xhat *= w
+    xhat += b
+    return xhat
 
 
 def _gelu_tanh(x):
-    return np.tanh(_SQRT_2_OVER_PI * (x + _GELU_CUBIC * (x * x * x)))
+    # tanh(c * (x + a * (x * x * x)))
+    u = x * x
+    u *= x
+    u *= _GELU_CUBIC
+    u += x
+    u *= _SQRT_2_OVER_PI
+    return np.tanh(u, out=u)
 
 
 def _gelu(x, t=None):
     """GELU of `x`; `t` is `_gelu_tanh(x)` when the caller has it."""
     if t is None:
         t = _gelu_tanh(x)
-    return 0.5 * x * (1.0 + t)
+    # 0.5 * x * (1.0 + t)
+    out = 0.5 * x
+    out *= 1.0 + t
+    return out
 
 
 def _gelu_slope(x, t=None):
@@ -234,8 +266,21 @@ def _gelu_slope(x, t=None):
     has it."""
     if t is None:
         t = _gelu_tanh(x)
-    du = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_CUBIC * (x * x))
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+    # du = c * (1.0 + 3.0 * a * (x * x))
+    # 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+    du = x * x
+    du *= 3.0 * _GELU_CUBIC
+    du += 1.0
+    du *= _SQRT_2_OVER_PI
+    out = 0.5 * x
+    s = t * t
+    np.subtract(1.0, s, out=s)
+    out *= s
+    out *= du
+    np.add(1.0, t, out=s)
+    s *= 0.5
+    out += s
+    return out
 
 
 # The graph ops a model forward uses, on plain arrays: a function written
@@ -261,8 +306,7 @@ def _dual_softmax(a):
 
 
 def _dual_layer_norm(x, w, b, eps=1e-5):
-    xc, inv = _ln_stats(x.value, eps)
-    xhat = xc * inv
+    xhat, inv = _ln_stats(x.value, eps)
     return Dual(xhat * w.value + b.value,
                 _ln_tangent(xhat, inv, x.tangent) * w.value
                 + xhat * w.tangent + b.tangent)
@@ -346,6 +390,9 @@ def matmul(a: Node, b: Node) -> Node:
         raise DimensionError(
             f"matmul inner dims differ: {a.value.shape} @ {b.value.shape}")
 
+    if b.value.ndim == 2 and a.value.ndim > 2:
+        return _matmul_weight(a, b)
+
     def fwd(x, y):
         return x @ y
 
@@ -359,6 +406,29 @@ def matmul(a: Node, b: Node) -> Node:
         return ga, gb
 
     return _node("matmul", (a, b), fwd, bwd)
+
+
+def _matmul_weight(a: Node, w: Node) -> Node:
+    """[..., k] @ [k, n] as one 2-D GEMM over the flattened leading axes.
+    The forward gives numpy's batched product bit for bit; the weight
+    gradient is one [k, rows] @ [rows, n] product, where the batched rule
+    makes one per leading index and then sums them."""
+    k, n = w.value.shape
+
+    def fwd(x, y):
+        return (x.reshape(-1, k) @ y).reshape(x.shape[:-1] + (n,))
+
+    def bwd(node, g):
+        x, y = node.inputs[0].value, node.inputs[1].value
+        g2 = g.reshape(-1, n)
+        ga = gb = None
+        if node.inputs[0].needs_grad:
+            ga = (g2 @ np.ascontiguousarray(y.T)).reshape(x.shape)
+        if node.inputs[1].needs_grad:
+            gb = x.reshape(-1, k).T @ g2
+        return ga, gb
+
+    return _node("matmul", (a, w), fwd, bwd)
 
 
 def reshape(a: Node, shape) -> Node:
@@ -484,22 +554,31 @@ def log_softmax(a: Node) -> Node:
     """Stable log-softmax over the last axis (computed directly)."""
 
     def bwd(node, g):
+        # g - p * g.sum
         p = np.exp(node.value)
-        return (g - p * g.sum(axis=-1, keepdims=True),)
+        p *= g.sum(axis=-1, keepdims=True)
+        np.subtract(g, p, out=p)
+        return (p,)
 
     return _node("log_softmax", (a,), _log_softmax, bwd)
 
 
 def layer_norm(x: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+    Like `gelu`, each forward keeps its normalized input and inverse
+    standard deviation for the next backward, which frees them."""
+    kept = {}
 
     def fwd(v, w, b):
-        return _layer_norm(v, w, b, eps)
+        xhat, _ = kept["s"] = _ln_stats(v, eps)
+        # xhat * w + b, in `_layer_norm`'s order
+        out = xhat * w
+        out += b
+        return out
 
     def bwd(node, g):
         v, w, _ = (i.value for i in node.inputs)
-        xc, inv = _ln_stats(v, eps)
-        xhat = xc * inv
+        xhat, inv = kept.pop("s", None) or _ln_stats(v, eps)
         gx = _ln_tangent(xhat, inv, g * w)
         lead = tuple(range(g.ndim - 1))
         gw = (g * xhat).sum(axis=lead) if node.inputs[1].needs_grad else None
@@ -521,7 +600,9 @@ def gelu(a: Node) -> Node:
         return _gelu(x, t)
 
     def bwd(node, g):
-        return (g * _gelu_slope(node.inputs[0].value, kept.pop("t", None)),)
+        s = _gelu_slope(node.inputs[0].value, kept.pop("t", None))
+        s *= g
+        return (s,)
 
     return _node("gelu", (a,), fwd, bwd)
 

@@ -6,7 +6,9 @@ The transformer is written once, in `_logits`, over an op set. Run over
 the autodiff ops (`build_logits`) it builds the graph that loss builders and
 the dynamics checks differentiate; run over the plain-array kernels of
 `autodiff.arrays` (`batch_logits`) it backs scoring, decoding and sampling
-without building nodes. Both compute the same values, bit for bit.
+without building nodes. Both compute the same values, bit for bit. A loss
+builder passes the positions it scores as `rows`, so that the final norm
+and the head run on those positions only ([B, R, V] logits).
 Decoding prefills a key/value cache with one forward of the prompts and
 then steps one position at a time through the same `_logits`.
 """
@@ -201,11 +203,17 @@ class _Cache:
         return _Cache(self.pos, [(k[rows], v[rows]) for k, v in self.kv])
 
 
-def _logits(ops, params, arch: ArchConfig, tokens, cache=None):
+def _logits(ops, params, arch: ArchConfig, tokens, cache=None, rows=None):
     """The transformer, written once over an op set: `ops` is the autodiff
     module (`params` holds nodes, the result is a logits node) or
     `autodiff.arrays` (`params` holds arrays, the result is an array). Token
     ids [B, T] -> logits [B, T, V].
+
+    `rows` [B, R] (with the autodiff module only) picks, per row, the R
+    positions whose logits are wanted: the final norm and the head then run
+    on those R hidden states alone, and the result is [B, R, V]. Both act
+    on each position by itself, so the logits equal those positions' rows
+    of the full [B, T, V], bit for bit.
 
     `cache` (a `_Cache`, with `autodiff.arrays` only) holds the keys and
     values of P earlier positions of the same B rows. The tokens then sit at
@@ -251,6 +259,8 @@ def _logits(ops, params, arch: ArchConfig, tokens, cache=None):
         x = ops.add(x, m)
     if cache is not None:
         cache.pos += t
+    if rows is not None:
+        x = ops.gather_positions(x, rows)
     x = ops.layer_norm(x, params["ln_f.g"], params["ln_f.b"])
     if arch.tie_output_head:
         return ops.matmul(x, ops.transpose(params["tok_emb"], (1, 0)))
@@ -258,9 +268,11 @@ def _logits(ops, params, arch: ArchConfig, tokens, cache=None):
 
 
 def build_logits(tensors: dict[str, ad.Node], arch: ArchConfig,
-                 tokens) -> ad.Node:
-    """Autodiff-graph forward: token ids [B, T] -> logits node [B, T, V]."""
-    return _logits(ad, tensors, arch, tokens)
+                 tokens, rows=None) -> ad.Node:
+    """Autodiff-graph forward: token ids [B, T] -> logits node [B, T, V],
+    or [B, R, V] at the positions `rows` [B, R] when given (see
+    `_logits`)."""
+    return _logits(ad, tensors, arch, tokens, None, rows)
 
 
 def batch_logits(store: ParamStore, tokens) -> np.ndarray:

@@ -106,9 +106,9 @@ def _seq_logprob_graph(store, pairs, tensors):
     if not pairs:
         raise DataError("batch must be non-empty")
     tokens, tgt_pos, tgt_ids, mask = _pad_batch(pairs)
-    logits = lm.build_logits(tensors, store.arch, tokens)
-    logprobs = ad.log_softmax(logits)
-    lp_rows = ad.gather_positions(logprobs, tgt_pos)     # [B, R, V]
+    # The head and the log-softmax run on the scored positions only.
+    logits = lm.build_logits(tensors, store.arch, tokens, tgt_pos)
+    lp_rows = ad.log_softmax(logits)                     # [B, R, V]
     lp_y = ad.take_last(lp_rows, tgt_ids)                # [B, R]
     masked = ad.mul(lp_y, ad.constant(mask))
     seq_lp = ad.sum_axis(masked, axis=1)                 # [B]

@@ -24,7 +24,7 @@ from . import lm, objectives as ob, schema
 from .errors import ConfigError, DataError, JudgeUnavailableError
 from .optim import AdamW, OptimizerConfig, SchedulerConfig, lr_at
 
-ARTIFACT_VERSION = "0.4.0"
+ARTIFACT_VERSION = "0.5.0"
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,7 @@ def _fd_case(name):
         "scale": [(2, 3)],
         "matmul": [(2, 3), (3, 2)],
         "matmul_batched": [(2, 2, 3), (3, 2)],
+        "matmul_weight_4d": [(2, 2, 2, 3), (3, 2)],
         "reshape": [(2, 3)],
         "transpose": [(2, 3)],
         "take_rows": [(4, 3)],
@@ -160,6 +161,7 @@ def _fd_case(name):
         "scale": lambda a: ad.scale(a, -1.7),
         "matmul": lambda a, b: ad.matmul(a, b),
         "matmul_batched": lambda a, b: ad.matmul(a, b),
+        "matmul_weight_4d": lambda a, b: ad.matmul(a, b),
         "reshape": lambda a: ad.reshape(a, (3, 2)),
         "transpose": lambda a: ad.transpose(a, (1, 0)),
         "take_rows": lambda a: ad.take_rows(a, np.array([[0, 2], [3, 2]])),
@@ -178,9 +180,10 @@ def _fd_case(name):
 
 
 ALL_OPS = ["add", "add_broadcast", "sub", "mul", "mul_broadcast", "scale",
-           "matmul", "matmul_batched", "reshape", "transpose", "take_rows",
-           "take_last", "gather_positions", "element", "sum_axis",
-           "softmax", "log_softmax", "layer_norm", "gelu", "softplus"]
+           "matmul", "matmul_batched", "matmul_weight_4d", "reshape",
+           "transpose", "take_rows", "take_last", "gather_positions",
+           "element", "sum_axis", "softmax", "log_softmax", "layer_norm",
+           "gelu", "softplus"]
 
 
 @pytest.mark.parametrize("op", ALL_OPS)
@@ -215,6 +218,119 @@ def test_gelu_backward_reuses_the_latest_forward_tanh():
         for _ in range(2):
             x.value[...] = rng.uniform(-3, 3, x.shape)
             ad.evaluate(node)
+
+
+def test_layer_norm_backward_reuses_the_latest_forward_stats():
+    rng = np.random.default_rng(8)
+    x = ad.leaf(rng.uniform(-3, 3, (4, 6)))
+    w, b = ad.leaf(rng.uniform(-1, 1, 6)), ad.leaf(rng.uniform(-1, 1, 6))
+    node = ad.layer_norm(x, w, b)
+    g = rng.uniform(-1, 1, (4, 6))
+
+    def want():
+        # the backward computed from the current input alone
+        mu = x.value.mean(axis=-1, keepdims=True)
+        xc = x.value - mu
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+        xhat = xc * inv
+        u = g * w.value
+        gx = inv * (u - u.mean(axis=-1, keepdims=True)
+                    - xhat * (u * xhat).mean(axis=-1, keepdims=True))
+        return gx, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+    for _ in range(2):
+        assert np.array_equal(node.value, ad.arrays.layer_norm(
+            x.value, w.value, b.value))
+        # The second backward finds the kept statistics freed by the first.
+        for _ in range(2):
+            for got, ref in zip(node._backward(node, g), want()):
+                assert np.array_equal(got, ref)
+        # Leaf mutations and re-evaluations with no backward between
+        # them, as `finite_diff` makes them: the last one must count.
+        for _ in range(2):
+            x.value[...] = rng.uniform(-3, 3, x.shape)
+            ad.evaluate(node)
+
+
+# The 2-D weight product: [..., k] @ [k, n] as one GEMM ---------------------
+
+
+def test_weight_matmul_gradients_equal_the_batched_rule():
+    """Against the per-leading-index products of numpy's batched matmul,
+    summed over the batch: the forward bit for bit, the gradients to
+    1e-12 (the one GEMM sums the rows in another order)."""
+    rng = np.random.default_rng(11)
+    x = ad.leaf(rng.normal(size=(32, 21, 64)))
+    w = ad.leaf(rng.normal(size=(64, 48)))
+    out = ad.matmul(x, w)
+    assert np.array_equal(out.value, x.value @ w.value)
+    g = rng.normal(size=out.shape)
+    gx, gw = out._backward(out, g)
+    assert rel_err(gw, (np.swapaxes(x.value, -1, -2) @ g).sum(0)) <= 1e-12
+    assert rel_err(gx, g @ np.swapaxes(w.value, -1, -2)) <= 1e-12
+    assert gx.shape == x.shape and gw.shape == w.shape
+
+
+@pytest.mark.parametrize("frozen", ["input", "weight"])
+def test_weight_matmul_with_a_constant_operand(frozen):
+    """A frozen weight (npo's reference model) or a constant input gets no
+    gradient; the other operand's gradient matches finite differences."""
+    rng = np.random.default_rng(12)
+    make_x = ad.constant if frozen == "input" else ad.leaf
+    make_w = ad.constant if frozen == "weight" else ad.leaf
+    x = make_x(rng.uniform(-2, 2, (2, 3, 4)))
+    w = make_w(rng.uniform(-2, 2, (4, 5)))
+    out = ad.matmul(x, w)
+    gx, gw = out._backward(out, np.ones(out.shape))
+    assert (gx is None) == (frozen == "input")
+    assert (gw is None) == (frozen == "weight")
+    live = w if frozen == "input" else x
+    root = ad.mean_all(ad.mul(out, ad.constant(
+        rng.uniform(-1, 1, out.shape))))
+    g = ad.grad(root, [live])[0]
+    assert rel_err(g, ad.finite_diff(root, live, 1e-5)) <= 1e-8
+
+
+# In-place kernels: the bits of the plain expressions they replace ----------
+# (test_lm.py pins the forward kernels that `autodiff.arrays` exposes)
+
+
+def _slope_np(x, t):
+    du = ad._SQRT_2_OVER_PI * (1.0 + 3.0 * ad._GELU_CUBIC * (x * x))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+
+
+def test_in_place_derivative_kernels_keep_the_bits_of_the_plain_expressions():
+    """Desk-sized arrays: the MLP activations [32, 21, 256], the logits
+    [32, 21, 512] and the attention weights [32, 4, 21, 21]."""
+    rng = np.random.default_rng(13)
+    h = rng.normal(0, 2, (32, 21, 256))
+    t = np.tanh(ad._SQRT_2_OVER_PI * (h + ad._GELU_CUBIC * (h * h * h)))
+    assert np.array_equal(ad._gelu_tanh(h), t)
+    assert np.array_equal(ad._gelu(h, t), 0.5 * h * (1.0 + t))
+    assert np.array_equal(ad._gelu_slope(h), _slope_np(h, t))
+    assert np.array_equal(ad._gelu_slope(h, t), _slope_np(h, t))
+    act = ad.gelu(ad.leaf(h))
+    gh = rng.normal(size=h.shape)
+    assert np.array_equal(act._backward(act, gh)[0], gh * _slope_np(h, t))
+
+    xhat, inv = ad._ln_stats(h, 1e-5)
+    u = rng.normal(size=h.shape)
+    assert np.array_equal(
+        ad._ln_tangent(xhat, inv, u),
+        inv * (u - u.mean(axis=-1, keepdims=True)
+               - xhat * (u * xhat).mean(axis=-1, keepdims=True)))
+
+    for shape in ((32, 21, 512), (32, 4, 21, 21)):
+        z = rng.normal(0, 4, shape)
+        g = rng.normal(size=shape)
+        p = ad._softmax(z)
+        assert np.array_equal(ad._softmax_tangent(p, g),
+                              p * (g - (g * p).sum(axis=-1, keepdims=True)))
+        lp = ad.log_softmax(ad.leaf(z))
+        assert np.array_equal(
+            lp._backward(lp, g)[0],
+            g - np.exp(lp.value) * g.sum(axis=-1, keepdims=True))
 
 
 # Forward mode: each dual op's tangent against a finite difference ----------

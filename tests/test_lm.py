@@ -159,15 +159,37 @@ def test_graph_and_numpy_forwards_agree(tiny_store):
         assert np.array_equal(g.value, want)
 
 
+@pytest.mark.parametrize("n_layers", [0, 1, 2])
+@pytest.mark.parametrize("tied", [False, True])
+def test_logits_at_rows_equal_the_full_logits_at_those_rows(n_layers, tied):
+    """`build_logits(..., rows)` runs the final norm and the head on the
+    picked positions only; each row equals the full forward's, bit for
+    bit, repeated and out-of-order positions included."""
+    store = _jittered(lm.ArchConfig(vocab_size=12, context_len=16, d_model=12,
+                                    n_layers=n_layers, n_heads=2,
+                                    tie_output_head=tied), 3)
+    rng = np.random.default_rng(n_layers)
+    toks = rng.integers(0, 12, (4, 9))
+    rows = np.array([[2, 3, 4], [8, 0, 0], [5, 5, 1], [6, 7, 8]])
+    tensors = lm.param_tensors(store)
+    full = lm.build_logits(tensors, store.arch, toks).value
+    got = lm.build_logits(tensors, store.arch, toks, rows).value
+    assert got.shape == (4, 3, 12)
+    assert np.array_equal(got, full[np.arange(4)[:, None], rows])
+
+
 def test_array_kernels_equal_the_numpy_oracle():
+    """Small arrays, and desk-sized MLP activations, logits and attention
+    scores: the kernels compute in place, with the oracle's bits."""
     rng = np.random.default_rng(8)
-    x = rng.normal(0, 3, (4, 5, 16))
-    g, b = rng.normal(size=16), rng.normal(size=16)
-    assert np.array_equal(ad.arrays.softmax(x), _softmax_np(x))
-    assert np.array_equal(ad.arrays.log_softmax(x), _log_softmax_np(x))
-    assert np.array_equal(ad.arrays.gelu(x), _gelu_np(x))
-    assert np.array_equal(ad.arrays.layer_norm(x, g, b),
-                          _layer_norm_np(x, g, b))
+    for shape in ((4, 5, 16), (32, 21, 256), (32, 21, 512), (32, 4, 21, 21)):
+        x = rng.normal(0, 3, shape)
+        g, b = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        assert np.array_equal(ad.arrays.softmax(x), _softmax_np(x))
+        assert np.array_equal(ad.arrays.log_softmax(x), _log_softmax_np(x))
+        assert np.array_equal(ad.arrays.gelu(x), _gelu_np(x))
+        assert np.array_equal(ad.arrays.layer_norm(x, g, b),
+                              _layer_norm_np(x, g, b))
 
 
 @pytest.mark.parametrize("n_layers", [0, 1, 2])

@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from unlearnlab import autodiff as ad
-from unlearnlab import beliefs, lm
+from unlearnlab import beliefs, lm, runner
 from unlearnlab import objectives as ob
 from unlearnlab.errors import ConfigError, DataError
 
@@ -299,3 +301,115 @@ def test_loss_config_validation():
                 dict(lambda_retain=-1.0)]:
         with pytest.raises(ConfigError):
             ob.LossConfig(**bad)
+
+
+# The answer-rows graph against the full-sequence graph ----------------------
+
+
+def _batched_matmul(a, b):
+    """`ad.matmul` with numpy's batched product for every operand shape:
+    one product per leading index, and the weight gradient summed over
+    them."""
+    def fwd(x, y):
+        return x @ y
+
+    def bwd(node, g):
+        x, y = node.inputs[0].value, node.inputs[1].value
+        ga = gb = None
+        if node.inputs[0].needs_grad:
+            ga = ad._unbroadcast(g @ np.swapaxes(y, -1, -2), x.shape)
+        if node.inputs[1].needs_grad:
+            gb = ad._unbroadcast(np.swapaxes(x, -1, -2) @ g, y.shape)
+        return ga, gb
+
+    return ad._node("matmul", (a, b), fwd, bwd)
+
+
+def _full_sequence_graph(store, pairs, tensors):
+    """The sequence log-likelihood graph with the head and the log-softmax
+    over all T positions, gathered to the response rows afterwards, and
+    batched weight products: the reference the answer-rows path is checked
+    against."""
+    tokens, tgt_pos, tgt_ids, mask = ob._pad_batch(pairs)
+    ops = SimpleNamespace(**vars(ad))
+    ops.matmul = _batched_matmul
+    logits = lm._logits(ops, tensors, store.arch, tokens)
+    lp_rows = ad.gather_positions(ad.log_softmax(logits), tgt_pos)
+    lp_y = ad.take_last(lp_rows, tgt_ids)
+    seq_lp = ad.sum_axis(ad.mul(lp_y, ad.constant(mask)), axis=1)
+    return seq_lp, lp_rows, lp_y, tgt_ids, mask
+
+
+def rel_err(a, b):
+    denom = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
+    return np.max(np.abs(a - b)) / denom
+
+
+def _desk_batch(seed, n, vocab):
+    rng = np.random.default_rng(seed)
+    return [(rng.integers(1, vocab, rng.integers(6, 12)).tolist(),
+             rng.integers(1, vocab, rng.integers(1, 5)).tolist())
+            for _ in range(n)]
+
+
+@pytest.fixture()
+def desk_store():
+    store = lm.init_model(runner.desk_arch(), 5)
+    rng = np.random.default_rng(5)
+    for k in store.entries:
+        store.entries[k] = store.entries[k] + rng.normal(
+            0, 0.05, store.entries[k].shape)
+    return store
+
+
+@pytest.mark.parametrize("kind", ["retain", "bst", "bss"])
+def test_answer_rows_gradients_match_the_full_sequence_graph(
+        desk_store, kind, monkeypatch):
+    """Desk arch: the loss value and every parameter gradient agree with
+    the full-sequence graph to 1e-12 relative; the one-GEMM weight
+    gradients sum B*T rows in another order, so bits may differ."""
+    vocab = desk_store.arch.vocab_size
+    forget, retain = _desk_batch(1, 16, vocab), _desk_batch(2, 16, vocab)
+    augs = [beliefs.AugmentedSet(prompt_id=f"p{i}",
+                                 responses=[r for _, r in
+                                            _desk_batch(3 + i, 2, vocab)],
+                                 tau=1.0, seed=0)
+            for i in range(len(forget))]
+    names = sorted(desk_store.entries)
+
+    def run():
+        tensors = lm.param_tensors(desk_store)
+        if kind == "retain":
+            lv = ob.loss_retain(desk_store, retain, tensors)
+        else:
+            cfg = ob.LossConfig(kind=kind, base_loss="bst", lambda_bst=0.3,
+                                k=10, lambda_bss=0.4, lambda_retain=0.5)
+            lv = ob.step_loss(cfg, desk_store, forget, retain, None, augs,
+                              tensors)
+        return lv.value, ad.grad(lv.scalar, [tensors[n] for n in names])
+
+    value, grads = run()
+    monkeypatch.setattr(ob, "_seq_logprob_graph", _full_sequence_graph)
+    want_value, want_grads = run()
+    assert abs(value - want_value) <= 1e-12 * abs(want_value)
+    for name, g, want in zip(names, grads, want_grads):
+        assert rel_err(g, want) <= 1e-12, f"{name}: {rel_err(g, want)}"
+
+
+def test_no_node_holds_full_sequence_logits(desk_store):
+    """The head and the log-softmax run on the R answer rows only: no node
+    of the retain graph, or of a bst step with a retain term, holds a
+    [..., T, V] value."""
+    vocab = desk_store.arch.vocab_size
+    forget = [([1, 2, 3, 4, 5, 6, 7, 8], [9, 10]),
+              ([3, 4, 5, 6, 7, 8, 9, 10], [11, 12])]
+    retain = [([2, 3, 4, 5, 6, 7, 8, 9], [5]),
+              ([6, 1, 2, 3, 4, 5, 6, 7], [2, 3])]
+    t = 10
+    for lv in (ob.loss_retain(desk_store, retain),
+               ob.step_loss(ob.LossConfig(kind="bst", k=10,
+                                          lambda_retain=1.0),
+                            desk_store, forget, retain)):
+        shapes = [n.value.shape for n in ad._topo_order(lv.scalar)]
+        assert (2, 2, vocab) in shapes
+        assert not [s for s in shapes if s[-2:] == (t, vocab)]
