@@ -47,8 +47,13 @@ def topk_support(probs: np.ndarray, k: int) -> np.ndarray:
     v = probs.shape[-1]
     if k < 1 or k > v:
         raise ConfigError(f"k must be in [1, {v}], got {k}")
-    ids = np.broadcast_to(np.arange(v), probs.shape)
-    return np.lexsort((ids, -probs), axis=-1)[..., :k]
+    # Entries below the k-th largest cannot be kept: send them to the end,
+    # so that the stable sort orders the candidates by value, then by id.
+    neg = -probs
+    if k < v:
+        kth = np.partition(neg, k - 1, axis=-1)[..., k - 1:k]
+        neg = np.where(neg <= kth, neg, np.inf)
+    return np.argsort(neg, axis=-1, kind="stable")[..., :k]
 
 
 def _smoothed(probs: np.ndarray, tau: float) -> np.ndarray:

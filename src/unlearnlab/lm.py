@@ -490,9 +490,10 @@ def write_json(doc, path):
     `json.dump(doc, f, sort_keys=True)` plus a newline.
 
     Only the skeleton is walked here: dicts whose keys are all `str`, and
-    lists or tuples that hold a dict. Every other value is a leaf, encoded
-    whole by `json.dumps` (the C encoder), so the document never exists as
-    one string."""
+    lists or tuples whose first element is a dict. Every other value is a
+    leaf, encoded whole by `json.dumps(..., sort_keys=True)` (the C
+    encoder), so the document never exists as one string. A list whose
+    dicts come later is a leaf too, with the same bytes as the walk."""
 
     def emit(node):
         if isinstance(node, dict) and all(isinstance(k, str) for k in node):
@@ -503,8 +504,8 @@ def write_json(doc, path):
                 write(json.dumps(k) + ": ")
                 emit(node[k])
             write("}")
-        elif (isinstance(node, (list, tuple))
-              and any(isinstance(v, dict) for v in node)):
+        elif (isinstance(node, (list, tuple)) and node
+              and isinstance(node[0], dict)):
             write("[")
             for i, v in enumerate(node):
                 if i:

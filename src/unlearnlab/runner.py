@@ -9,7 +9,9 @@ carry no timestamps, so identical inputs give byte-identical files.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
 import itertools
 import math
 import time
@@ -147,19 +149,46 @@ def _pairs(vocab, records) -> list[ob.Pair]:
     return [cp.qa_pair_tokens(vocab, r.question, r.answer) for r in records]
 
 
-def _shuffled_batches(records, batch_size, seed, epoch):
+def _shuffled_batches(items, batch_size, seed, epoch):
     rng = np.random.default_rng([seed, epoch])
-    order = rng.permutation(len(records))
-    for start in range(0, len(records), batch_size):
-        yield [records[i] for i in order[start:start + batch_size]]
+    order = rng.permutation(len(items))
+    for start in range(0, len(items), batch_size):
+        yield [items[i] for i in order[start:start + batch_size]]
 
 
-def _endless_batches(records, batch_size, seed):
+def _endless_batches(items, batch_size, seed):
     for epoch in itertools.count():
-        yield from _shuffled_batches(records, batch_size, seed, epoch)
+        yield from _shuffled_batches(items, batch_size, seed, epoch)
 
 
 # Training --------------------------------------------------------------------
+
+# glibc's mallopt parameters (malloc.h) and the size below which a freed
+# block stays in the process.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_KEEP_FREED_BYTES = 256 << 20
+
+
+@functools.cache
+def _keep_freed_blocks():
+    """Keep the memory a training step frees inside the process, so that
+    the next step reuses it instead of faulting fresh pages in.
+
+    On glibc, blocks up to 256 MB come from the heap rather than from a
+    mapping of their own (M_MMAP_THRESHOLD), and the heap's free top goes
+    back to the kernel only beyond 256 MB (M_TRIM_THRESHOLD). The setting
+    is process-wide and lasts for the life of the process. Where libc has
+    no `mallopt`, nothing changes. Allocation moves addresses only, never
+    values.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _KEEP_FREED_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _KEEP_FREED_BYTES)
 
 
 def train(store: lm.ParamStore, records, vocab, loss_fn, config: RunConfig,
@@ -167,20 +196,28 @@ def train(store: lm.ParamStore, records, vocab, loss_fn, config: RunConfig,
     """The training loop of every run: AdamW on `loss_fn(store, pairs)`
     over shuffled batches of `records`, updating `store` in place.
 
+    Each record is encoded once per call; the batches shuffle the encoded
+    pairs. A step's loss graph and gradients are dropped before the next
+    step builds its own, so one graph is alive at a time, and the first
+    call keeps freed blocks in the process (`_keep_freed_blocks`, which
+    sets glibc's thresholds for the whole process).
+
     Calls `on_epoch(epochs_done)` after each epoch and returns the losses.csv
     rows. A non-finite loss or gradient raises ConfigError naming the step,
     before that step changes the parameters.
     """
     if not records:
         raise DataError("no records to train on (empty split?)")
+    _keep_freed_blocks()
+    pairs = _pairs(vocab, records)
     opt = AdamW(store.entries, config.optimizer)
     total_steps = config.epochs * -(-len(records) // config.batch_size)
     rows = []
     for epoch in range(config.epochs):
-        for batch in _shuffled_batches(records, config.batch_size,
+        for batch in _shuffled_batches(pairs, config.batch_size,
                                        config.seed, epoch):
             step = len(rows)
-            lv = loss_fn(store, _pairs(vocab, batch))
+            lv = loss_fn(store, batch)
             names = sorted(lv.param_tensors)
             grads = ad.grad(lv.scalar, [lv.param_tensors[n] for n in names])
             if not (math.isfinite(lv.value)
@@ -193,6 +230,7 @@ def train(store: lm.ParamStore, records, vocab, loss_fn, config: RunConfig,
             d = lv.diagnostics
             rows.append((step, d["forget_term"], d["retain_term"],
                          d["aug_term"], lv.value))
+            del lv, grads
         if on_epoch is not None:
             on_epoch(epoch + 1)
     return rows
@@ -277,15 +315,16 @@ def run_unlearn(config: RunConfig, reference_checkpoint,
     forget, retain = corp.split("forget"), corp.split("retain")
     if not retain:
         raise DataError("retain split is empty")
-    # retain batches have their own endless shuffle stream
-    retain_batches = _endless_batches(retain, config.batch_size,
-                                      config.seed + 1)
-    aug_ids = itertools.count()
     cfg = config.loss
+    # retain batches have their own endless shuffle stream
+    retain_batches = (_endless_batches(_pairs(corp.vocab, retain),
+                                       config.batch_size, config.seed + 1)
+                      if cfg.lambda_retain > 0 else None)
+    aug_ids = itertools.count()
 
     def loss_fn(store, forget_pairs):
-        retain_pairs = (_pairs(corp.vocab, next(retain_batches))
-                        if cfg.lambda_retain > 0 else None)
+        retain_pairs = (next(retain_batches)
+                        if retain_batches is not None else None)
         augmented = None
         if cfg.kind == "bss":
             counters = [next(aug_ids) for _ in forget_pairs]

@@ -41,6 +41,25 @@ def test_topk_preserves_relative_order():
         assert list(order_in) == list(order_out)
 
 
+def _lexsort_topk(probs, k):
+    """The full-sort reference: ids by descending probability, ties to the
+    lowest id."""
+    ids = np.broadcast_to(np.arange(probs.shape[-1]), probs.shape)
+    return np.lexsort((ids, -probs), axis=-1)[..., :k]
+
+
+@pytest.mark.parametrize("shape", [(6, 12), (2, 3, 12)])
+def test_topk_support_equals_full_lexsort(shape):
+    rng = np.random.default_rng(0)
+    smooth = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    # quarters: ties at the k-th value and exact zeros in most rows
+    coarse = rng.integers(0, 4, size=shape) / 4.0
+    for probs in (smooth, coarse):
+        for k in range(1, shape[-1] + 1):
+            np.testing.assert_array_equal(beliefs.topk_support(probs, k),
+                                          _lexsort_topk(probs, k))
+
+
 def test_topk_k_validation():
     with pytest.raises(ConfigError):
         beliefs.topk_belief(np.ones(3) / 3, 0)

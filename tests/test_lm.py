@@ -677,6 +677,8 @@ _JSON_DOCS = {
     "nested": {"b": {"y": [1.5, 2.5], "x": {"z": None}},
                "a": [{"k": 1, "j": "v"}, {"j": [1, 2]}], "c": 3},
     "list_of_dicts_top": [{"b": 1, "a": 2}, 3, [4.5]],
+    "dict_after_leaf": {"x": [3, {"b": 1, "a": {"d": 0, "c": [1]}}],
+                        "y": ([2.5], {"b": None, "a": 1})},
     "tuples": {"t": ({"b": 1, "a": 2}, 3.0), "u": (1, (2, 3))},
     "dict_below_leaf_list": {"x": [[{"b": 1, "a": 2}]]},
     "empty_dict_top": {},

@@ -1,16 +1,22 @@
 import csv
+import ctypes
 import dataclasses
+import gc
 import itertools
 import json
 import math
 import shutil
+import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from unlearnlab import autodiff as ad
 from unlearnlab import beliefs, cli, corpus as cp, dynamics, lm, runner
 from unlearnlab import judge as jd
+from unlearnlab import objectives as ob
 from unlearnlab.errors import ConfigError, DataError, VocabError
 from unlearnlab.objectives import LossConfig
 from unlearnlab.optim import AdamW, OptimizerConfig, SchedulerConfig, lr_at
@@ -374,6 +380,62 @@ def test_sweep_over_small_grid(small_setup, small_theta_o, tmp_path):
     for row in written:
         for col in ("retain_norm_prob_ratio", "holdout_norm_prob_ratio"):
             assert math.isfinite(float(row[col])), (col, row[col])
+
+
+def test_train_frees_each_step_graph_before_the_next(small_setup, tmp_path):
+    """With the cycle collector off, refcounting alone frees step t's graph
+    (its activation-sized node values) before step t+1 builds its own."""
+    root, corp, make = small_setup
+    cfg = make(tmp_path, epochs=2)
+    refs, alive = [], []
+
+    def loss_fn(store, pairs):
+        alive.append(sum(r() is not None for r in refs))
+        lv = ob.loss_retain(store, pairs)
+        refs[:] = [weakref.ref(n.value) for n in ad._topo_order(lv.scalar)
+                   if n.value.ndim >= 3]
+        assert refs
+        return lv
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        runner.train(lm.init_model(cfg.arch, 0), corp.records, corp.vocab,
+                     loss_fn, cfg)
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert len(alive) == 2 * 2  # 12 records / batch 8 -> 2 batches
+    assert alive == [0] * len(alive)
+
+
+def test_train_encodes_each_record_once(small_setup, tmp_path, monkeypatch):
+    root, corp, make = small_setup
+    cfg = make(tmp_path, epochs=2)
+    calls = []
+    real = cp.qa_pair_tokens
+    monkeypatch.setattr(cp, "qa_pair_tokens",
+                        lambda *a: calls.append(a) or real(*a))
+    runner.train(lm.init_model(cfg.arch, 0), corp.records, corp.vocab,
+                 ob.loss_retain, cfg)
+    assert len(calls) == len(corp.records)
+
+
+def test_keep_freed_blocks_sets_both_thresholds_or_nothing(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL",
+                        lambda name: SimpleNamespace(mallopt=mallopt))
+    runner._keep_freed_blocks.__wrapped__()
+    assert calls == [(-3, 256 << 20), (-1, 256 << 20)]
+    assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+    # a libc without mallopt: nothing is called and nothing raises
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace())
+    assert runner._keep_freed_blocks.__wrapped__() is None
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
