@@ -184,9 +184,13 @@ def finite_diff(root: Node, wrt: Node, epsilon: float) -> np.ndarray:
 # are that expression's.
 
 
-def _softmax(x):
-    # e = exp(x - max); e / e.sum
-    e = x - x.max(axis=-1, keepdims=True)
+def _softmax(x, scale=1.0, mask=None):
+    """softmax(x * scale + mask) over the last axis, in one temporary."""
+    # z = x * scale + mask; e = exp(z - max); e / e.sum
+    e = x * scale
+    if mask is not None:
+        e += mask
+    e -= e.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -283,13 +287,25 @@ def _gelu_slope(x, t=None):
     return out
 
 
+def _matmul_bias(x, w, bias=None):
+    # x @ w + bias
+    out = x @ w
+    if bias is not None:
+        out += bias
+    return out
+
+
+def _gather_positions(x, pos):
+    return x[np.arange(len(pos))[:, None], pos]
+
+
 # The graph ops a model forward uses, on plain arrays: a function written
 # over `ops` builds nodes with `ops=autodiff` and computes the same values
 # without nodes with `ops=autodiff.arrays`.
 arrays = SimpleNamespace(
-    constant=lambda x: x, add=operator.add, matmul=operator.matmul,
-    scale=operator.mul, reshape=np.reshape, transpose=np.transpose,
-    take_rows=lambda table, ids: table[ids], softmax=_softmax,
+    add=operator.add, matmul=_matmul_bias, reshape=np.reshape,
+    transpose=np.transpose, take_rows=lambda table, ids: table[ids],
+    gather_positions=_gather_positions, softmax=_softmax,
     log_softmax=_log_softmax, layer_norm=_layer_norm, gelu=_gelu)
 
 
@@ -300,9 +316,17 @@ class Dual(NamedTuple):
     tangent: np.ndarray
 
 
-def _dual_softmax(a):
-    p = _softmax(a.value)
-    return Dual(p, _softmax_tangent(p, a.tangent))
+def _dual_matmul(a, b, bias=None):
+    tangent = a.tangent @ b.value + a.value @ b.tangent
+    if bias is None:
+        return Dual(a.value @ b.value, tangent)
+    tangent += bias.tangent
+    return Dual(_matmul_bias(a.value, b.value, bias.value), tangent)
+
+
+def _dual_softmax(a, scale=1.0, mask=None):
+    p = _softmax(a.value, scale, mask)
+    return Dual(p, _softmax_tangent(p, a.tangent * scale))
 
 
 def _dual_layer_norm(x, w, b, eps=1e-5):
@@ -316,11 +340,8 @@ def _dual_layer_norm(x, w, b, eps=1e-5):
 # gives, run with `ops=autodiff.duals`, the values `arrays` gives, bit for
 # bit, and with them their derivatives along the inputs' tangents.
 duals = SimpleNamespace(
-    constant=lambda x: Dual(x, np.zeros_like(x)),
     add=lambda a, b: Dual(a.value + b.value, a.tangent + b.tangent),
-    matmul=lambda a, b: Dual(a.value @ b.value,
-                             a.tangent @ b.value + a.value @ b.tangent),
-    scale=lambda a, c: Dual(a.value * c, a.tangent * c),
+    matmul=_dual_matmul,
     reshape=lambda a, shape: Dual(np.reshape(a.value, shape),
                                   np.reshape(a.tangent, shape)),
     transpose=lambda a, axes: Dual(np.transpose(a.value, axes),
@@ -383,15 +404,22 @@ def scale(a: Node, c: float) -> Node:
     return _node("scale", (a,), fwd, bwd)
 
 
-def matmul(a: Node, b: Node) -> Node:
+def matmul(a: Node, b: Node, bias: Node | None = None) -> Node:
+    """a @ b, plus `bias` [n] when given (a weight product only: b is
+    [k, n]). The bias is added in place inside the product's node, so the
+    graph keeps no copy of the product before the bias."""
     if a.value.ndim < 2 or b.value.ndim < 2:
         raise DimensionError("matmul operands must have ndim >= 2")
     if a.value.shape[-1] != b.value.shape[-2]:
         raise DimensionError(
             f"matmul inner dims differ: {a.value.shape} @ {b.value.shape}")
+    if bias is not None and (b.value.ndim != 2
+                             or bias.value.shape != b.value.shape[-1:]):
+        raise DimensionError(f"matmul bias {bias.value.shape} needs a "
+                             f"[k, n] weight and shape [n]: {b.value.shape}")
 
-    if b.value.ndim == 2 and a.value.ndim > 2:
-        return _matmul_weight(a, b)
+    if b.value.ndim == 2 and (a.value.ndim > 2 or bias is not None):
+        return _matmul_weight(a, b, bias)
 
     def fwd(x, y):
         return x @ y
@@ -408,15 +436,17 @@ def matmul(a: Node, b: Node) -> Node:
     return _node("matmul", (a, b), fwd, bwd)
 
 
-def _matmul_weight(a: Node, w: Node) -> Node:
-    """[..., k] @ [k, n] as one 2-D GEMM over the flattened leading axes.
-    The forward gives numpy's batched product bit for bit; the weight
-    gradient is one [k, rows] @ [rows, n] product, where the batched rule
-    makes one per leading index and then sums them."""
+def _matmul_weight(a: Node, w: Node, bias: Node | None) -> Node:
+    """[..., k] @ [k, n] (+ bias) as one 2-D GEMM over the flattened
+    leading axes. The forward gives numpy's batched product, and the bias
+    `add` would give, bit for bit; the weight gradient is one
+    [k, rows] @ [rows, n] product, where the batched rule makes one per
+    leading index and then sums them."""
     k, n = w.value.shape
 
-    def fwd(x, y):
-        return (x.reshape(-1, k) @ y).reshape(x.shape[:-1] + (n,))
+    def fwd(x, y, *b):
+        return _matmul_bias(x.reshape(-1, k), y, *b).reshape(
+            x.shape[:-1] + (n,))
 
     def bwd(node, g):
         x, y = node.inputs[0].value, node.inputs[1].value
@@ -426,9 +456,14 @@ def _matmul_weight(a: Node, w: Node) -> Node:
             ga = (g2 @ np.ascontiguousarray(y.T)).reshape(x.shape)
         if node.inputs[1].needs_grad:
             gb = x.reshape(-1, k).T @ g2
-        return ga, gb
+        if bias is None:
+            return ga, gb
+        # the bias `add`'s gradient: summed over the leading axes
+        gbias = _unbroadcast(g, (n,)) if node.inputs[2].needs_grad else None
+        return ga, gb, gbias
 
-    return _node("matmul", (a, w), fwd, bwd)
+    return _node("matmul", (a, w) if bias is None else (a, w, bias), fwd,
+                 bwd)
 
 
 def reshape(a: Node, shape) -> Node:
@@ -541,13 +576,21 @@ def mean_all(a: Node) -> Node:
     return _node("mean", (a,), fwd, bwd)
 
 
-def softmax(a: Node) -> Node:
-    """Stable softmax over the last axis."""
+def softmax(a: Node, scale: float = 1.0, mask=None) -> Node:
+    """Stable softmax(a * scale + mask) over the last axis, as one node:
+    the graph keeps no scaled or masked copy of `a`. `mask` is a constant
+    array that broadcasts against `a` (attention's causal mask)."""
+    scale = float(scale)
+
+    def fwd(x):
+        return _softmax(x, scale, mask)
 
     def bwd(node, g):
-        return (_softmax_tangent(node.value, g),)
+        out = _softmax_tangent(node.value, g)
+        out *= scale
+        return (out,)
 
-    return _node("softmax", (a,), _softmax, bwd)
+    return _node("softmax", (a,), fwd, bwd)
 
 
 def log_softmax(a: Node) -> Node:

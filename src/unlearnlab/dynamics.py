@@ -267,7 +267,8 @@ def squeeze_trace(checkpoints: list[lm.ParamStore], prompts,
 
     Candidates are beam-searched once from checkpoints[0] and band
     membership is frozen from checkpoint-0 scores, so the trace measures
-    mass movement.
+    mass movement. Each checkpoint scores every prompt's candidates in one
+    `lm.response_logits` call.
     `exclude_responses`, when given, drops the exact reference response from
     each prompt's candidate pool (the suppressed target is not a neighbor).
     """
@@ -277,8 +278,7 @@ def squeeze_trace(checkpoints: list[lm.ParamStore], prompts,
     if not prompts:
         raise DataError("need at least one prompt")
     original = checkpoints[0]
-    traces = []
-    n_epochs = len(checkpoints)
+    pairs, spans = [], []  # spans[pi]: prompt pi's candidates in `pairs`
     for pi, (prompt_id, prompt) in enumerate(prompts):
         cands = [tuple(t) for t, _ in lm.decode(
             original, prompt, lm.Beam(beam_width), max_len, eos_id=eos_id)]
@@ -289,15 +289,22 @@ def squeeze_trace(checkpoints: list[lm.ParamStore], prompts,
             raise DataError(
                 f"prompt {prompt_id}: only {len(cands)} candidates; bands "
                 "degenerate below 5")
-        pairs = [(prompt, c) for c in cands]
-        scores = np.zeros((n_epochs, len(cands)))
-        for e, ck in enumerate(checkpoints):
-            for j, logits in lm.response_logits(ck, pairs):
-                lp = ad.arrays.log_softmax(logits)
-                scores[e, j] = lp[np.arange(len(cands[j])), cands[j]].sum()
+        spans.append(slice(len(pairs), len(pairs) + len(cands)))
+        pairs += [(prompt, c) for c in cands]
+    # One scorer call per checkpoint over every prompt's candidates: a
+    # pair's logits do not depend on the other pairs in the call.
+    all_scores = np.zeros((len(checkpoints), len(pairs)))
+    for e, ck in enumerate(checkpoints):
+        for j, logits in lm.response_logits(ck, pairs):
+            resp = pairs[j][1]
+            lp = ad.arrays.log_softmax(logits)
+            all_scores[e, j] = lp[np.arange(len(resp)), resp].sum()
+    traces = []
+    for (prompt_id, _), span in zip(prompts, spans):
+        scores = all_scores[:, span]
         band_list = _assign_bands(scores[0])
-        cand_ids = [f"{prompt_id}_c{j}" for j in range(len(cands))]
-        per_epoch = np.zeros((n_epochs, 3))
+        cand_ids = [f"{prompt_id}_c{j}" for j in range(scores.shape[1])]
+        per_epoch = np.zeros((len(checkpoints), 3))
         sizes = {}
         for bi, b in enumerate(BANDS):
             sel = [j for j, bb in enumerate(band_list) if bb == b]

@@ -6,9 +6,11 @@ The transformer is written once, in `_logits`, over an op set. Run over
 the autodiff ops (`build_logits`) it builds the graph that loss builders and
 the dynamics checks differentiate; run over the plain-array kernels of
 `autodiff.arrays` (`batch_logits`) it backs scoring, decoding and sampling
-without building nodes. Both compute the same values, bit for bit. A loss
-builder passes the positions it scores as `rows`, so that the final norm
-and the head run on those positions only ([B, R, V] logits).
+without building nodes. Both compute the same values, bit for bit. Every
+caller that reads only some positions passes them as `rows` (a loss
+builder and the scorer their response positions, a decode prefill the
+last position), so that the last block from its queries on, the final
+norm and the head run on those positions only ([B, R, V] logits).
 Decoding prefills a key/value cache with one forward of the prompts and
 then steps one position at a time through the same `_logits`.
 """
@@ -30,8 +32,9 @@ from .errors import (ConfigError, ContractError, DataError, LengthError,
                      VocabError)
 
 NEG_INF = -1e30
-# Rows per batched forward. Caps the [rows, T, vocab] logits block, so
-# memory does not grow with the number of sequences scored.
+# Sequences per batched forward. Caps a scoring forward's [rows, T, d]
+# hidden states and [rows, R, vocab] logits, so memory does not grow with
+# the number of sequences scored.
 MAX_BATCH_ROWS = 64
 
 
@@ -184,10 +187,14 @@ def _check_tokens(arch: ArchConfig, tokens, start: int = 0):
     return tokens
 
 
-def _causal_mask(t: int, start: int = 0) -> np.ndarray:
+def _causal_mask(t: int, start: int = 0, rows=None) -> np.ndarray:
     """[1, 1, t, start + t]: query i (at position start + i) sees keys
-    0..start + i."""
-    return np.triu(np.full((t, start + t), NEG_INF), k=start + 1)[None, None]
+    0..start + i. With `rows` [B, R], the rows of the queries at those
+    positions: [B, 1, R, start + t]."""
+    if rows is None:
+        rows = np.arange(t)[None]
+    keys = np.arange(start + t)
+    return np.where(keys > (start + rows)[:, None, :, None], NEG_INF, 0.0)
 
 
 @dataclass
@@ -205,15 +212,22 @@ class _Cache:
 
 def _logits(ops, params, arch: ArchConfig, tokens, cache=None, rows=None):
     """The transformer, written once over an op set: `ops` is the autodiff
-    module (`params` holds nodes, the result is a logits node) or
-    `autodiff.arrays` (`params` holds arrays, the result is an array). Token
-    ids [B, T] -> logits [B, T, V].
+    module (`params` holds nodes, the result is a logits node),
+    `autodiff.arrays` (`params` holds arrays, the result is an array) or
+    `autodiff.duals`. Token ids [B, T] -> logits [B, T, V].
 
-    `rows` [B, R] (with the autodiff module only) picks, per row, the R
-    positions whose logits are wanted: the final norm and the head then run
-    on those R hidden states alone, and the result is [B, R, V]. Both act
-    on each position by itself, so the logits equal those positions' rows
-    of the full [B, T, V], bit for bit.
+    `rows` [B, R] (autodiff or arrays) picks, per row, the R positions
+    whose logits are wanted, and the result is [B, R, V]. The last block
+    still computes keys and values at all T positions (and fills the
+    cache), but its queries, attention, output projection, residual,
+    second norm and MLP run on the R picked rows alone, under the causal
+    mask's rows at those positions; so do the final norm and the head.
+    With no blocks, the rows are picked before the final norm. Every op
+    treats each row by itself, so the logits equal those positions' rows of
+    the full [B, T, V], bit for bit, repeated and out-of-order positions
+    included. A one-row product would take BLAS's matrix-vector path,
+    which sums in another order, so a one-row pick is run as two copies of
+    that row.
 
     `cache` (a `_Cache`, with `autodiff.arrays` only) holds the keys and
     values of P earlier positions of the same B rows. The tokens then sit at
@@ -225,20 +239,25 @@ def _logits(ops, params, arch: ArchConfig, tokens, cache=None, rows=None):
     b, t = tokens.shape
     d, h = arch.d_model, arch.n_heads
     dh = d // h
+    n_out = None
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+        n_out = rows.shape[1]
+        if n_out == 1:
+            rows = np.repeat(rows, 2, axis=1)
     x = ops.take_rows(params["tok_emb"], tokens)
     x = ops.add(x, ops.take_rows(params["pos_emb"],
                                  np.arange(start, start + t)))
-    mask = ops.constant(_causal_mask(t, start))
+    mask = _causal_mask(t, start)
 
-    def heads(z):  # [B, T, D] -> [B, H, T, dh]
-        return ops.transpose(ops.reshape(z, (b, t, h, dh)), (0, 2, 1, 3))
+    def heads(z, n):  # [B, n, D] -> [B, H, n, dh]
+        return ops.transpose(ops.reshape(z, (b, n, h, dh)), (0, 2, 1, 3))
 
     for i in range(arch.n_layers):
         p = f"layers.{i}."
         a = ops.layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"])
-        q = heads(ops.matmul(a, params[p + "attn.wq"]))
-        k = heads(ops.matmul(a, params[p + "attn.wk"]))
-        v = heads(ops.matmul(a, params[p + "attn.wv"]))
+        k = heads(ops.matmul(a, params[p + "attn.wk"]), t)
+        v = heads(ops.matmul(a, params[p + "attn.wv"]), t)
         if cache is not None:
             if start:
                 k = np.concatenate([cache.kv[i][0], k], axis=2)
@@ -246,37 +265,50 @@ def _logits(ops, params, arch: ArchConfig, tokens, cache=None, rows=None):
                 cache.kv[i] = (k, v)
             else:
                 cache.kv.append((k, v))
-        att = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))),
-                        1.0 / math.sqrt(dh))
-        att = ops.softmax(ops.add(att, mask))
+        n = t
+        if rows is not None and i == arch.n_layers - 1:
+            x = ops.gather_positions(x, rows)
+            a = ops.gather_positions(a, rows)
+            mask = _causal_mask(t, start, rows)
+            n = rows.shape[1]
+        q = heads(ops.matmul(a, params[p + "attn.wq"]), n)
+        att = ops.softmax(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))),
+                          1.0 / math.sqrt(dh), mask)
         o = ops.matmul(att, v)
-        o = ops.reshape(ops.transpose(o, (0, 2, 1, 3)), (b, t, d))
+        o = ops.reshape(ops.transpose(o, (0, 2, 1, 3)), (b, n, d))
         x = ops.add(x, ops.matmul(o, params[p + "attn.wo"]))
         m = ops.layer_norm(x, params[p + "ln2.g"], params[p + "ln2.b"])
-        m = ops.gelu(ops.add(ops.matmul(m, params[p + "mlp.w1"]),
-                             params[p + "mlp.b1"]))
-        m = ops.add(ops.matmul(m, params[p + "mlp.w2"]), params[p + "mlp.b2"])
-        x = ops.add(x, m)
+        m = ops.gelu(ops.matmul(m, params[p + "mlp.w1"], params[p + "mlp.b1"]))
+        x = ops.add(x, ops.matmul(m, params[p + "mlp.w2"],
+                                  params[p + "mlp.b2"]))
     if cache is not None:
         cache.pos += t
-    if rows is not None:
+    if rows is not None and not arch.n_layers:
         x = ops.gather_positions(x, rows)
     x = ops.layer_norm(x, params["ln_f.g"], params["ln_f.b"])
     if arch.tie_output_head:
-        return ops.matmul(x, ops.transpose(params["tok_emb"], (1, 0)))
-    return ops.matmul(x, params["head"])
+        logits = ops.matmul(x, ops.transpose(params["tok_emb"], (1, 0)))
+    else:
+        logits = ops.matmul(x, params["head"])
+    if n_out == 1:
+        logits = ops.gather_positions(logits, np.zeros((b, 1), np.int64))
+    return logits
 
 
 def build_logits(tensors: dict[str, ad.Node], arch: ArchConfig,
                  tokens, rows=None) -> ad.Node:
     """Autodiff-graph forward: token ids [B, T] -> logits node [B, T, V],
-    or [B, R, V] at the positions `rows` [B, R] when given (see
-    `_logits`)."""
+    or [B, R, V] at the positions `rows` [B, R] when given. With rows, the
+    graph holds the last block's queries, attention and MLP, the final norm
+    and the head at the R rows only (see `_logits`)."""
     return _logits(ad, tensors, arch, tokens, None, rows)
 
 
-def batch_logits(store: ParamStore, tokens) -> np.ndarray:
-    """Teacher-forced logits of equal-length rows: [B, T] ids -> [B, T, V].
+def batch_logits(store: ParamStore, tokens, rows=None) -> np.ndarray:
+    """Teacher-forced logits of equal-length rows: [B, T] ids -> [B, T, V],
+    or [B, R, V] at the positions `rows` [B, R] when given, computed as
+    `build_logits` computes them (the last block from its queries on, the
+    final norm and the head run at those rows only).
 
     The same function as `build_logits`, run on plain arrays, so the values
     are the graph's bit for bit. The batch only adds a leading axis to every
@@ -285,7 +317,7 @@ def batch_logits(store: ParamStore, tokens) -> np.ndarray:
     attention softmax then sums over more key positions, which regroups its
     terms.
     """
-    return _logits(ad.arrays, store.entries, store.arch, tokens)
+    return _logits(ad.arrays, store.entries, store.arch, tokens, None, rows)
 
 
 def length_groups(seqs) -> list[list[int]]:
@@ -307,18 +339,26 @@ def response_logits(store: ParamStore, pairs):
 
     Pairs are forwarded in exact-length groups of at most MAX_BATCH_ROWS
     (`length_groups`), so a pair's rows equal its one-pair forward bit for
-    bit, whatever else is in the call. Pairs come out group by group, and
-    only one group's logits are held at a time.
+    bit, whatever else is in the call. Each forward passes the response
+    positions as `rows`, so the last block's queries and MLP, the final
+    norm and the head run on those positions only; a pair with a shorter
+    response than its group's longest repeats its last position. Pairs come
+    out group by group, and only one group's logits are held at a time.
     """
     pairs = [(list(p), list(r)) for p, r in pairs]
     if not all(p for p, _ in pairs):
         raise ContractError("prompt must be non-empty")
     seqs = [p + r for p, r in pairs]
-    for rows in length_groups(seqs):
-        logits = batch_logits(store, [seqs[i] for i in rows])
-        for r, i in enumerate(rows):
-            start = len(pairs[i][0]) - 1
-            yield i, logits[r, start:start + len(pairs[i][1])]
+    for group in length_groups(seqs):
+        n_rows = max(1, *(len(pairs[i][1]) for i in group))
+        rows = []
+        for i in group:
+            first = len(pairs[i][0]) - 1
+            last = first + max(len(pairs[i][1]) - 1, 0)
+            rows.append(np.minimum(np.arange(first, first + n_rows), last))
+        logits = batch_logits(store, [seqs[i] for i in group], rows)
+        for r, i in enumerate(group):
+            yield i, logits[r, :len(pairs[i][1])]
 
 
 def token_logprobs(store: ParamStore, prompt, response) -> np.ndarray:
@@ -335,6 +375,16 @@ def sequence_logprob(store: ParamStore, prompt, response) -> float:
     """Sum of response-token log-probabilities under teacher forcing; a
     one-pair oracle, like `token_logprobs`."""
     return float(token_logprobs(store, prompt, response).sum())
+
+
+def _last_logits(store: ParamStore, step_in, cache: _Cache) -> np.ndarray:
+    """Logits [B, V] at the last position of `step_in` [B, T], continuing
+    `cache`. A prefill (T > 1) passes that position as `rows`, so the last
+    block's queries, the final norm and the head run there only."""
+    b, t = np.shape(step_in)
+    rows = np.full((b, 1), t - 1) if t > 1 else None
+    return _logits(ad.arrays, store.entries, store.arch, step_in, cache,
+                   rows)[:, -1]
 
 
 def decode(store: ParamStore, prompt, strategy, max_len: int,
@@ -397,8 +447,7 @@ def decode_batch(store: ParamStore, prompts, strategies, max_len: int,
         step_in = np.asarray([prompts[i] for i in rows], dtype=np.int64)
         cache = _Cache()
         for _ in range(min(max_len, ctx - step_in.shape[1])):
-            logits = _logits(ad.arrays, store.entries, store.arch, step_in,
-                             cache)[:, -1]
+            logits = _last_logits(store, step_in, cache)
             lp = ad.arrays.log_softmax(logits)
             nxt = lp.argmax(axis=-1)
             if sampled.any():
@@ -446,8 +495,7 @@ def _beam_decode(store, prompt, width, max_len, eos_id):
                 cache = cache.take([b[3] for b in open_beams])
                 step_in = np.asarray([[b[0][-1]] for b in open_beams],
                                      dtype=np.int64)
-            step = ad.arrays.log_softmax(_logits(
-                ad.arrays, store.entries, store.arch, step_in, cache)[:, -1])
+            step = ad.arrays.log_softmax(_last_logits(store, step_in, cache))
             total = np.asarray([b[1] for b in open_beams])[:, None] + step
             # stable: equal totals keep id order, lowest id first
             top = np.argsort(-total, axis=-1, kind="stable")[:, :width]

@@ -26,7 +26,7 @@ from . import lm, objectives as ob, schema
 from .errors import ConfigError, DataError, JudgeUnavailableError
 from .optim import AdamW, OptimizerConfig, SchedulerConfig, lr_at
 
-ARTIFACT_VERSION = "0.5.0"
+ARTIFACT_VERSION = "0.6.0"
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,9 @@ class RunConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.checkpoint_every < 1:
             raise ConfigError("checkpoint_every must be >= 1")
+        for name in ("squeeze_prompts", "beam_width", "squeeze_max_len"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
 
     def to_dict(self):
         return dataclasses.asdict(self)

@@ -18,7 +18,9 @@ note on what changed, or the side it is only on. It exits 0 when every file
 is equal, 1 otherwise.
 
 The matrix itself runs in a child process (`--run WORK`) whose PYTHONPATH
-holds the `src` directory under test, with BLAS pinned to one thread.
+holds the `src` directory under test, with BLAS pinned to one thread
+(`run_matrix` takes another thread count, and can run a subset of the
+steps).
 """
 
 from __future__ import annotations
@@ -87,8 +89,9 @@ def _steps(work: Path, seed: int, loss_kinds, base_kinds):
     return steps
 
 
-def _run_here(work: Path, seed: int):
-    """Run every step with the importable `unlearnlab` (the child side)."""
+def _run_here(work: Path, seed: int, names=None):
+    """Run every step, or the steps whose output directory is in `names`,
+    with the importable `unlearnlab` (the child side)."""
     from unlearnlab import cli
     from unlearnlab.objectives import BASE_KINDS, LOSS_KINDS
 
@@ -96,6 +99,8 @@ def _run_here(work: Path, seed: int):
     cfg_dir.mkdir(parents=True)
     for i, (command, name, doc) in enumerate(
             _steps(work, seed, LOSS_KINDS, BASE_KINDS)):
+        if names is not None and name not in names:
+            continue
         cfg = cfg_dir / f"{i:02d}_{name}.json"
         cfg.write_text(json.dumps(doc))
         code = cli.main([command, "--config", str(cfg),
@@ -104,14 +109,20 @@ def _run_here(work: Path, seed: int):
             raise SystemExit(f"byte_matrix: {command} ({name}) exited {code}")
 
 
-def run_matrix(src: Path, work: Path, seed: int = SEED) -> dict[str, str]:
-    """Run the matrix with the package under `src` in a child process;
-    returns {output path relative to the output root: sha256}."""
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
+def run_matrix(src: Path, work: Path, seed: int = SEED, threads: int = 1,
+               steps=None) -> dict[str, str]:
+    """Run the matrix with the package under `src` in a child process with
+    BLAS at `threads` threads; returns {output path relative to the output
+    root: sha256}. `steps`, when given, names the output directories of the
+    steps to run (a step needs the steps whose outputs it reads)."""
+    env = dict(os.environ, PYTHONPATH=str(src),
+               OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               PYTHONDONTWRITEBYTECODE="1")
+    only = [] if steps is None else ["--steps", ",".join(steps)]
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--run", str(work),
-         "--seed", str(seed)], env=env, capture_output=True, text=True)
+         "--seed", str(seed), *only], env=env, capture_output=True,
+        text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"matrix under {src} failed:\n{proc.stderr}")
     return {rel: hashlib.sha256(data).hexdigest()
@@ -237,9 +248,11 @@ def main(argv=None) -> int:
                         help="compare REV's outputs with the working tree's")
     parser.add_argument("--seed", type=int, default=SEED)
     parser.add_argument("--run", metavar="WORK", help=argparse.SUPPRESS)
+    parser.add_argument("--steps", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.run:
-        _run_here(Path(args.run), args.seed)
+        _run_here(Path(args.run), args.seed,
+                  args.steps.split(",") if args.steps else None)
         return 0
     with tempfile.TemporaryDirectory(prefix="byte_matrix_") as tmp:
         tmp = Path(tmp)

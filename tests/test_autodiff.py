@@ -139,6 +139,7 @@ def _fd_case(name):
         "matmul": [(2, 3), (3, 2)],
         "matmul_batched": [(2, 2, 3), (3, 2)],
         "matmul_weight_4d": [(2, 2, 2, 3), (3, 2)],
+        "matmul_bias": [(2, 2, 3), (3, 2), (2,)],
         "reshape": [(2, 3)],
         "transpose": [(2, 3)],
         "take_rows": [(4, 3)],
@@ -147,6 +148,7 @@ def _fd_case(name):
         "element": [(2, 3)],
         "sum_axis": [(2, 3)],
         "softmax": [(2, 4)],
+        "softmax_scale_mask": [(2, 2, 3, 4)],
         "log_softmax": [(2, 4)],
         "layer_norm": [(2, 4), (4,), (4,)],
         "gelu": [(2, 3)],
@@ -162,6 +164,7 @@ def _fd_case(name):
         "matmul": lambda a, b: ad.matmul(a, b),
         "matmul_batched": lambda a, b: ad.matmul(a, b),
         "matmul_weight_4d": lambda a, b: ad.matmul(a, b),
+        "matmul_bias": lambda a, b, c: ad.matmul(a, b, c),
         "reshape": lambda a: ad.reshape(a, (3, 2)),
         "transpose": lambda a: ad.transpose(a, (1, 0)),
         "take_rows": lambda a: ad.take_rows(a, np.array([[0, 2], [3, 2]])),
@@ -171,6 +174,7 @@ def _fd_case(name):
         "element": lambda a: ad.element(a, (1, 2)),
         "sum_axis": lambda a: ad.sum_axis(a, axis=1),
         "softmax": lambda a: ad.softmax(a),
+        "softmax_scale_mask": lambda a: ad.softmax(a, -0.7, _MASK),
         "log_softmax": lambda a: ad.log_softmax(a),
         "layer_norm": lambda a, g, b: ad.layer_norm(a, g, b),
         "gelu": lambda a: ad.gelu(a),
@@ -179,11 +183,15 @@ def _fd_case(name):
     return rng_shapes[name], builders[name]
 
 
+# A causal mask for 3 queries at positions 1..3 over 4 keys.
+_MASK = np.triu(np.full((3, 4), -1e30), k=2)[None, None]
+
 ALL_OPS = ["add", "add_broadcast", "sub", "mul", "mul_broadcast", "scale",
-           "matmul", "matmul_batched", "matmul_weight_4d", "reshape",
-           "transpose", "take_rows", "take_last", "gather_positions",
-           "element", "sum_axis", "softmax", "log_softmax", "layer_norm",
-           "gelu", "softplus"]
+           "matmul", "matmul_batched", "matmul_weight_4d", "matmul_bias",
+           "reshape", "transpose", "take_rows", "take_last",
+           "gather_positions", "element", "sum_axis", "softmax",
+           "softmax_scale_mask", "log_softmax", "layer_norm", "gelu",
+           "softplus"]
 
 
 @pytest.mark.parametrize("op", ALL_OPS)
@@ -291,6 +299,66 @@ def test_weight_matmul_with_a_constant_operand(frozen):
     assert rel_err(g, ad.finite_diff(root, live, 1e-5)) <= 1e-8
 
 
+# Folded nodes: the bits of the composed ops they replace -------------------
+
+
+def _forward_and_grads(build, values, seed):
+    leaves = [ad.leaf(v) for v in values]
+    out = build(*leaves)
+    w = ad.constant(np.random.default_rng(seed).uniform(-1, 1, out.shape))
+    return out.value, ad.grad(ad.mean_all(ad.mul(out, w)), leaves)
+
+
+_SCALE = 1.0 / np.sqrt(6.0)
+_DESK_MASK = np.triu(np.full((21, 21), -1e30), k=1)[None, None]
+# fold -> (operand shapes, the folded op over `ops`, the composed graph
+# ops it replaces, the composed dual ops it replaces)
+_FOLDS = {
+    "matmul_bias": (
+        [(32, 21, 64), (64, 256), (256,)],
+        lambda ops, a, w, b: ops.matmul(a, w, b),
+        lambda a, w, b: ad.add(ad.matmul(a, w), b),
+        lambda a, w, b: ad.duals.add(ad.duals.matmul(a, w), b)),
+    "softmax_scale_mask": (
+        [(32, 4, 21, 21)],
+        lambda ops, a: ops.softmax(a, _SCALE, _DESK_MASK),
+        lambda a: ad.softmax(ad.add(ad.scale(a, _SCALE),
+                                    ad.constant(_DESK_MASK))),
+        lambda a: ad.duals.softmax(ad.duals.add(
+            ad.Dual(a.value * _SCALE, a.tangent * _SCALE),
+            ad.Dual(_DESK_MASK, np.zeros_like(_DESK_MASK))))),
+}
+
+
+@pytest.mark.parametrize("fold", sorted(_FOLDS))
+def test_folded_node_equals_the_composed_ops_bit_for_bit(fold):
+    """`matmul(a, w, bias)` against `add(matmul(a, w), bias)`, and
+    `softmax(a, scale, mask)` against `softmax(add(scale(a), mask))`, at
+    desk sizes: the graph node's forward and every gradient, the plain-array
+    value and the dual tangent, bit for bit."""
+    shapes, folded, composed, composed_dual = _FOLDS[fold]
+    rng = np.random.default_rng(14)
+    values = [rng.normal(size=s) for s in shapes]
+    got = _forward_and_grads(lambda *a: folded(ad, *a), values, 15)
+    want = _forward_and_grads(composed, values, 15)
+    assert np.array_equal(got[0], want[0])
+    for g, w in zip(got[1], want[1]):
+        assert np.array_equal(g, w)
+    assert np.array_equal(folded(ad.arrays, *values), want[0])
+    duals = [ad.Dual(v, rng.normal(size=v.shape)) for v in values]
+    got_dual, want_dual = folded(ad.duals, *duals), composed_dual(*duals)
+    assert np.array_equal(got_dual.value, want[0])
+    assert np.array_equal(got_dual.tangent, want_dual.tangent)
+
+
+def test_matmul_bias_needs_a_weight_and_an_n_vector():
+    a, w = ad.leaf(np.ones((2, 3, 4))), ad.leaf(np.ones((4, 5)))
+    with pytest.raises(DimensionError):
+        ad.matmul(a, w, ad.leaf(np.ones(4)))
+    with pytest.raises(DimensionError):
+        ad.matmul(a, ad.leaf(np.ones((2, 4, 5))), ad.leaf(np.ones(5)))
+
+
 # In-place kernels: the bits of the plain expressions they replace ----------
 # (test_lm.py pins the forward kernels that `autodiff.arrays` exposes)
 
@@ -336,17 +404,19 @@ def test_in_place_derivative_kernels_keep_the_bits_of_the_plain_expressions():
 # Forward mode: each dual op's tangent against a finite difference ----------
 
 
+# Keyed by op name, or by "op:variant" for a further signature of an op.
 DUAL_CASES = {
-    "constant": ([(2, 3)],
-                 lambda ops, a: ops.add(a, ops.constant(np.ones((2, 3))))),
     "add": ([(2, 3), (3,)], lambda ops, a, b: ops.add(a, b)),
     "matmul": ([(2, 2, 3), (3, 4)], lambda ops, a, b: ops.matmul(a, b)),
-    "scale": ([(2, 3)], lambda ops, a: ops.scale(a, -1.7)),
+    "matmul:bias": ([(2, 2, 3), (3, 4), (4,)],
+                    lambda ops, a, b, c: ops.matmul(a, b, c)),
     "reshape": ([(2, 3)], lambda ops, a: ops.reshape(a, (3, 2))),
     "transpose": ([(2, 3, 4)], lambda ops, a: ops.transpose(a, (0, 2, 1))),
     "take_rows": ([(4, 3)],
                   lambda ops, a: ops.take_rows(a, np.array([[0, 2], [3, 2]]))),
     "softmax": ([(2, 4)], lambda ops, a: ops.softmax(a)),
+    "softmax:scale_mask": ([(2, 2, 3, 4)],
+                           lambda ops, a: ops.softmax(a, -0.7, _MASK)),
     "layer_norm": ([(2, 4), (4,), (4,)],
                    lambda ops, a, g, b: ops.layer_norm(a, g, b)),
     "gelu": ([(2, 3)], lambda ops, a: ops.gelu(a)),
@@ -354,7 +424,7 @@ DUAL_CASES = {
 
 
 def test_dual_cases_cover_every_dual_op():
-    assert set(DUAL_CASES) == set(vars(ad.duals))
+    assert {case.split(":")[0] for case in DUAL_CASES} == set(vars(ad.duals))
 
 
 @pytest.mark.parametrize("op", sorted(DUAL_CASES))

@@ -1,7 +1,7 @@
 """The byte-identity matrix (`tests/byte_matrix.py`): a rerun of the CLI
-matrix on the working tree writes the same bytes, the comparison sees a
-changed seed, and `describe` tells a change of encoding from a change of
-value."""
+matrix on the working tree writes the same bytes, so does a run with BLAS
+at two threads, the comparison sees a changed seed, and `describe` tells a
+change of encoding from a change of value."""
 
 import base64
 import json
@@ -25,6 +25,18 @@ def test_byte_matrix_rerun_equal_and_seed_change_detected(tmp_path):
                                                seed=bm.SEED + 1))
     assert "changed" in reseeded.values()
     assert reseeded["finetune/ckpt_final.json"] == "changed"
+
+
+def test_blas_thread_count_does_not_change_the_bytes(tmp_path):
+    """The matrix's finetune and bst unlearning (with its retain term)
+    write the same bytes with BLAS at 1 and at 2 threads."""
+    src = bm.ROOT / "src"
+    steps = ("corpus", "finetune", "unlearn_bst")
+    one = bm.run_matrix(src, tmp_path / "t1", threads=1, steps=steps)
+    two = bm.run_matrix(src, tmp_path / "t2", threads=2, steps=steps)
+    assert {rel.split("/")[0] for rel in one} == set(steps)
+    assert "unlearn_bst/ckpt_final.json" in one
+    assert set(bm.compare(one, two).values()) == {"equal"}
 
 
 def _checkpoint_bytes(values, encode):

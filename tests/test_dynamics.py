@@ -322,6 +322,43 @@ def test_squeeze_trace_structure(mini_trained):
     assert rows[0][:2] == (0, "high")
 
 
+def test_squeeze_trace_scores_all_prompts_in_one_call_per_checkpoint(
+        mini_trained, monkeypatch):
+    """One scorer call per checkpoint over every prompt's candidates, and
+    each prompt's trace equals its trace when traced alone, bit for bit."""
+    from unlearnlab import corpus as cp
+    corp, store = mini_trained
+    recs = corp.split("forget")[:3]
+    prompts, refs = [], []
+    for r in recs:
+        p, a = cp.qa_pair_tokens(corp.vocab, r.question, r.answer)
+        prompts.append((r.id, p))
+        refs.append(a)
+    second = store.snapshot()
+    rng = np.random.default_rng(1)
+    for k in second.entries:
+        second.entries[k] = second.entries[k] + rng.normal(
+            0, 0.01, second.entries[k].shape)
+    calls, scorer = [], lm.response_logits
+
+    def counted(ck, pairs):
+        calls.append(len(pairs))
+        return scorer(ck, pairs)
+
+    monkeypatch.setattr(lm, "response_logits", counted)
+    kw = dict(beam_width=12, max_len=10, eos_id=corp.vocab.eos)
+    traces, _ = dy.squeeze_trace([store, second], prompts,
+                                 exclude_responses=refs, **kw)
+    assert len(calls) == 2
+    assert calls[0] == sum(len(t.band_of) for t in traces)
+    for (prompt, ref), t in zip(zip(prompts, refs), traces):
+        [alone], _ = dy.squeeze_trace([store, second], [prompt],
+                                      exclude_responses=[ref], **kw)
+        assert alone.band_of == t.band_of
+        assert np.array_equal(alone.per_epoch_mean_logprob,
+                              t.per_epoch_mean_logprob)
+
+
 def test_squeeze_trace_needs_five_candidates(mini_trained):
     corp, store = mini_trained
     with pytest.raises(DataError):

@@ -162,9 +162,11 @@ def test_graph_and_numpy_forwards_agree(tiny_store):
 @pytest.mark.parametrize("n_layers", [0, 1, 2])
 @pytest.mark.parametrize("tied", [False, True])
 def test_logits_at_rows_equal_the_full_logits_at_those_rows(n_layers, tied):
-    """`build_logits(..., rows)` runs the final norm and the head on the
-    picked positions only; each row equals the full forward's, bit for
-    bit, repeated and out-of-order positions included."""
+    """`build_logits(..., rows)` and `batch_logits(..., rows)` run the last
+    block from its queries on, the final norm and the head on the picked
+    positions only; each row equals the full forward's, bit for bit,
+    repeated and out-of-order positions included, and so does a one-row
+    request (R = 1), of one sequence or of several."""
     store = _jittered(lm.ArchConfig(vocab_size=12, context_len=16, d_model=12,
                                     n_layers=n_layers, n_heads=2,
                                     tie_output_head=tied), 3)
@@ -173,9 +175,13 @@ def test_logits_at_rows_equal_the_full_logits_at_those_rows(n_layers, tied):
     rows = np.array([[2, 3, 4], [8, 0, 0], [5, 5, 1], [6, 7, 8]])
     tensors = lm.param_tensors(store)
     full = lm.build_logits(tensors, store.arch, toks).value
-    got = lm.build_logits(tensors, store.arch, toks, rows).value
-    assert got.shape == (4, 3, 12)
-    assert np.array_equal(got, full[np.arange(4)[:, None], rows])
+    assert np.array_equal(full, lm.batch_logits(store, toks))
+    for pick, b in ((rows, 4), (rows[:, 1:2], 4), (rows[:1, 2:], 1)):
+        want = full[np.arange(b)[:, None], pick]
+        got = lm.build_logits(tensors, store.arch, toks[:b], pick).value
+        assert got.shape == (b, pick.shape[1], 12)
+        assert np.array_equal(got, want)
+        assert np.array_equal(lm.batch_logits(store, toks[:b], pick), want)
 
 
 def test_array_kernels_equal_the_numpy_oracle():

@@ -306,10 +306,13 @@ def test_loss_config_validation():
 # The answer-rows graph against the full-sequence graph ----------------------
 
 
-def _batched_matmul(a, b):
+def _batched_matmul(a, b, bias=None):
     """`ad.matmul` with numpy's batched product for every operand shape:
     one product per leading index, and the weight gradient summed over
-    them."""
+    them; a bias is a separate `add` node."""
+    if bias is not None:
+        return ad.add(_batched_matmul(a, b), bias)
+
     def fwd(x, y):
         return x @ y
 
@@ -413,3 +416,34 @@ def test_no_node_holds_full_sequence_logits(desk_store):
         shapes = [n.value.shape for n in ad._topo_order(lv.scalar)]
         assert (2, 2, vocab) in shapes
         assert not [s for s in shapes if s[-2:] == (t, vocab)]
+
+
+def test_last_block_runs_at_the_scored_rows_only(desk_store):
+    """The last block's query product, attention, output projection and
+    MLP, and the final norm, hold the R = 2 scored rows, not T = 10: in the
+    retain graph and in a bst step with a retain term. The first block's
+    attention stays [B, H, T, T]."""
+    forget = [([1, 2, 3, 4, 5, 6, 7, 8], [9, 10]),
+              ([3, 4, 5, 6, 7, 8, 9, 10], [11, 12])]
+    retain = [([2, 3, 4, 5, 6, 7, 8, 9], [5]),
+              ([6, 1, 2, 3, 4, 5, 6, 7], [2, 3])]
+    b, h, t, r = 2, desk_store.arch.n_heads, 10, 2
+    for lv in (ob.loss_retain(desk_store, retain),
+               ob.step_loss(ob.LossConfig(kind="bst", k=10,
+                                          lambda_retain=1.0),
+                            desk_store, forget, retain)):
+        nodes = ad._topo_order(lv.scalar)
+        tensors = lv.param_tensors
+        last = {id(tensors[f"layers.1.{w}"])
+                for w in ("attn.wq", "attn.wo", "mlp.w1", "mlp.w2")}
+        products = [n for n in nodes if n.op == "matmul"
+                    and any(id(i) in last for i in n.inputs)]
+        assert products and {n.shape[:2] for n in products} == {(b, r)}
+        attention = [n.shape for n in nodes if n.op == "softmax"]
+        assert sorted(set(attention)) == [(b, h, r, t), (b, h, t, t)]
+        for op in ("gelu", "layer_norm"):
+            shapes = {n.shape for n in nodes if n.op == op}
+            # ln1, ln2 and gelu of block 0 hold T rows; block 1's ln2 and
+            # gelu and the final norm hold R rows
+            assert {s[1] for s in shapes} == {t, r}, (op, shapes)
+

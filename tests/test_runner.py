@@ -615,6 +615,9 @@ def test_cli_subcommand_rerun_byte_identical(tmp_path):
     ("sweep", {"sweep": {"arch.d_model": [8]}}, "arch.d_model"),
     ("sweep", {"sweep": {"loss.bogus.x": [1]}}, "loss.bogus.x"),
     ("eval", {"judge": "mokc", "eval_checkpoints": ["ckpt.json"]}, "judge"),
+    ("squeeze", {"run": {"squeeze_prompts": 0}}, "squeeze_prompts"),
+    ("squeeze", {"run": {"beam_width": 0}}, "beam_width"),
+    ("squeeze", {"run": {"squeeze_max_len": 0}}, "squeeze_max_len"),
 ])
 def test_cli_config_errors_exit_2(command, doc, key, tmp_path, capsys):
     doc.setdefault("run", {})["out_dir"] = str(tmp_path / "out")
