@@ -18,11 +18,12 @@ def main():
     print(f"model distribution pi = {pi}, label y = {y}")
 
     bel = beliefs.topk_belief(pi, k=2)
-    print(f"top-2 belief q = {bel.probs}  (support {list(bel.support)})")
+    support = beliefs.topk_support(pi, k=2)
+    print(f"top-2 belief q = {bel}  (support {support.tolist()})")
 
     lam = 0.2
     t = beliefs.soft_target(bel, y, lam)
-    print(f"soft target t = {t.probs}  (lambda = {lam})")
+    print(f"soft target t = {t}  (lambda = {lam})")
 
     g_ga = dy.residual("ga", pi, y)
     g_bst = dy.residual("bst", pi, y, bel, lam)
@@ -31,9 +32,9 @@ def main():
 
     diff = g_bst - g_ga
     print(f"difference:                  {diff}")
-    print(f"lambda * q off-target:       {lam * bel.probs}")
+    print(f"lambda * q off-target:       {lam * bel}")
     off = [v for v in range(3) if v != y]
-    assert np.allclose(diff[off], lam * bel.probs[off], atol=1e-12)
+    assert np.allclose(diff[off], lam * bel[off], atol=1e-12)
     print("off-target identity holds: the softened loss adds lambda*q[v] of "
           "extra push-down exactly on the model's own likely tokens.")
 

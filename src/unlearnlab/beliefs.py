@@ -8,37 +8,10 @@ parameters through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import lm, schema
-from .errors import ConfigError, DataError
-
-
-@dataclass
-class BeliefDistribution:
-    """Renormalized mass of the k most likely tokens; zero elsewhere. Both
-    arrays keep the leading shape of the probabilities they came from."""
-    probs: np.ndarray
-    support: np.ndarray  # the k retained token ids, most likely first
-
-
-@dataclass
-class SoftTarget:
-    """Convex mix of a one-hot label and a gradient-blocked belief."""
-    probs: np.ndarray
-    lambda_bst: float
-    target_id: int
-
-
-@dataclass
-class AugmentedSet:
-    """Temperature-sampled responses used as extra forgetting targets."""
-    prompt_id: str
-    responses: list[list[int]]
-    tau: float
-    seed: int
+from . import lm
+from .errors import ConfigError
 
 
 def topk_support(probs: np.ndarray, k: int) -> np.ndarray:
@@ -67,8 +40,9 @@ def _smoothed(probs: np.ndarray, tau: float) -> np.ndarray:
 
 
 def topk_belief(probs: np.ndarray, k: int,
-                smoothing_tau: float = 1.0) -> BeliefDistribution:
-    """Keep the top-k mass along the last axis and renormalize it to 1.
+                smoothing_tau: float = 1.0) -> np.ndarray:
+    """Keep the top-k mass along the last axis and renormalize it to 1;
+    zero elsewhere. The kept ids are `topk_support(probs, k)`.
 
     `probs` holds probability vectors on its last axis (any leading shape).
     `smoothing_tau` optionally tempers the distribution before truncation
@@ -82,30 +56,30 @@ def topk_belief(probs: np.ndarray, k: int,
     np.put_along_axis(kept, support, 1.0, axis=-1)
     kept *= probs
     kept /= kept.sum(axis=-1, keepdims=True)
-    return BeliefDistribution(probs=kept, support=support)
+    return kept
 
 
-def soft_target(belief: BeliefDistribution, target_id: int,
-                lambda_bst: float) -> SoftTarget:
-    """t = lambda * q + (1 - lambda) * e_target."""
+def soft_target(belief: np.ndarray, target_id: int,
+                lambda_bst: float) -> np.ndarray:
+    """t = lambda * q + (1 - lambda) * e_target, for one belief vector q."""
     if not 0.0 <= lambda_bst <= 1.0:
         raise ConfigError("lambda_bst must be in [0, 1]")
-    t = lambda_bst * belief.probs.copy()
+    t = lambda_bst * belief
     t[target_id] += 1.0 - lambda_bst
-    return SoftTarget(probs=t, lambda_bst=lambda_bst, target_id=int(target_id))
+    return t
 
 
-
-def sample_augmentations(store: lm.ParamStore, prompts, prompt_ids, n: int,
-                         tau: float, seed: int, max_len: int,
-                         eos_id: int | None, counters) -> list[AugmentedSet]:
+def sample_augmentations(store: lm.ParamStore, prompts, n: int, tau: float,
+                         seed: int, max_len: int, eos_id: int | None,
+                         counters) -> list[list[list[int]]]:
     """Draw n independent temperature-decoded responses from the live model
-    for each prompt, all in one lock-step decode.
+    for each prompt, all in one lock-step decode; returns each prompt's n
+    responses as token lists.
 
     Response j of prompt i is drawn with seed `_mix(seed, counters[i], j)`,
-    so a set is deterministic in (seed, counter) and independent of the
-    other prompts: trainers bump the counter per prompt so augmentations
-    track the current model while staying reproducible.
+    so a prompt's responses are deterministic in (seed, counter) and
+    independent of the other prompts: trainers bump the counter per prompt
+    so augmentations track the current model while staying reproducible.
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
@@ -114,27 +88,9 @@ def sample_augmentations(store: lm.ParamStore, prompts, prompt_ids, n: int,
     outs = lm.decode_batch(store, [p for p in prompts for _ in range(n)],
                            strategies, max_len, eos_id=eos_id)
     toks = [t for t, _ in outs]
-    return [AugmentedSet(prompt_id=pid, responses=toks[i * n:(i + 1) * n],
-                         tau=tau, seed=seed)
-            for i, pid in enumerate(prompt_ids)]
+    return [toks[i * n:(i + 1) * n] for i in range(len(prompts))]
 
 
 def _mix(seed: int, counter: int, j: int) -> int:
     return int(np.random.SeedSequence([seed, counter, j]).generate_state(1)[0])
 
-
-def save_augmented_sets(sets, path):
-    """Audit log: one JSON line per augmented set."""
-    import json
-
-    with lm.atomic_write(path) as f:
-        for s in sets:
-            f.write(json.dumps(
-                {"prompt_id": s.prompt_id, "tau": s.tau, "seed": s.seed,
-                 "responses": [list(map(int, r)) for r in s.responses]},
-                sort_keys=True) + "\n")
-
-
-def load_augmented_sets(path) -> list[AugmentedSet]:
-    return schema.load_lines(AugmentedSet, path, "augmented-set file",
-                             DataError)

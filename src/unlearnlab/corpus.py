@@ -200,6 +200,28 @@ class GenConfig:
             raise ConfigError("need at least 3 entities for three splits")
         if self.attributes_per_entity < 1:
             raise ConfigError("attributes_per_entity must be >= 1")
+        n_values = min(len(v) for v in ATTRIBUTES.values())
+        if self.n_perturbed >= n_values:
+            raise ConfigError(f"n_perturbed must be < {n_values}, the "
+                              "fewest values an attribute has")
+        n_templates = min(len(t["paraphrases"]) for t in TEMPLATES.values())
+        if self.n_paraphrases > n_templates:
+            raise ConfigError(f"n_paraphrases must be <= {n_templates}, the "
+                              "fewest paraphrase templates an attribute has")
+        if self.attributes_per_entity > len(TEMPLATES):
+            raise ConfigError(f"attributes_per_entity must be <= "
+                              f"{len(TEMPLATES)}, the number of attributes")
+        n_names = len(FIRST_NAMES) * len(LAST_NAMES)
+        if self.n_entities > n_names:
+            raise ConfigError(f"n_entities must be <= {n_names}, the number "
+                              "of name combinations")
+        n_forget = round(self.n_entities * self.forget_fraction)
+        n_retain = (self.n_entities - n_forget
+                    - round(self.n_entities * self.holdout_fraction))
+        if min(n_forget, n_retain) < 1:
+            raise ConfigError(
+                f"n_entities {self.n_entities} rounds to {n_forget} forget "
+                f"and {n_retain} retain entities; each needs at least one")
 
 
 @dataclass
@@ -292,19 +314,12 @@ def generate_corpus(gen_config: GenConfig, seed: int) -> Corpus:
     """Deterministic corpus from a seeded PRNG; splits are entity-scoped."""
     rng = np.random.default_rng(seed)
     n_pairs = len(FIRST_NAMES) * len(LAST_NAMES)
-    if gen_config.n_entities > n_pairs:
-        raise ConfigError("n_entities exceeds available name combinations")
     name_idx = rng.choice(n_pairs, size=gen_config.n_entities, replace=False)
     names = [f"{FIRST_NAMES[i % len(FIRST_NAMES)]} {LAST_NAMES[i // len(FIRST_NAMES)]}"
              for i in name_idx]
 
     n_forget = int(round(gen_config.n_entities * gen_config.forget_fraction))
     n_holdout = int(round(gen_config.n_entities * gen_config.holdout_fraction))
-    n_retain = gen_config.n_entities - n_forget - n_holdout
-    if min(n_forget, n_retain) < 1:
-        raise ConfigError(
-            f"{gen_config.n_entities} entities round to {n_forget} forget "
-            f"and {n_retain} retain entities; each needs at least one")
     order = rng.permutation(gen_config.n_entities)
     split_of = {}
     for rank, ent in enumerate(order):
@@ -316,8 +331,6 @@ def generate_corpus(gen_config: GenConfig, seed: int) -> Corpus:
             split_of[ent] = "retain"
 
     attr_names = sorted(TEMPLATES)
-    if gen_config.attributes_per_entity > len(attr_names):
-        raise ConfigError("attributes_per_entity exceeds available attributes")
     records = []
     for ent, name in enumerate(names):
         chosen = rng.choice(len(attr_names),
@@ -326,14 +339,7 @@ def generate_corpus(gen_config: GenConfig, seed: int) -> Corpus:
         for a in sorted(chosen):
             attr = attr_names[a]
             values = ATTRIBUTES[attr]
-            if gen_config.n_perturbed >= len(values):
-                raise ConfigError(
-                    f"attribute {attr!r} has too few values for n_perturbed")
             tmpl = TEMPLATES[attr]
-            if gen_config.n_paraphrases > len(tmpl["paraphrases"]):
-                raise ConfigError(
-                    f"attribute {attr!r} offers fewer paraphrase templates "
-                    f"than n_paraphrases")
             vi = int(rng.integers(len(values)))
             value = values[vi]
             others = [v for v in values if v != value]
@@ -414,6 +420,18 @@ class _VocabFile:
         if not all(k in self.specials for k in SPECIAL_TOKENS):
             raise DataError(f"'specials' must map "
                             f"{', '.join(SPECIAL_TOKENS)} to token ids")
+        first = {}
+        for i, t in enumerate(self.tokens):
+            if first.setdefault(t, i) != i:
+                raise DataError(f"'tokens'[{i}] repeats {t!r}, the token at "
+                                f"[{first[t]}]")
+        # build_vocabulary writes each special as the id of its `<name>`.
+        for k in SPECIAL_TOKENS:
+            i = self.specials[k]
+            if not (0 <= i < len(self.tokens)
+                    and self.tokens[i] == f"<{k}>"):
+                raise DataError(f"'specials.{k}' is {i}, which must be the "
+                                f"id of the token '<{k}>'")
 
 
 def load_corpus(records_path, vocab_path) -> Corpus:

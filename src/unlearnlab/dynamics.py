@@ -77,7 +77,7 @@ def softmax_jacobian(probs: np.ndarray) -> np.ndarray:
 
 
 def residual(loss_kind: str, probs: np.ndarray, target_id: int,
-             belief: beliefs.BeliefDistribution | None = None,
+             belief: np.ndarray | None = None,
              lambda_bst: float | None = None) -> np.ndarray:
     """Per-position loss gradient with respect to the logits."""
     if loss_kind not in ORACLE_KINDS:
@@ -90,8 +90,7 @@ def residual(loss_kind: str, probs: np.ndarray, target_id: int,
         return one_hot - probs
     if belief is None or lambda_bst is None:
         raise ContractError("bst residual needs a belief and lambda_bst")
-    t = beliefs.soft_target(belief, target_id, lambda_bst).probs
-    return t - probs
+    return beliefs.soft_target(belief, target_id, lambda_bst) - probs
 
 
 def logit_jacobian(store: lm.ParamStore, tokens, position: int) -> np.ndarray:

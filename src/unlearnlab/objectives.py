@@ -198,7 +198,7 @@ def loss_bst(store: lm.ParamStore, forget_batch: list[Pair], cfg: LossConfig,
     # pi at the scored positions: exponentiate the log-softmax rows rather
     # than running a second softmax pass.
     q = ad.constant(beliefs.topk_belief(np.exp(lp_rows.value), cfg.k,
-                                        cfg.belief_smoothing_tau).probs)
+                                        cfg.belief_smoothing_tau))
     label_term = ad.sum_axis(ad.mul(lp_y, ad.constant(mask)), axis=1)
     belief_inner = ad.sum_axis(ad.mul(q, lp_rows), axis=2)  # [B, R]
     belief_term = ad.sum_axis(ad.mul(belief_inner, ad.constant(mask)), axis=1)
@@ -211,17 +211,19 @@ def loss_bss(store: lm.ParamStore, forget_batch: list[Pair], cfg: LossConfig,
              tensors, ref_store=None, augmented=None) -> LossValue:
     """Sequence-level mix: (1-w) * base(original) + w * base(augmented).
 
-    `augmented[i]` holds sampled responses for forget_batch[i]'s prompt; the
-    augmented batch pairs each prompt with each of its sampled responses.
-    The base is `cfg.base_loss`, built through the loss table.
+    `augmented[i]` holds the sampled responses (token lists) for
+    forget_batch[i]'s prompt; the augmented batch pairs each prompt with
+    each of its sampled responses. The base is `cfg.base_loss`, built
+    through the loss table.
     """
     if augmented is None or len(augmented) != len(forget_batch):
-        raise DataError("bss needs one augmented set per forget pair")
+        raise DataError("bss needs one list of sampled responses per "
+                        "forget pair")
     aug_pairs = []
-    for (prompt, _), aug in zip(forget_batch, augmented):
-        if not aug.responses:
-            raise DataError("augmented set has no responses")
-        for resp in aug.responses:
+    for (prompt, _), responses in zip(forget_batch, augmented):
+        if not responses:
+            raise DataError("a forget pair has no sampled responses")
+        for resp in responses:
             aug_pairs.append((prompt, list(resp)))
     base = globals()[_TABLE[cfg.base_loss]]
     orig = base(store, forget_batch, cfg, tensors, ref_store)
@@ -247,7 +249,7 @@ def forget_loss(cfg: LossConfig, store: lm.ParamStore,
                 tensors=None) -> LossValue:
     """The forget-side loss of `cfg.kind`, built by its table entry.
     `ref_store` is the frozen npo reference; `augmented` holds bss's
-    sampled sets, one per forget pair."""
+    sampled responses, one list per forget pair."""
     tensors = lm.param_tensors(store) if tensors is None else tensors
     return globals()[_TABLE[cfg.kind]](store, forget_batch, cfg, tensors,
                                        ref_store, augmented)

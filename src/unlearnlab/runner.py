@@ -332,10 +332,10 @@ def run_unlearn(config: RunConfig, reference_checkpoint,
         if cfg.kind == "bss":
             counters = [next(aug_ids) for _ in forget_pairs]
             augmented = beliefs.sample_augmentations(
-                store, [prompt for prompt, _ in forget_pairs],
-                [f"b{c}" for c in counters], n=cfg.n_aug, tau=cfg.tau,
-                seed=config.seed, max_len=config.squeeze_max_len,
-                eos_id=None, counters=counters)
+                store, [prompt for prompt, _ in forget_pairs], n=cfg.n_aug,
+                tau=cfg.tau, seed=config.seed,
+                max_len=config.squeeze_max_len, eos_id=None,
+                counters=counters)
         return ob.step_loss(cfg, store, forget_pairs, retain_pairs, ref_store,
                             augmented)
 

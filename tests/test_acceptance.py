@@ -93,11 +93,8 @@ def test_criterion_1_gradient_oracle_suite():
         for k in ref.entries:
             ref.entries[k] = ref.entries[k] + rng.normal(
                 0, 0.01, ref.entries[k].shape)
-        augs = [beliefs.AugmentedSet(
-            prompt_id=f"d{draw}_{i}",
-            responses=[list(rng.integers(0, 12, int(rng.integers(1, 4))))
-                       for _ in range(2)], tau=1.0, seed=0)
-            for i in range(len(batch))]
+        augs = [[list(rng.integers(0, 12, int(rng.integers(1, 4))))
+                 for _ in range(2)] for _ in batch]
         cases = {
             "ga": lambda t: ob.forget_loss(ob.LossConfig(kind="ga"), store,
                                            batch, tensors=t),
@@ -148,7 +145,7 @@ def test_criterion_2_residual_identities():
                 - dy.residual("ga", pi, y))
         off = np.arange(v) != y
         worst_id = max(worst_id,
-                       float(np.max(np.abs(diff[off] - lam * bel.probs[off]))))
+                       float(np.max(np.abs(diff[off] - lam * bel[off]))))
     worst_ad = 0.0
     for _ in range(20):
         v = 9
@@ -164,7 +161,7 @@ def test_criterion_2_residual_identities():
             g_ga - dy.residual("ga", pi, y)))))
         z = ad.leaf(z_val)
         lp = ad.log_softmax(z)
-        q = ad.constant(beliefs.topk_belief(np.exp(lp.value), k).probs)
+        q = ad.constant(beliefs.topk_belief(np.exp(lp.value), k))
         root = ad.add(ad.scale(ad.element(lp, (0, 0, y)), 1 - lam),
                       ad.scale(ad.sum_axis(ad.mul(q, lp), axis=2), lam))
         g_bst = ad.grad(root, [z])[0][0, 0]
@@ -212,9 +209,7 @@ def test_criterion_4_reduction_identities():
     store = _rand_model(rng)
     batch = _rand_batch(rng)
     retain = _rand_batch(rng)
-    augs = [beliefs.AugmentedSet(
-        prompt_id=f"a{i}", responses=[[5, 1], [3, 2, 1]], tau=1.0, seed=0)
-        for i in range(len(batch))]
+    augs = [[[5, 1], [3, 2, 1]] for _ in batch]
     ga = ob.forget_loss(ob.LossConfig(kind="ga"), store, batch).value
     checks = {
         "graddiff(0)==ga": abs(

@@ -27,11 +27,8 @@ ORACLES = {
                            "contracted J_o @ g is checked against",
     "dynamics.akg_check": "the one-eta one-step check; run_dynamics "
                           "reaches the same runs through eta_scaling_slope",
-    "lm.sequence_logprob": "with token_logprobs, the one-pair oracle that "
-                           "the batched scorer is compared against",
-    "beliefs.save_augmented_sets": "the bss augmented-set audit log, "
-                                   "which the planned run telemetry calls",
-    "beliefs.load_augmented_sets": "reads that audit log back",
+    "lm.token_logprobs": "the one-pair oracle that the batched scorers "
+                         "are compared against",
 }
 
 

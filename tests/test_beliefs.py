@@ -3,30 +3,31 @@ import pytest
 
 from unlearnlab import autodiff as ad
 from unlearnlab import beliefs, corpus as cp, lm, objectives as ob
-from unlearnlab.errors import ConfigError, DataError
+from unlearnlab.errors import ConfigError
 
 
 def test_topk_belief_renormalizes():
     b = beliefs.topk_belief(np.array([0.5, 0.3, 0.2]), 2)
-    assert np.allclose(b.probs, [0.625, 0.375, 0.0], atol=1e-15)
-    assert list(b.support) == [0, 1]
-    assert abs(b.probs.sum() - 1.0) < 1e-12
+    assert np.allclose(b, [0.625, 0.375, 0.0], atol=1e-15)
+    assert list(beliefs.topk_support(np.array([0.5, 0.3, 0.2]), 2)) == [0, 1]
+    assert abs(b.sum() - 1.0) < 1e-12
 
 
 def test_topk_full_support_is_identity():
     p = np.array([0.1, 0.4, 0.2, 0.3])
     b = beliefs.topk_belief(p, 4)
-    assert np.allclose(b.probs, p, atol=1e-15)
+    assert np.allclose(b, p, atol=1e-15)
 
 
 def test_topk_one_is_argmax_onehot():
     b = beliefs.topk_belief(np.array([0.2, 0.5, 0.3]), 1)
-    assert np.allclose(b.probs, [0.0, 1.0, 0.0])
+    assert np.allclose(b, [0.0, 1.0, 0.0])
 
 
 def test_topk_tie_breaks_to_lowest_id():
-    b = beliefs.topk_belief(np.array([0.25, 0.25, 0.25, 0.25]), 2)
-    assert list(b.support) == [0, 1]
+    p = np.array([0.25, 0.25, 0.25, 0.25])
+    assert list(beliefs.topk_support(p, 2)) == [0, 1]
+    assert np.array_equal(beliefs.topk_belief(p, 2), [0.5, 0.5, 0.0, 0.0])
 
 
 def test_topk_preserves_relative_order():
@@ -35,7 +36,7 @@ def test_topk_preserves_relative_order():
         p = rng.dirichlet(np.ones(9))
         k = int(rng.integers(1, 10))
         b = beliefs.topk_belief(p, k)
-        kept = [(p[i], b.probs[i]) for i in b.support]
+        kept = [(p[i], b[i]) for i in beliefs.topk_support(p, k)]
         order_in = np.argsort([-x for x, _ in kept])
         order_out = np.argsort([-x for _, x in kept])
         assert list(order_in) == list(order_out)
@@ -70,11 +71,12 @@ def test_topk_k_validation():
 def test_soft_target_endpoints_and_mix():
     b = beliefs.topk_belief(np.array([0.5, 0.3, 0.2]), 2)
     t0 = beliefs.soft_target(b, 0, 0.0)
-    assert np.allclose(t0.probs, [1.0, 0.0, 0.0], atol=1e-15)
+    assert np.allclose(t0, [1.0, 0.0, 0.0], atol=1e-15)
     t1 = beliefs.soft_target(b, 0, 1.0)
-    assert np.allclose(t1.probs, b.probs, atol=1e-15)
+    assert np.allclose(t1, b, atol=1e-15)
     t = beliefs.soft_target(b, 0, 0.2)
-    assert np.allclose(t.probs, [0.925, 0.075, 0.0], atol=1e-15)
+    assert np.allclose(t, [0.925, 0.075, 0.0], atol=1e-15)
+    assert np.allclose(b, [0.625, 0.375, 0.0], atol=1e-15)  # not written
 
 
 def test_soft_target_is_distribution_for_any_lambda():
@@ -83,8 +85,8 @@ def test_soft_target_is_distribution_for_any_lambda():
         p = rng.dirichlet(np.ones(6))
         b = beliefs.topk_belief(p, int(rng.integers(1, 7)))
         t = beliefs.soft_target(b, int(rng.integers(6)), rng.uniform())
-        assert abs(t.probs.sum() - 1.0) < 1e-12
-        assert np.all(t.probs >= 0)
+        assert abs(t.sum() - 1.0) < 1e-12
+        assert np.all(t >= 0)
 
 
 def test_soft_target_lambda_validation():
@@ -106,8 +108,7 @@ def test_topk_belief_batched_equals_per_row_calls():
             q = beliefs.topk_belief(pi, 3, tau)
             for idx in np.ndindex(2, 3):
                 want = beliefs.topk_belief(pi[idx], 3, tau)
-                assert np.array_equal(q.probs[idx], want.probs)
-                assert np.array_equal(q.support[idx], want.support)
+                assert np.array_equal(q[idx], want)
 
 
 def test_no_gradient_through_q_in_full_loss(tiny_store):
@@ -121,7 +122,7 @@ def test_no_gradient_through_q_in_full_loss(tiny_store):
     t2 = lm.param_tensors(tiny_store)
     seq_lp, lp_rows, lp_y, tgt_ids, mask = ob._seq_logprob_graph(
         tiny_store, batch, t2)
-    q_const = ad.constant(beliefs.topk_belief(np.exp(lp_rows.value), 5).probs)
+    q_const = ad.constant(beliefs.topk_belief(np.exp(lp_rows.value), 5))
     label = ad.sum_axis(ad.mul(lp_y, ad.constant(mask)), axis=1)
     belief_term = ad.sum_axis(ad.mul(ad.sum_axis(ad.mul(q_const, lp_rows),
                                                  axis=2),
@@ -138,26 +139,24 @@ def test_sample_augmentations_contract(mini_trained):
     vocab = corp.vocab
     rec = corp.records[0]
     prompt, _ = cp.qa_pair_tokens(vocab, rec.question, rec.answer)
-    a1, = beliefs.sample_augmentations(store, [prompt], [rec.id], n=3,
-                                       tau=0.8, seed=7, max_len=10,
-                                       eos_id=vocab.eos, counters=[0])
-    assert len(a1.responses) == 3
-    a2, = beliefs.sample_augmentations(store, [prompt], [rec.id], n=3,
-                                       tau=0.8, seed=7, max_len=10,
-                                       eos_id=vocab.eos, counters=[0])
-    assert a1.responses == a2.responses
-    a3, = beliefs.sample_augmentations(store, [prompt], [rec.id], n=3,
-                                       tau=0.8, seed=7, max_len=10,
-                                       eos_id=vocab.eos, counters=[1])
-    assert a3.responses != a1.responses
+    a1, = beliefs.sample_augmentations(store, [prompt], n=3, tau=0.8,
+                                       seed=7, max_len=10, eos_id=vocab.eos,
+                                       counters=[0])
+    assert len(a1) == 3
+    a2, = beliefs.sample_augmentations(store, [prompt], n=3, tau=0.8,
+                                       seed=7, max_len=10, eos_id=vocab.eos,
+                                       counters=[0])
+    assert a1 == a2
+    a3, = beliefs.sample_augmentations(store, [prompt], n=3, tau=0.8,
+                                       seed=7, max_len=10, eos_id=vocab.eos,
+                                       counters=[1])
+    assert a3 != a1
     with pytest.raises(ConfigError):
-        beliefs.sample_augmentations(store, [prompt], [rec.id], n=0, tau=0.8,
-                                     seed=7, max_len=10, eos_id=None,
-                                     counters=[0])
+        beliefs.sample_augmentations(store, [prompt], n=0, tau=0.8, seed=7,
+                                     max_len=10, eos_id=None, counters=[0])
     with pytest.raises(ConfigError):
-        beliefs.sample_augmentations(store, [prompt], [rec.id], n=2, tau=0.0,
-                                     seed=7, max_len=10, eos_id=None,
-                                     counters=[0])
+        beliefs.sample_augmentations(store, [prompt], n=2, tau=0.0, seed=7,
+                                     max_len=10, eos_id=None, counters=[0])
 
 
 def test_augmentation_batch_equals_per_response_decodes(mini_trained):
@@ -167,15 +166,16 @@ def test_augmentation_batch_equals_per_response_decodes(mini_trained):
     prompts = [cp.qa_pair_tokens(vocab, r.question, r.answer)[0]
                for r in recs]
     sets = beliefs.sample_augmentations(
-        store, prompts, [r.id for r in recs], n=4, tau=1.5, seed=3,
-        max_len=8, eos_id=vocab.eos, counters=[9, 2, 2, 5, 0, 7])
-    for s, r, prompt, c in zip(sets, recs, prompts, [9, 2, 2, 5, 0, 7]):
+        store, prompts, n=4, tau=1.5, seed=3, max_len=8, eos_id=vocab.eos,
+        counters=[9, 2, 2, 5, 0, 7])
+    assert len(sets) == len(prompts)
+    for s, prompt, c in zip(sets, prompts, [9, 2, 2, 5, 0, 7]):
         want = [lm.decode(store, prompt,
                           lm.Temperature(1.5, beliefs._mix(3, c, j)), 8,
                           eos_id=vocab.eos)[0][0] for j in range(4)]
-        assert s == beliefs.AugmentedSet(r.id, want, 1.5, 3)
+        assert s == want
         assert [s] == beliefs.sample_augmentations(
-            store, [prompt], [r.id], n=4, tau=1.5, seed=3, max_len=8,
+            store, [prompt], n=4, tau=1.5, seed=3, max_len=8,
             eos_id=vocab.eos, counters=[c])
 
 
@@ -188,36 +188,12 @@ def test_low_temperature_concentrates_on_likely_sequences(mini_trained):
         for i, rec in enumerate(corp.records[:50]):
             prompt, _ = cp.qa_pair_tokens(vocab, rec.question, rec.answer)
             aug, = beliefs.sample_augmentations(
-                store, [prompt], [rec.id], n=2, tau=tau, seed=40 + i,
-                max_len=10, eos_id=vocab.eos, counters=[0])
-            lps.extend(lm.sequence_logprob(store, prompt, r)
-                       for r in aug.responses)
+                store, [prompt], n=2, tau=tau, seed=40 + i, max_len=10,
+                eos_id=vocab.eos, counters=[0])
+            lps.extend(lm.token_logprobs(store, prompt, r).sum()
+                       for r in aug)
         means[tau] = np.mean(lps)
     assert means[0.5] >= means[2.0]
-
-
-def test_augmented_set_jsonl_roundtrip(tmp_path):
-    sets = [beliefs.AugmentedSet(prompt_id="r1", responses=[[4, 5, 1], [6, 1]],
-                                 tau=0.8, seed=7),
-            beliefs.AugmentedSet(prompt_id="r2", responses=[[2, 1]],
-                                 tau=0.8, seed=7)]
-    path = tmp_path / "aug.jsonl"
-    beliefs.save_augmented_sets(sets, path)
-    again = beliefs.load_augmented_sets(path)
-    assert again == sets
-    beliefs.save_augmented_sets(again, tmp_path / "aug2.jsonl")
-    assert path.read_bytes() == (tmp_path / "aug2.jsonl").read_bytes()
-
-
-def test_malformed_augmented_set_line_is_data_error(tmp_path):
-    path = tmp_path / "aug.jsonl"
-    beliefs.save_augmented_sets([beliefs.AugmentedSet(
-        prompt_id="r1", responses=[[4, 1]], tau=0.8, seed=7)], path)
-    path.write_text(path.read_text()
-                    + '{"prompt_id": "r2", "responses": [[2, "x"]], '
-                      '"seed": 7, "tau": 0.8}\n')
-    with pytest.raises(DataError, match=rf"{path} line 2: 'responses'\[0\]\[1\]"):
-        beliefs.load_augmented_sets(path)
 
 
 def test_belief_smoothing_temperature_flattens():
@@ -227,8 +203,8 @@ def test_belief_smoothing_temperature_flattens():
     def entropy(q):
         nz = q[q > 0]
         return float(-(nz * np.log(nz)).sum())
-    assert entropy(smooth.probs) > entropy(sharp.probs)
-    assert abs(smooth.probs.sum() - 1.0) < 1e-12
+    assert entropy(smooth) > entropy(sharp)
+    assert abs(smooth.sum() - 1.0) < 1e-12
     with pytest.raises(ConfigError):
         beliefs.topk_belief(p, 2, smoothing_tau=0.0)
 
@@ -238,8 +214,8 @@ def test_augmented_responses_terminate(mini_trained):
     vocab = corp.vocab
     rec = corp.records[3]
     prompt, _ = cp.qa_pair_tokens(vocab, rec.question, rec.answer)
-    aug, = beliefs.sample_augmentations(store, [prompt], [rec.id], n=4,
-                                        tau=1.5, seed=3, max_len=7,
-                                        eos_id=vocab.eos, counters=[0])
-    for r in aug.responses:
+    aug, = beliefs.sample_augmentations(store, [prompt], n=4, tau=1.5,
+                                        seed=3, max_len=7, eos_id=vocab.eos,
+                                        counters=[0])
+    for r in aug:
         assert r[-1] == vocab.eos or len(r) == 7

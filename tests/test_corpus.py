@@ -73,6 +73,17 @@ _BAD_VOCABS = {
                          "'tokens'"),
     "special_missing": (lambda d: dict(d, specials={"bos": 0}),
                         "'specials'"),
+    "eos_is_a_word": (lambda d: dict(d, specials=dict(d["specials"], eos=10)),
+                      "'specials.eos' is 10.*'<eos>'"),
+    "bos_is_eos_id": (lambda d: dict(d, specials=dict(d["specials"], bos=1)),
+                      "'specials.bos' is 1.*'<bos>'"),
+    "pad_negative": (lambda d: dict(d, specials=dict(d["specials"], pad=-1)),
+                     "'specials.pad' is -1"),
+    "sep_out_of_range": (lambda d: dict(d, specials=dict(d["specials"],
+                                                         sep=600)),
+                         "'specials.sep' is 600"),
+    "duplicate_token": (lambda d: dict(d, tokens=d["tokens"] + ["all"]),
+                        r"'tokens'\[\d+\] repeats 'all', the token at \[\d+\]"),
 }
 
 

@@ -61,7 +61,7 @@ def test_residual_bst_example_and_identity():
     g_bst = dy.residual("bst", pi, 0, bel, 0.2)
     g_ga = dy.residual("ga", pi, 0)
     assert np.allclose(g_bst, [0.425, -0.225, -0.2], atol=1e-12)
-    assert abs(g_bst[1] - g_ga[1] - 0.2 * bel.probs[1]) <= 1e-10
+    assert abs(g_bst[1] - g_ga[1] - 0.2 * bel[1]) <= 1e-10
     assert abs(g_bst.sum()) < 1e-10
 
 
@@ -85,8 +85,8 @@ def test_theorem_residual_identity_many_draws():
         g_bst = dy.residual("bst", pi, y, bel, lam)
         diff = g_bst - g_ga
         off = [u for u in range(v) if u != y]
-        assert np.max(np.abs(diff[off] - lam * bel.probs[off])) <= 1e-10
-        assert abs(diff[y] - lam * (bel.probs[y] - 1.0)) <= 1e-10
+        assert np.max(np.abs(diff[off] - lam * bel[off])) <= 1e-10
+        assert abs(diff[y] - lam * (bel[y] - 1.0)) <= 1e-10
 
 
 def test_residuals_match_autodiff_logit_gradients():
@@ -103,7 +103,7 @@ def test_residuals_match_autodiff_logit_gradients():
     # bst: root = (1-lam) lp[y] + lam <q, lp>
     z = ad.leaf(z_val)
     lp = ad.log_softmax(z)
-    q = ad.constant(beliefs.topk_belief(np.exp(lp.value), k).probs)
+    q = ad.constant(beliefs.topk_belief(np.exp(lp.value), k))
     root = ad.add(ad.scale(ad.element(lp, (0, 0, y)), 1 - lam),
                   ad.scale(ad.sum_axis(ad.mul(q, lp), axis=2), lam))
     g = ad.grad(root, [z])[0][0, 0]

@@ -241,21 +241,21 @@ def test_cache_rows_follow_their_sequences(tiny_store):
 
 
 def test_sequence_logprob_empty_response(tiny_store):
-    assert lm.sequence_logprob(tiny_store, [1, 2], []) == 0.0
+    assert lm.token_logprobs(tiny_store, [1, 2], []).sum() == 0.0
 
 
 def test_sequence_logprob_uniform_single_token():
     arch = lm.ArchConfig(vocab_size=64, context_len=8, d_model=8,
                          n_layers=0, n_heads=1)
     store = lm.init_model(arch, 0)
-    lp = lm.sequence_logprob(store, [1, 2], [7])
+    lp = lm.token_logprobs(store, [1, 2], [7]).sum()
     assert abs(lp - np.log(1 / 64)) < 1e-12
     assert abs(lp + 4.1589) < 1e-3
 
 
 def test_sequence_logprob_requires_prompt(tiny_store):
     with pytest.raises(ContractError):
-        lm.sequence_logprob(tiny_store, [], [1, 2])
+        lm.token_logprobs(tiny_store, [], [1, 2])
 
 
 def test_sequence_logprob_matches_per_token_sum(tiny_store):
@@ -264,8 +264,9 @@ def test_sequence_logprob_matches_per_token_sum(tiny_store):
     logits = lm.batch_logits(tiny_store, [seq])[0]
     lp = ad.arrays.log_softmax(logits)
     manual = sum(lp[len(prompt) - 1 + i, resp[i]] for i in range(len(resp)))
-    assert abs(lm.sequence_logprob(tiny_store, prompt, resp) - manual) < 1e-12
-    assert lm.sequence_logprob(tiny_store, prompt, resp) <= 0.0
+    lp = lm.token_logprobs(tiny_store, prompt, resp).sum()
+    assert abs(lp - manual) < 1e-12
+    assert lp <= 0.0
 
 
 def test_scored_span_invariant_to_trailing_padding(tiny_store):
@@ -825,6 +826,11 @@ _BAD_BASE64 = {
                   "'head' is not finite"),
     "inf_bytes": (lambda d: _edit_head_bytes(d, _head_value_bytes(-np.inf)),
                   "'head' is not finite"),
+    "stray_parameter": (lambda d: d["params"].update(
+        {"layers.7.attn.wq": d["params"]["layers.0.attn.wq"]}),
+        "'layers.7.attn.wq' is not a parameter of its arch"),
+    "head_of_a_tied_arch": (lambda d: d["arch"].update(tie_output_head=True),
+                            "'head' is not a parameter of its arch"),
 }
 
 

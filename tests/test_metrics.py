@@ -265,7 +265,7 @@ PROB_FIELDS = ("norm_prob", "para_prob", "truth_ratio_inv")
 
 
 def _norm_prob_oracle(store, prompt, answer):
-    return float(np.exp(lm.sequence_logprob(store, prompt, answer)
+    return float(np.exp(lm.token_logprobs(store, prompt, answer).sum()
                         / len(answer)))
 
 

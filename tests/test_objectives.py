@@ -47,7 +47,7 @@ def grad_vs_fd(lv, tensors, names, n_components=6, seed=0):
 
 def test_ga_equals_mean_sequence_logprob(tiny_store, batch):
     lv = ob.forget_loss(ob.LossConfig(kind="ga"), tiny_store, batch)
-    manual = np.mean([lm.sequence_logprob(tiny_store, p, r)
+    manual = np.mean([lm.token_logprobs(tiny_store, p, r).sum()
                       for p, r in batch])
     assert abs(lv.value - manual) < 1e-12
 
@@ -105,8 +105,8 @@ def test_npo_increases_with_model_likelihood(tiny_store):
     boosted = tiny_store.snapshot()
     for n, g in zip(names, gs):
         boosted.entries[n] += 0.05 * g
-    lp0 = lm.sequence_logprob(tiny_store, *batch[0])
-    lp1 = lm.sequence_logprob(boosted, *batch[0])
+    lp0 = lm.token_logprobs(tiny_store, *batch[0]).sum()
+    lp1 = lm.token_logprobs(boosted, *batch[0]).sum()
     assert lp1 > lp0
     npo = ob.LossConfig(kind="npo", beta=0.1)
     base = ob.forget_loss(npo, tiny_store, batch, ref).value
@@ -164,7 +164,7 @@ def test_bst_matches_numpy_oracle(tiny_store, batch):
         for i, y in enumerate(resp):
             row = lp[len(prompt) - 1 + i]
             pi = np.exp(row)
-            t = beliefs.soft_target(beliefs.topk_belief(pi, k), y, lam).probs
+            t = beliefs.soft_target(beliefs.topk_belief(pi, k), y, lam)
             total += float(t @ row)
         per_seq.append(total)
     assert abs(lv.value - np.mean(per_seq)) < 1e-10
@@ -172,7 +172,7 @@ def test_bst_matches_numpy_oracle(tiny_store, batch):
 
 def test_bst_soft_target_arithmetic_example():
     pi = np.array([0.5, 0.3, 0.2])
-    t = beliefs.soft_target(beliefs.topk_belief(pi, 2), 0, 0.2).probs
+    t = beliefs.soft_target(beliefs.topk_belief(pi, 2), 0, 0.2)
     val = float(t @ np.log(pi))
     assert abs(val - (0.925 * np.log(0.5) + 0.075 * np.log(0.3))) < 1e-12
     assert abs(val + 0.7315) < 1e-4
@@ -184,20 +184,17 @@ def test_bst_logit_gradient_is_target_minus_pi():
     lp = ad.log_softmax(z)
     pi = np.exp(lp.value)
     lam, k, y = 0.4, 3, 2
-    q = ad.constant(beliefs.topk_belief(pi, k).probs)
+    q = ad.constant(beliefs.topk_belief(pi, k))
     label = ad.element(lp, (0, 0, y))
     belief_term = ad.sum_axis(ad.mul(q, lp), axis=2)
     root = ad.add(ad.scale(label, 1.0 - lam), ad.scale(belief_term, lam))
     g = ad.grad(root, [z])[0][0, 0]
-    t = beliefs.soft_target(beliefs.topk_belief(pi[0, 0], k), y, lam).probs
+    t = beliefs.soft_target(beliefs.topk_belief(pi[0, 0], k), y, lam)
     assert np.max(np.abs(g - (t - pi[0, 0]))) <= 1e-10
 
 
 def test_bss_endpoints_and_mix(tiny_store, batch):
-    augs = [beliefs.AugmentedSet(prompt_id=f"p{i}",
-                                 responses=[[5, 1], [6, 2, 1]],
-                                 tau=1.0, seed=0)
-            for i in range(len(batch))]
+    augs = [[[5, 1], [6, 2, 1]] for _ in batch]
     def bss(lam):
         return ob.forget_loss(ob.LossConfig(kind="bss", base_loss="ga",
                                             lambda_bss=lam),
@@ -205,8 +202,7 @@ def test_bss_endpoints_and_mix(tiny_store, batch):
     ga = ob.forget_loss(ob.LossConfig(kind="ga"), tiny_store, batch)
     b0 = bss(0.0)
     assert abs(b0.value - ga.value) <= 1e-12
-    aug_pairs = [(p, list(r)) for (p, _), a in zip(batch, augs)
-                 for r in a.responses]
+    aug_pairs = [(p, list(r)) for (p, _), a in zip(batch, augs) for r in a]
     ga_aug = ob.forget_loss(ob.LossConfig(kind="ga"), tiny_store, aug_pairs)
     b1 = bss(1.0)
     assert abs(b1.value - ga_aug.value) <= 1e-12
@@ -217,17 +213,15 @@ def test_bss_endpoints_and_mix(tiny_store, batch):
 
 
 def test_bss_misaligned_augmentation_is_data_error(tiny_store, batch):
-    augs = [beliefs.AugmentedSet(prompt_id="p", responses=[[5, 1]],
-                                 tau=1.0, seed=0)]
-    with pytest.raises(DataError):
+    augs = [[[5, 1]]]
+    with pytest.raises(DataError, match="one list of sampled responses"):
         ob.forget_loss(ob.LossConfig(kind="bss", base_loss="ga",
                                      lambda_bss=0.5),
                        tiny_store, batch, augmented=augs)
 
 
 def test_bss_npo_base_requires_reference(tiny_store, batch):
-    augs = [beliefs.AugmentedSet(prompt_id=f"p{i}", responses=[[5, 1]],
-                                 tau=1.0, seed=0) for i in range(len(batch))]
+    augs = [[[5, 1]] for _ in batch]
     with pytest.raises(ConfigError):
         ob.forget_loss(ob.LossConfig(kind="bss", base_loss="npo",
                                      lambda_bss=0.5),
@@ -247,10 +241,7 @@ def test_all_losses_match_finite_differences(tiny_store, batch, retain_batch):
     ref = tiny_store.snapshot()
     for k in ref.entries:
         ref.entries[k] = ref.entries[k] + 0.01
-    augs = [beliefs.AugmentedSet(prompt_id=f"p{i}",
-                                 responses=[[5, 1], [6, 2, 1]],
-                                 tau=1.0, seed=0)
-            for i in range(len(batch))]
+    augs = [[[5, 1], [6, 2, 1]] for _ in batch]
     names = ["tok_emb", "layers.0.attn.wq", "layers.0.mlp.w1", "head"]
     for kind in ob.LOSS_KINDS + ("retain",):
         tensors = lm.param_tensors(tiny_store)
@@ -279,18 +270,22 @@ def test_step_loss_calls_the_builder_module_attribute(tiny_store, batch,
         return real(*args)
 
     monkeypatch.setattr(ob, "loss_bst", spy)
-    augs = [beliefs.AugmentedSet(prompt_id=f"p{i}", responses=[[5, 1]],
-                                 tau=1.0, seed=0) for i in range(len(batch))]
+    augs = [[[5, 1]] for _ in batch]
     ob.step_loss(ob.LossConfig(kind="bst", k=5), tiny_store, batch)
     ob.step_loss(ob.LossConfig(kind="bss", base_loss="bst", k=5), tiny_store,
                  batch, augmented=augs)
     assert calls == [len(batch), len(batch), len(batch)]
 
 
-def test_bss_without_augmented_sets_is_data_error(tiny_store, batch):
-    with pytest.raises(DataError):
+def test_bss_without_augmentations_is_data_error(tiny_store, batch):
+    with pytest.raises(DataError, match="one list of sampled responses"):
         ob.forget_loss(ob.LossConfig(kind="bss", base_loss="ga"), tiny_store,
                        batch)
+    augs = [[[5, 1]] for _ in batch]
+    augs[1] = []
+    with pytest.raises(DataError, match="no sampled responses"):
+        ob.forget_loss(ob.LossConfig(kind="bss", base_loss="ga"), tiny_store,
+                       batch, augmented=augs)
 
 
 def test_loss_config_validation():
@@ -373,10 +368,7 @@ def test_answer_rows_gradients_match_the_full_sequence_graph(
     gradients sum B*T rows in another order, so bits may differ."""
     vocab = desk_store.arch.vocab_size
     forget, retain = _desk_batch(1, 16, vocab), _desk_batch(2, 16, vocab)
-    augs = [beliefs.AugmentedSet(prompt_id=f"p{i}",
-                                 responses=[r for _, r in
-                                            _desk_batch(3 + i, 2, vocab)],
-                                 tau=1.0, seed=0)
+    augs = [[r for _, r in _desk_batch(3 + i, 2, vocab)]
             for i in range(len(forget))]
     names = sorted(desk_store.entries)
 

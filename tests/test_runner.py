@@ -223,11 +223,9 @@ def test_bss_step_augmentations_equal_per_prompt_loop(small_setup,
         want = []
         for prompt, _ in forget_pairs:
             c = next(counter)
-            responses = [lm.decode(store, prompt, lm.Temperature(
+            want.append([lm.decode(store, prompt, lm.Temperature(
                 loss_cfg.tau, beliefs._mix(cfg.seed, c, j)),
-                cfg.squeeze_max_len)[0][0] for j in range(loss_cfg.n_aug)]
-            want.append(beliefs.AugmentedSet(f"b{c}", responses,
-                                             loss_cfg.tau, cfg.seed))
+                cfg.squeeze_max_len)[0][0] for j in range(loss_cfg.n_aug)])
         steps.append(augmented == want)
         return step_loss(loss_cfg, store, forget_pairs, retain_pairs, ref,
                          augmented)
@@ -516,10 +514,7 @@ def _records_then_unserializable():
     lambda p: lm.write_json({"a": 1, "b": {1, 2}}, p),
     lambda p: cp.save_corpus(_records_then_unserializable(), p,
                              p.with_name("vocab.json")),
-    lambda p: beliefs.save_augmented_sets(
-        [beliefs.AugmentedSet("a", [[1, 2]], 1.0, 0),
-         beliefs.AugmentedSet("b", [[None]], 1.0, 0)], p),
-], ids=["csv", "json", "corpus", "augmented_sets"])
+], ids=["csv", "json", "corpus"])
 def test_output_writes_are_atomic(write, tmp_path):
     path = tmp_path / "out.txt"
     path.write_text("previous\n")
@@ -618,6 +613,13 @@ def test_cli_subcommand_rerun_byte_identical(tmp_path):
     ("squeeze", {"run": {"squeeze_prompts": 0}}, "squeeze_prompts"),
     ("squeeze", {"run": {"beam_width": 0}}, "beam_width"),
     ("squeeze", {"run": {"squeeze_max_len": 0}}, "squeeze_max_len"),
+    ("finetune", {"gen": {"n_perturbed": 30}}, "n_perturbed"),
+    ("finetune", {"gen": {"n_paraphrases": 4}}, "n_paraphrases"),
+    ("finetune", {"gen": {"attributes_per_entity": 9}},
+     "attributes_per_entity"),
+    ("finetune", {"gen": {"n_entities": 4000}}, "n_entities"),
+    ("finetune", {"gen": {"n_entities": 3, "forget_fraction": 0.1}},
+     "n_entities"),
 ])
 def test_cli_config_errors_exit_2(command, doc, key, tmp_path, capsys):
     doc.setdefault("run", {})["out_dir"] = str(tmp_path / "out")
