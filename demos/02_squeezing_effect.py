@@ -55,10 +55,10 @@ def main():
                      epochs=10, batch_size=4, seed=0),
                  on_epoch=lambda _: snaps.append(store.snapshot()))
 
-    _, agg = dy.squeeze_trace(snaps, prompts, 15, max_len=12,
-                              eos_id=vocab.eos, exclude_responses=refs)
+    means, _ = dy.squeeze_trace(snaps, prompts, 15, max_len=12,
+                                eos_id=vocab.eos, exclude_responses=refs)
     print("epoch   high      mid       low")
-    for e, row in enumerate(agg.per_epoch_mean_logprob):
+    for e, row in enumerate(means.mean(0)):
         print(f"{e:5d}  {row[0]:8.3f}  {row[1]:8.3f}  {row[2]:8.3f}")
     print("\nhigh band first rises (mass squeezed into neighbors), then "
           "collapses as ascent keeps pushing.")

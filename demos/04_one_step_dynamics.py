@@ -21,9 +21,9 @@ def main():
             0, 0.08, store.entries[k].shape)
     print(f"model: {store.param_count()} parameters")
 
-    chi = dy.Chi(prompt=[1, 2, 3, 4], response=[5, 6, 7, 1])
+    pair = ([1, 2, 3, 4], [5, 6, 7, 1])
     print("\n  eta        max |actual - predicted|")
-    slope, _, per_eta = dy.eta_scaling_slope(store, chi, chi,
+    slope, _, per_eta = dy.eta_scaling_slope(store, pair, pair,
                                              LossConfig(kind="ga"))
     for run in per_eta:
         print(f"  {run['eta']:8.1e}  {run['max_first_order_error']:.3e}")
@@ -31,7 +31,7 @@ def main():
           f"remainder)")
 
     predicted = per_eta[0]["positions"][0]["predicted_delta_logpi"]
-    y = chi.response[0]
+    y = pair[1][0]
     print(f"predicted change of log pi at the labeled token: "
           f"{predicted[y]:+.5f} (ascent pushes it down)")
 

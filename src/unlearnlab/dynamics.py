@@ -14,9 +14,6 @@ difference is lambda * (q[y] - 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from . import autodiff as ad
@@ -29,44 +26,6 @@ PARAM_CAP = 20_000
 # The loss kinds with a closed-form residual, so the only ones the one-step
 # oracle can check.
 ORACLE_KINDS = ("ga", "bst")
-
-
-class Chi(NamedTuple):
-    """A teacher-forced (prompt, response) pair."""
-    prompt: list[int]
-    response: list[int]
-
-    def tokens(self):
-        return list(self.prompt) + list(self.response)
-
-    def scored_positions(self):
-        """Logit rows that predict each response token."""
-        start = len(self.prompt) - 1
-        return list(range(start, start + len(self.response)))
-
-
-@dataclass
-class DynamicsReport:
-    """One scored position of one SGD step. `pi` is the position's
-    next-token distribution before the step; `softmax_jacobian(pi)` is its
-    A."""
-    position: int
-    pi: np.ndarray
-    G: np.ndarray
-    predicted_delta_logpi: np.ndarray
-    actual_delta_logpi: np.ndarray
-    first_order_error: float
-    eta: float
-
-    def to_dict(self):
-        """The eta-dependent fields, JSON-ready. `pi` and `G` do not depend
-        on eta; `eta_scaling_slope` lists them once per position."""
-        return {
-            "position": self.position,
-            "predicted_delta_logpi": self.predicted_delta_logpi.tolist(),
-            "actual_delta_logpi": self.actual_delta_logpi.tolist(),
-            "first_order_error": self.first_order_error,
-        }
 
 
 def softmax_jacobian(probs: np.ndarray) -> np.ndarray:
@@ -107,133 +66,104 @@ def logit_jacobian(store: lm.ParamStore, tokens, position: int) -> np.ndarray:
     return np.stack(rows)
 
 
-def entk_block(store: lm.ParamStore, chi_a: Chi, chi_b: Chi,
+def entk_block(store: lm.ParamStore, pair_a, pair_b,
                pos_a: int, pos_b: int) -> np.ndarray:
     """Empirical NTK block K = J_a J_b^T between two logit rows.
 
-    Positions index rows of the concatenated-token logit matrix. Refuses to
-    run above the parameter cap rather than approximating.
+    Positions index rows of the concatenated-token logit matrix of each
+    (prompt, response) pair. Refuses to run above the parameter cap rather
+    than approximating.
     """
     n = store.param_count()
     if n > PARAM_CAP:
         raise CapabilityError(f"model has {n} parameters, above the "
                               f"explicit-Jacobian cap {PARAM_CAP}")
-    j_a = logit_jacobian(store, chi_a.tokens(), pos_a)
-    j_b = logit_jacobian(store, chi_b.tokens(), pos_b)
+    j_a = logit_jacobian(store, [*pair_a[0], *pair_a[1]], pos_a)
+    j_b = logit_jacobian(store, [*pair_b[0], *pair_b[1]], pos_b)
     return j_a @ j_b.T
 
 
-def _loss_for(store, chi_u: Chi, loss_cfg):
-    batch = [(list(chi_u.prompt), list(chi_u.response))]
-    if loss_cfg.kind not in ORACLE_KINDS:
-        raise ConfigError(f"akg_check supports loss kinds {ORACLE_KINDS}")
-    return objectives.forget_loss(loss_cfg, store, batch)
-
-
-def akg_check(store: lm.ParamStore, chi_u: Chi, chi_o: Chi, loss_cfg,
-              eta: float) -> list[DynamicsReport]:
-    """Compare predicted vs actual log-probability change for one SGD step.
+def akg_check(store: lm.ParamStore, pair_u, pair_o, loss_cfg, etas):
+    """Predicted against actual change of pair_o's log-probabilities under
+    one plain-SGD step on pair_u's loss, at each eta in `etas`.
 
     The prediction contracts the transport sum K G into J_o @ grad_theta(L),
     which is algebraically identical and avoids materializing K
-    (`entk_block` computes K itself). J_o @ g is the derivative of chi_o's
-    logits along g, taken by one forward-mode pass, so J_o is never formed
-    either and the check runs at any model size.
+    (`entk_block` computes K itself). J_o @ g is the derivative of pair_o's
+    logits along g, taken by one dual forward with the parameters as values
+    and g as their tangents, so J_o is never formed either and the check
+    runs at any model size. Only the step and -eta * (J_o @ g) depend on
+    eta, so g, J_o @ g, pi and G are computed once for all etas.
 
-    `loss_cfg` is a LossConfig of kind 'ga' or 'bst'.
+    Returns `(pi, G, predicted, actual)` over pair_o's R scored positions:
+    `pi` [R, V] is the next-token distribution before the step (its A is
+    `softmax_jacobian(pi[i])`), `G` [R, V] is pair_u's loss residual at the
+    same response index (zero past pair_u's response), and `predicted` and
+    `actual` [len(etas), R, V] are the changes of log pi. `loss_cfg` is a
+    LossConfig of kind 'ga' or 'bst'.
     """
-    return next(_akg_runs(store, chi_u, chi_o, loss_cfg, (eta,)))
-
-
-def _akg_runs(store, chi_u, chi_o, loss_cfg, etas):
-    """Yield `akg_check`'s reports for each eta in turn. Only the step and
-    -eta * (J_o @ g) depend on eta, so the gradient g and each position's
-    J_o @ g, pi and G are computed once for all etas. One dual forward over
-    chi_o, with the parameters as values and g as their tangents, gives
-    J_o @ g at every position."""
     if any(eta <= 0 for eta in etas):
         raise ConfigError("eta must be > 0")
-    lv = _loss_for(store, chi_u, loss_cfg)
+    if loss_cfg.kind not in ORACLE_KINDS:
+        raise ConfigError(f"akg_check supports loss kinds {ORACLE_KINDS}")
+    lv = objectives.forget_loss(loss_cfg, store, [pair_u])
     names = sorted(lv.param_tensors)
     gs = ad.grad(lv.scalar, [lv.param_tensors[n] for n in names])
     g_flat = np.concatenate([g.ravel() for g in gs])
     along_g = {n: ad.Dual(store.entries[n], g) for n, g in zip(names, gs)}
-    jg_rows = lm._logits(ad.duals, along_g, store.arch,
-                         [chi_o.tokens()]).tangent[0, chi_o.scored_positions()]
+    prompt_o, response_o = pair_o
+    start = len(prompt_o) - 1
+    jg = lm._logits(ad.duals, along_g, store.arch,
+                    [[*prompt_o, *response_o]]).tangent[
+                        0, start:start + len(response_o)]
 
-    scored = dict(lm.response_logits(store, [chi_o, chi_u]))
+    scored = dict(lm.response_logits(store, [pair_o, pair_u]))
     lp_before = ad.arrays.log_softmax(scored[0])
-    pi_before = np.exp(lp_before)
-
-    residuals = _residual_rows(np.exp(ad.arrays.log_softmax(scored[1])),
-                               chi_u, loss_cfg)
-
-    positions = []  # per position: (J_o @ g, pi, G)
-    for idx, jg in enumerate(jg_rows):
-        g_row = (residuals[idx] if idx < len(residuals)
-                 else np.zeros(store.arch.vocab_size))
-        positions.append((jg, pi_before[idx], g_row))
-
-    for eta in etas:
-        stepped = store.add_flat(-eta * g_flat)
-        [(_, logits)] = lm.response_logits(stepped, [chi_o])
-        lp_after = ad.arrays.log_softmax(logits)
-        reports = []
-        for idx, (jg, pi, g_row) in enumerate(positions):
-            dz = -eta * jg  # the first-order change of the logits
-            predicted = dz - pi @ dz  # A @ dz, without forming A
-            actual = lp_after[idx] - lp_before[idx]
-            reports.append(DynamicsReport(
-                position=idx, pi=pi, G=g_row,
-                predicted_delta_logpi=predicted, actual_delta_logpi=actual,
-                first_order_error=float(np.max(np.abs(actual - predicted))),
-                eta=eta))
-        yield reports
-
-
-def _residual_rows(pi, chi_u: Chi, loss_cfg) -> np.ndarray:
-    """Closed-form residuals at chi_u's scored positions, whose
-    probabilities are the rows of `pi`."""
-    rows = np.zeros_like(pi)
-    for i, y in enumerate(chi_u.response):
-        bel = (beliefs.topk_belief(pi[i], loss_cfg.k,
+    pi = np.exp(lp_before)
+    pi_u = np.exp(ad.arrays.log_softmax(scored[1]))
+    G = np.zeros_like(pi)
+    for i, y in enumerate(pair_u[1][:len(pi)]):
+        bel = (beliefs.topk_belief(pi_u[i], loss_cfg.k,
                                    loss_cfg.belief_smoothing_tau)
                if loss_cfg.kind == "bst" else None)
-        rows[i] = residual(loss_cfg.kind, pi[i], y, bel, loss_cfg.lambda_bst)
-    return rows
+        G[i] = residual(loss_cfg.kind, pi_u[i], y, bel, loss_cfg.lambda_bst)
+
+    predicted = np.empty((len(etas), *pi.shape))
+    actual = np.empty_like(predicted)
+    for e, eta in enumerate(etas):
+        [(_, logits)] = lm.response_logits(store.add_flat(-eta * g_flat),
+                                           [pair_o])
+        actual[e] = ad.arrays.log_softmax(logits) - lp_before
+        for i, p in enumerate(pi):
+            dz = -eta * jg[i]  # the first-order change of the logits
+            predicted[e, i] = dz - p @ dz  # A @ dz, without forming A
+    return pi, G, predicted, actual
 
 
-def eta_scaling_slope(store: lm.ParamStore, chi_u: Chi, chi_o: Chi, loss_cfg,
+def eta_scaling_slope(store: lm.ParamStore, pair_u, pair_o, loss_cfg,
                       etas=(1e-3, 5e-4, 2.5e-4)
                       ) -> tuple[float, list[dict], list[dict]]:
-    """Least-squares slope of log(max first-order error) vs log(eta); per
-    position a dict of its eta-independent `pi` and `G`; and per eta a dict
-    of its max error and serialized per-position reports (serialized before
-    the next eta runs). The gradient and J_o @ g are computed once for all
-    etas."""
-    errs, per_eta, positions = [], [], None
-    for eta, reports in zip(etas, _akg_runs(store, chi_u, chi_o, loss_cfg,
-                                            etas)):
-        if positions is None:
-            positions = [{"position": r.position, "pi": r.pi.tolist(),
-                          "G": r.G.tolist()} for r in reports]
-        err = max(r.first_order_error for r in reports)
-        errs.append(err)
-        per_eta.append({"eta": eta, "max_first_order_error": err,
-                        "positions": [r.to_dict() for r in reports]})
-    slope = np.polyfit(np.log(np.asarray(etas)), np.log(np.asarray(errs)), 1)[0]
+    """Least-squares slope of log(max first-order error) vs log(eta), and
+    `akg_check`'s arrays as JSON-ready dicts: per position its `pi` and
+    `G`, and per eta its max error and each position's predicted and actual
+    change and first-order error, max |actual - predicted|."""
+    pi, G, predicted, actual = akg_check(store, pair_u, pair_o, loss_cfg,
+                                         etas)
+    errors = np.abs(actual - predicted).max(-1)  # [len(etas), R]
+    positions = [{"position": i, "pi": p.tolist(), "G": g.tolist()}
+                 for i, (p, g) in enumerate(zip(pi, G))]
+    per_eta = [{"eta": eta, "max_first_order_error": float(err.max()),
+                "positions": [{"position": i,
+                               "predicted_delta_logpi": p.tolist(),
+                               "actual_delta_logpi": a.tolist(),
+                               "first_order_error": float(x)}
+                              for i, (p, a, x) in enumerate(zip(pr, ac, err))]}
+               for eta, pr, ac, err in zip(etas, predicted, actual, errors)]
+    slope = np.polyfit(np.log(np.asarray(etas)), np.log(errors.max(-1)), 1)[0]
     return float(slope), positions, per_eta
 
 
 # Squeezing-band tracer -------------------------------------------------------
-
-
-@dataclass
-class BandTrace:
-    prompt_id: str
-    band_of: dict[str, str]
-    per_epoch_mean_logprob: np.ndarray  # [epochs, 3] for high/mid/low
-    band_sizes: dict[str, int]
 
 
 BANDS = ("high", "mid", "low")
@@ -261,15 +191,20 @@ def _assign_bands(scores: np.ndarray) -> list[str]:
 def squeeze_trace(checkpoints: list[lm.ParamStore], prompts,
                   beam_width: int = 15, max_len: int = 12,
                   eos_id: int | None = None,
-                  exclude_responses=None) -> tuple[list[BandTrace], BandTrace]:
+                  exclude_responses=None) -> tuple[np.ndarray, np.ndarray]:
     """Track per-band mean sequence log-probability across checkpoints.
 
-    Candidates are beam-searched once from checkpoints[0] and band
-    membership is frozen from checkpoint-0 scores, so the trace measures
-    mass movement. Each checkpoint scores every prompt's candidates in one
-    `lm.response_logits` call.
-    `exclude_responses`, when given, drops the exact reference response from
-    each prompt's candidate pool (the suppressed target is not a neighbor).
+    `prompts` holds (prompt_id, prompt) pairs. Candidates are beam-searched
+    once from checkpoints[0] and band membership is frozen from
+    checkpoint-0 scores, so the trace measures mass movement. Each
+    checkpoint scores every prompt's candidates in one `lm.response_logits`
+    call. `exclude_responses`, when given, drops the exact reference
+    response from each prompt's candidate pool (the suppressed target is
+    not a neighbor).
+
+    Returns `(means, sizes)`: `means` [P, E, 3] is each prompt's mean
+    candidate log-probability per checkpoint and band (`BANDS` order), and
+    `sizes` [P, 3] is its candidate count per band.
     """
     if not checkpoints:
         raise DataError("need at least one checkpoint")
@@ -298,34 +233,20 @@ def squeeze_trace(checkpoints: list[lm.ParamStore], prompts,
             resp = pairs[j][1]
             lp = ad.arrays.log_softmax(logits)
             all_scores[e, j] = lp[np.arange(len(resp)), resp].sum()
-    traces = []
-    for (prompt_id, _), span in zip(prompts, spans):
+    means = np.zeros((len(prompts), len(checkpoints), len(BANDS)))
+    sizes = np.zeros((len(prompts), len(BANDS)), dtype=np.int64)
+    for p, span in enumerate(spans):
         scores = all_scores[:, span]
         band_list = _assign_bands(scores[0])
-        cand_ids = [f"{prompt_id}_c{j}" for j in range(scores.shape[1])]
-        per_epoch = np.zeros((len(checkpoints), 3))
-        sizes = {}
         for bi, b in enumerate(BANDS):
             sel = [j for j, bb in enumerate(band_list) if bb == b]
-            sizes[b] = len(sel)
-            per_epoch[:, bi] = scores[:, sel].mean(axis=1)
-        traces.append(BandTrace(
-            prompt_id=prompt_id, band_of=dict(zip(cand_ids, band_list)),
-            per_epoch_mean_logprob=per_epoch, band_sizes=sizes))
-    agg = BandTrace(
-        prompt_id="aggregate",
-        band_of={k: v for t in traces for k, v in t.band_of.items()},
-        per_epoch_mean_logprob=np.mean(
-            [t.per_epoch_mean_logprob for t in traces], axis=0),
-        band_sizes={b: sum(t.band_sizes[b] for t in traces) for b in BANDS})
-    return traces, agg
+            sizes[p, bi] = len(sel)
+            means[p, :, bi] = scores[:, sel].mean(axis=1)
+    return means, sizes
 
 
-def trace_rows(trace: BandTrace):
-    """CSV-ready rows: (epoch, band, mean_logprob, n_candidates)."""
-    rows = []
-    for e in range(trace.per_epoch_mean_logprob.shape[0]):
-        for bi, b in enumerate(BANDS):
-            rows.append((e, b, float(trace.per_epoch_mean_logprob[e, bi]),
-                         trace.band_sizes[b]))
-    return rows
+def trace_rows(means: np.ndarray, sizes: np.ndarray):
+    """CSV-ready rows of one trace, `means` [E, 3] and `sizes` [3]:
+    (epoch, band, mean_logprob, n_candidates)."""
+    return [(e, b, float(row[bi]), int(sizes[bi]))
+            for e, row in enumerate(means) for bi, b in enumerate(BANDS)]

@@ -599,43 +599,51 @@ def _param_values(name: str, data, shape: tuple) -> np.ndarray:
         try:
             raw = base64.b64decode(data, validate=True)
         except ValueError as e:  # binascii.Error, or a non-ASCII character
-            raise DataError(f"checkpoint parameter {name!r} data is not "
-                            f"base64: {e}") from None
+            raise DataError(f"parameter {name!r} data is not base64: {e}"
+                            ) from None
         if len(raw) != n_bytes:
-            raise DataError(f"checkpoint parameter {name!r} data holds "
+            raise DataError(f"parameter {name!r} data holds "
                             f"{len(raw)} bytes, expected {n_bytes}")
         # frombuffer gives a read-only view; AdamW updates entries in place.
         return np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
     if not isinstance(data, list):
-        raise DataError(f"checkpoint parameter {name!r} data must be a "
-                        f"base64 string or a list of numbers, got "
+        raise DataError(f"parameter {name!r} data must be a base64 "
+                        f"string or a list of numbers, got "
                         f"{reprlib.repr(data)}")
     try:
         return np.asarray(data, dtype=np.float64).reshape(shape)
     except (TypeError, ValueError) as e:
-        raise DataError(f"checkpoint parameter {name!r} data is "
-                        f"malformed: {e}") from None
+        raise DataError(f"parameter {name!r} data is malformed: {e}"
+                        ) from None
 
 
 def load_checkpoint(path) -> ParamStore:
+    """The checkpoint at `path`; a bad file raises DataError naming it."""
     ckpt = schema.load(_CheckpointFile, path, "checkpoint file", DataError)
-    params = ckpt.params
-    shapes = param_shapes(ckpt.arch)
+    try:
+        entries = _param_entries(ckpt.params, param_shapes(ckpt.arch))
+    except DataError as e:  # schema.load's errors name the file already
+        raise DataError(f"checkpoint file {path}: {e}") from None
+    return ParamStore(entries, ckpt.arch, ckpt.seed)
+
+
+def _param_entries(params: dict, shapes: dict) -> dict:
+    """The arrays of a checkpoint's `params`, one per name of `shapes`."""
     stray = sorted(params.keys() - shapes.keys())
     if stray:
-        raise DataError(f"checkpoint parameter {stray[0]!r} is not a "
-                        "parameter of its arch")
+        raise DataError(f"parameter {stray[0]!r} is not a parameter of its "
+                        "arch")
     entries = {}
     for name, shape in shapes.items():
         if name not in params:
-            raise DataError(f"checkpoint missing parameter {name!r}")
+            raise DataError(f"missing parameter {name!r}")
         rec = params[name]
         if not (isinstance(rec, dict) and "shape" in rec and "data" in rec):
-            raise DataError(f"checkpoint parameter {name!r} must be an "
-                            "object with 'shape' and 'data'")
+            raise DataError(f"parameter {name!r} must be an object with "
+                            "'shape' and 'data'")
         if rec["shape"] != list(shape):
-            raise DataError(f"checkpoint shape mismatch for {name!r}")
+            raise DataError(f"shape mismatch for {name!r}")
         entries[name] = _param_values(name, rec["data"], shape)
         if not np.isfinite(entries[name]).all():
-            raise DataError(f"checkpoint parameter {name!r} is not finite")
-    return ParamStore(entries, ckpt.arch, ckpt.seed)
+            raise DataError(f"parameter {name!r} is not finite")
+    return entries

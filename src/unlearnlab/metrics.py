@@ -109,8 +109,9 @@ def teacher_forced_scores(store: lm.ParamStore, pairs) -> list[TeacherForced]:
     prompt + answer[:k] reproduces answer[k:] exactly when the teacher-forced
     greedy choice hits every answer position from k on, so k* is |y| minus
     the trailing run of hits. The greedy choice is the log-softmax argmax,
-    lowest id on ties, as in `lm.decode`; exact memorization keeps its logit
-    argmax (subtracting the log-normalizer can round two logits to one value).
+    lowest id on ties, as in `lm.decode_batch`; exact memorization keeps its
+    logit argmax (subtracting the log-normalizer can round two logits to one
+    value).
     """
     pairs = [(list(p), list(a)) for p, a in pairs]
     if not all(a for _, a in pairs):

@@ -430,13 +430,12 @@ def run_dynamics(config: RunConfig, checkpoint=None,
     store = (lm.load_checkpoint(checkpoint) if checkpoint
              else lm.init_model(config.arch, config.seed))
     rec = forget[0]
-    prompt, answer = cp.qa_pair_tokens(corp.vocab, rec.question, rec.answer)
-    chi = dynamics.Chi(prompt=prompt, response=answer)
+    pair = cp.qa_pair_tokens(corp.vocab, rec.question, rec.answer)
     loss_cfg = config.loss if config.loss.kind in dynamics.ORACLE_KINDS \
         else ob.LossConfig(kind="ga")
     out = make_out_dir(config.out_dir)
     slope, positions, per_eta = dynamics.eta_scaling_slope(
-        store, chi, chi, loss_cfg, etas)
+        store, pair, pair, loss_cfg, etas)
     doc = {"record_id": rec.id, "loss_kind": loss_cfg.kind,
            "etas": list(etas), "slope": slope, "positions": positions,
            "reports": per_eta}
@@ -458,23 +457,23 @@ def run_squeeze(config: RunConfig, reference_checkpoint) -> dict:
         prompt, answer = cp.qa_pair_tokens(vocab, rec.question, rec.answer)
         prompts.append((rec.id, prompt))
         refs.append(answer)
-    traces, agg = dynamics.squeeze_trace(
+    means, sizes = dynamics.squeeze_trace(
         snapshots, prompts, beam_width=config.beam_width,
         max_len=config.squeeze_max_len, eos_id=vocab.eos,
         exclude_responses=refs)
+    agg = means.mean(0)
     out = Path(config.out_dir)
     _write_csv(out / "bands.csv",
                ["epoch", "band", "mean_logprob", "n_candidates"],
-               dynamics.trace_rows(agg))
-    per_rows = []
-    for t in traces:
-        for row in dynamics.trace_rows(t):
-            per_rows.append((t.prompt_id, *row))
+               dynamics.trace_rows(agg, sizes.sum(0)))
+    per_rows = [(prompt_id, *row)
+                for (prompt_id, _), m, n in zip(prompts, means, sizes)
+                for row in dynamics.trace_rows(m, n)]
     _write_csv(out / "bands_per_prompt.csv",
                ["prompt_id", "epoch", "band", "mean_logprob", "n_candidates"],
                per_rows)
     print(f"squeeze: wrote {out / 'bands.csv'}")
-    return {"aggregate": agg.per_epoch_mean_logprob.tolist(),
+    return {"aggregate": agg.tolist(),
             "bands_csv": str(out / "bands.csv")}
 
 

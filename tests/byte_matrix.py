@@ -6,8 +6,8 @@ what it writes.
 
 The matrix runs `gen-corpus`, `finetune` and `retrain`; `unlearn` for every
 loss kind, and `bss` over each base kind; `eval` with a reference checkpoint
-and the mock judge; `dynamics`; `squeeze`; and a two-point `sweep`. Every
-output file is hashed with sha256 after the work directory's path in it is
+and the mock judge; `dynamics` with each oracle loss kind (`bst`, `ga`);
+`squeeze`; and a two-point `sweep`. Every output file is hashed with sha256 after the work directory's path in it is
 replaced by a placeholder, so runs in different directories compare equal
 when their bytes agree.
 
@@ -19,8 +19,9 @@ is equal, 1 otherwise.
 
 The matrix itself runs in a child process (`--run WORK`) whose PYTHONPATH
 holds the `src` directory under test, with BLAS pinned to one thread
-(`run_matrix` takes another thread count, and can run a subset of the
-steps).
+(`run_matrix` takes another thread count, can run a subset of the steps,
+and can run them with `runner._keep_freed_blocks` a no-op, so that glibc's
+allocation thresholds stay at their defaults).
 """
 
 from __future__ import annotations
@@ -80,6 +81,9 @@ def _steps(work: Path, seed: int, loss_kinds, base_kinds):
         ("dynamics", "dynamics",
          {"run": dict(run, loss=dict(loss, kind="bst")),
           "reference_checkpoint": ref}),
+        ("dynamics", "dynamics_ga",
+         {"run": dict(run, loss=dict(loss, kind="ga")),
+          "reference_checkpoint": ref}),
         ("squeeze", "squeeze",
          {"run": unlearn_run(kind="bss"), "reference_checkpoint": ref}),
         ("sweep", "sweep",
@@ -89,11 +93,14 @@ def _steps(work: Path, seed: int, loss_kinds, base_kinds):
     return steps
 
 
-def _run_here(work: Path, seed: int, names=None):
+def _run_here(work: Path, seed: int, names=None, keep_freed=True):
     """Run every step, or the steps whose output directory is in `names`,
     with the importable `unlearnlab` (the child side)."""
-    from unlearnlab import cli
+    from unlearnlab import cli, runner
     from unlearnlab.objectives import BASE_KINDS, LOSS_KINDS
+
+    if not keep_freed:
+        runner._keep_freed_blocks = lambda: None
 
     cfg_dir = work / "cfg"
     cfg_dir.mkdir(parents=True)
@@ -110,15 +117,20 @@ def _run_here(work: Path, seed: int, names=None):
 
 
 def run_matrix(src: Path, work: Path, seed: int = SEED, threads: int = 1,
-               steps=None) -> dict[str, str]:
+               steps=None, keep_freed=True) -> dict[str, str]:
     """Run the matrix with the package under `src` in a child process with
     BLAS at `threads` threads; returns {output path relative to the output
     root: sha256}. `steps`, when given, names the output directories of the
-    steps to run (a step needs the steps whose outputs it reads)."""
+    steps to run (a step needs the steps whose outputs it reads).
+    `keep_freed=False` makes `runner._keep_freed_blocks` a no-op in the
+    child: the setting is process-wide and cached, so only a fresh process
+    can run without it."""
     env = dict(os.environ, PYTHONPATH=str(src),
                OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
                PYTHONDONTWRITEBYTECODE="1")
     only = [] if steps is None else ["--steps", ",".join(steps)]
+    if not keep_freed:
+        only.append("--no-keep-freed")
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--run", str(work),
          "--seed", str(seed), *only], env=env, capture_output=True,
@@ -249,10 +261,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=SEED)
     parser.add_argument("--run", metavar="WORK", help=argparse.SUPPRESS)
     parser.add_argument("--steps", help=argparse.SUPPRESS)
+    parser.add_argument("--no-keep-freed", action="store_true",
+                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.run:
         _run_here(Path(args.run), args.seed,
-                  args.steps.split(",") if args.steps else None)
+                  args.steps.split(",") if args.steps else None,
+                  keep_freed=not args.no_keep_freed)
         return 0
     with tempfile.TemporaryDirectory(prefix="byte_matrix_") as tmp:
         tmp = Path(tmp)

@@ -189,8 +189,8 @@ def test_criterion_3_akg_eta_scaling():
         store.entries[k] = store.entries[k] + rng.normal(
             0, 0.08, store.entries[k].shape)
     assert store.param_count() <= 20_000
-    chi = dy.Chi(prompt=[1, 2, 3, 4], response=[5, 6, 7, 1])
-    slope, _, _ = dy.eta_scaling_slope(store, chi, chi,
+    pair = ([1, 2, 3, 4], [5, 6, 7, 1])
+    slope, _, _ = dy.eta_scaling_slope(store, pair, pair,
                                        ob.LossConfig(kind="ga"),
                                        etas=(1e-3, 5e-4, 2.5e-4))
     elapsed = time.time() - t0

@@ -25,8 +25,6 @@ ORACLES = {
                                  "without forming it",
     "dynamics.entk_block": "the explicit eNTK block that akg_check's "
                            "contracted J_o @ g is checked against",
-    "dynamics.akg_check": "the one-eta one-step check; run_dynamics "
-                          "reaches the same runs through eta_scaling_slope",
     "lm.token_logprobs": "the one-pair oracle that the batched scorers "
                          "are compared against",
 }

@@ -1,7 +1,8 @@
 """The byte-identity matrix (`tests/byte_matrix.py`): a rerun of the CLI
-matrix on the working tree writes the same bytes, so does a run with BLAS
-at two threads, the comparison sees a changed seed, and `describe` tells a
-change of encoding from a change of value."""
+matrix on the working tree writes the same bytes, so do a run with BLAS at
+two threads and a run with glibc's allocation thresholds at their defaults,
+the comparison sees a changed seed, and `describe` tells a change of
+encoding from a change of value."""
 
 import base64
 import json
@@ -17,7 +18,8 @@ def test_byte_matrix_rerun_equal_and_seed_change_detected(tmp_path):
     # Every subcommand wrote its outputs.
     assert {rel.split("/")[0] for rel in first} >= {
         "corpus", "finetune", "retrain", "unlearn_ga", "unlearn_graddiff",
-        "unlearn_bss_npo", "eval", "dynamics", "squeeze", "sweep"}
+        "unlearn_bss_npo", "eval", "dynamics", "dynamics_ga", "squeeze",
+        "sweep"}
     assert "sweep/combo_001/manifest.json" in first
     rerun = bm.compare(first, bm.run_matrix(src, tmp_path / "b"))
     assert set(rerun.values()) == {"equal"}
@@ -37,6 +39,19 @@ def test_blas_thread_count_does_not_change_the_bytes(tmp_path):
     assert {rel.split("/")[0] for rel in one} == set(steps)
     assert "unlearn_bst/ckpt_final.json" in one
     assert set(bm.compare(one, two).values()) == {"equal"}
+
+
+def test_freed_block_thresholds_do_not_change_the_bytes(tmp_path):
+    """The matrix's finetune and bst unlearning write the same bytes with
+    `runner._keep_freed_blocks` a no-op, so glibc's allocation thresholds
+    move addresses only, never values."""
+    src = bm.ROOT / "src"
+    steps = ("corpus", "finetune", "unlearn_bst")
+    kept = bm.run_matrix(src, tmp_path / "kept", steps=steps)
+    default = bm.run_matrix(src, tmp_path / "default", steps=steps,
+                            keep_freed=False)
+    assert "unlearn_bst/ckpt_final.json" in kept
+    assert set(bm.compare(kept, default).values()) == {"equal"}
 
 
 def _checkpoint_bytes(values, encode):

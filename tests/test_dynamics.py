@@ -112,18 +112,18 @@ def test_residuals_match_autodiff_logit_gradients():
 
 
 def test_entk_block_structure(dyn_store):
-    chi = dy.Chi(prompt=[1, 2, 3], response=[4, 5])
-    k_aa = dy.entk_block(dyn_store, chi, chi, 3, 3)
+    pair = ([1, 2, 3], [4, 5])
+    k_aa = dy.entk_block(dyn_store, pair, pair, 3, 3)
     assert np.max(np.abs(k_aa - k_aa.T)) <= 1e-10
     assert np.linalg.eigvalsh(k_aa).min() >= -1e-8
-    chi_b = dy.Chi(prompt=[2, 2], response=[7, 8])
-    k_ab = dy.entk_block(dyn_store, chi, chi_b, 3, 2)
-    k_ba = dy.entk_block(dyn_store, chi_b, chi, 2, 3)
+    pair_b = ([2, 2], [7, 8])
+    k_ab = dy.entk_block(dyn_store, pair, pair_b, 3, 2)
+    k_ba = dy.entk_block(dyn_store, pair_b, pair, 2, 3)
     assert np.max(np.abs(k_ab - k_ba.T)) <= 1e-10
 
 
 def test_entk_matches_finite_difference_jacobians(dyn_store):
-    chi = dy.Chi(prompt=[1, 2], response=[3])
+    pair = ([1, 2], [3])
     pos = 1
     names = sorted(dyn_store.entries)
     eps = 1e-5
@@ -148,9 +148,9 @@ def test_entk_matches_finite_difference_jacobians(dyn_store):
             off += size
         return jac
 
-    j_fd = fd_jacobian(dyn_store, chi.tokens(), pos)
+    j_fd = fd_jacobian(dyn_store, [1, 2, 3], pos)
     k_fd = j_fd @ j_fd.T
-    k = dy.entk_block(dyn_store, chi, chi, pos, pos)
+    k = dy.entk_block(dyn_store, pair, pair, pos, pos)
     denom = max(np.max(np.abs(k)), 1e-12)
     assert np.max(np.abs(k - k_fd)) / denom <= 1e-5
 
@@ -201,40 +201,45 @@ def test_dual_jg_above_cap_matches_finite_difference():
 
 
 def test_entk_refuses_above_cap(dyn_store, monkeypatch):
-    chi = dy.Chi(prompt=[1], response=[2])
+    pair = ([1], [2])
     monkeypatch.setattr(dy, "PARAM_CAP", 10)
     with pytest.raises(CapabilityError):
-        dy.entk_block(dyn_store, chi, chi, 0, 0)
+        dy.entk_block(dyn_store, pair, pair, 0, 0)
+
+
+def _first_order_errors(predicted, actual):
+    """Max |actual - predicted| per eta."""
+    return np.abs(actual - predicted).max(axis=(1, 2))
 
 
 def test_akg_error_halves_quadratically(dyn_store):
-    chi = dy.Chi(prompt=[1, 2, 3, 4], response=[5, 6, 7])
-    cfg = ob.LossConfig(kind="ga")
-    e1 = max(r.first_order_error
-             for r in dy.akg_check(dyn_store, chi, chi, cfg, 1e-3))
-    e2 = max(r.first_order_error
-             for r in dy.akg_check(dyn_store, chi, chi, cfg, 5e-4))
+    pair = ([1, 2, 3, 4], [5, 6, 7])
+    *_, predicted, actual = dy.akg_check(dyn_store, pair, pair,
+                                         ob.LossConfig(kind="ga"),
+                                         (1e-3, 5e-4))
+    e1, e2 = _first_order_errors(predicted, actual)
     assert e2 / e1 <= 0.5
 
 
 def test_akg_ga_pushes_label_down(dyn_store):
-    chi = dy.Chi(prompt=[1, 2, 3], response=[4, 5])
-    reports = dy.akg_check(dyn_store, chi, chi, ob.LossConfig(kind="ga"),
-                           eta=1e-3)
-    for r, y in zip(reports, chi.response):
-        assert r.predicted_delta_logpi[y] < 0
+    pair = ([1, 2, 3], [4, 5])
+    _, _, predicted, _ = dy.akg_check(dyn_store, pair, pair,
+                                      ob.LossConfig(kind="ga"), (1e-3,))
+    assert predicted.shape == (1, 2, dyn_store.arch.vocab_size)
+    for row, y in zip(predicted[0], pair[1]):
+        assert row[y] < 0
 
 
 def test_akg_eta_scaling_slope(dyn_store):
-    chi = dy.Chi(prompt=[1, 2, 3, 4], response=[5, 6, 7, 1])
-    slope, _, _ = dy.eta_scaling_slope(dyn_store, chi, chi,
+    pair = ([1, 2, 3, 4], [5, 6, 7, 1])
+    slope, _, _ = dy.eta_scaling_slope(dyn_store, pair, pair,
                                        ob.LossConfig(kind="ga"))
     assert slope >= 1.7
 
 
 def test_eta_scaling_slope_computes_each_jacobian_once(dyn_store,
                                                        monkeypatch):
-    chi = dy.Chi(prompt=[1, 2, 3], response=[5, 6, 7])
+    pair = ([1, 2, 3], [5, 6, 7])
     cfg = ob.LossConfig(kind="ga")
     etas = (1e-3, 5e-4, 2.5e-4)
     jacobians, dual_forwards = [], []
@@ -251,36 +256,66 @@ def test_eta_scaling_slope_computes_each_jacobian_once(dyn_store,
 
     monkeypatch.setattr(dy, "logit_jacobian", counted_jacobian)
     monkeypatch.setattr(lm, "_logits", counted_logits)
-    _, positions, per_eta = dy.eta_scaling_slope(dyn_store, chi, chi, cfg,
+    _, positions, per_eta = dy.eta_scaling_slope(dyn_store, pair, pair, cfg,
                                                  etas)
     assert jacobians == []
-    assert dual_forwards == [[chi.tokens()]]
+    assert dual_forwards == [[[1, 2, 3, 5, 6, 7]]]
     monkeypatch.undo()
+    # Each eta's report equals that of a run at that eta alone, bit for bit.
     for eta, doc in zip(etas, per_eta):
-        reports = dy.akg_check(dyn_store, chi, chi, cfg, eta)
-        assert doc["positions"] == [r.to_dict() for r in reports]
-        assert positions == [{"position": r.position, "pi": r.pi.tolist(),
-                              "G": r.G.tolist()} for r in reports]
+        pi, G, [predicted], [actual] = dy.akg_check(dyn_store, pair, pair,
+                                                    cfg, (eta,))
+        assert doc["positions"] == [
+            {"position": i, "predicted_delta_logpi": p.tolist(),
+             "actual_delta_logpi": a.tolist(),
+             "first_order_error": float(np.max(np.abs(a - p)))}
+            for i, (p, a) in enumerate(zip(predicted, actual))]
+        assert doc["max_first_order_error"] == max(
+            r["first_order_error"] for r in doc["positions"])
+        assert positions == [{"position": i, "pi": p.tolist(),
+                              "G": g.tolist()}
+                             for i, (p, g) in enumerate(zip(pi, G))]
     with pytest.raises(ConfigError):
-        dy.eta_scaling_slope(dyn_store, chi, chi, cfg, (1e-3, 0.0))
+        dy.eta_scaling_slope(dyn_store, pair, pair, cfg, (1e-3, 0.0))
 
 
 def test_akg_bst_reports_carry_residuals(dyn_store):
-    chi = dy.Chi(prompt=[1, 2], response=[3, 4])
+    pair = ([1, 2], [3, 4])
     cfg = ob.LossConfig(kind="bst", lambda_bst=0.2, k=5)
-    reports = dy.akg_check(dyn_store, chi, chi, cfg, 1e-3)
-    lp = ad.arrays.log_softmax(lm.batch_logits(dyn_store, [chi.tokens()])[0])
-    for r, pos, y in zip(reports, chi.scored_positions(), chi.response):
-        pi = np.exp(lp[pos])
-        bel = beliefs.topk_belief(pi, 5)
-        want = dy.residual("bst", pi, y, bel, 0.2)
-        assert np.max(np.abs(r.G - want)) <= 1e-10
-        assert abs(r.G.sum()) <= 1e-10
-        assert np.array_equal(r.pi, pi)
-        a = dy.softmax_jacobian(r.pi)
-        assert np.max(np.abs(a @ np.ones(len(pi)))) <= 1e-10
+    pi, G, [predicted], _ = dy.akg_check(dyn_store, pair, pair, cfg, (1e-3,))
+    lp = ad.arrays.log_softmax(lm.batch_logits(dyn_store, [[1, 2, 3, 4]])[0])
+    for i, (pos, y) in enumerate(zip((1, 2), pair[1])):
+        want_pi = np.exp(lp[pos])
+        bel = beliefs.topk_belief(want_pi, 5)
+        want = dy.residual("bst", want_pi, y, bel, 0.2)
+        assert np.max(np.abs(G[i] - want)) <= 1e-10
+        assert abs(G[i].sum()) <= 1e-10
+        assert np.array_equal(pi[i], want_pi)
+        a = dy.softmax_jacobian(pi[i])
+        assert np.max(np.abs(a @ np.ones(len(want_pi)))) <= 1e-10
         # predicted = A @ dz with A = I - 1 pi^T, so pi . predicted = 0
-        assert abs(r.pi @ r.predicted_delta_logpi) <= 1e-15
+        assert abs(pi[i] @ predicted[i]) <= 1e-15
+
+
+@pytest.mark.parametrize("kind", dy.ORACLE_KINDS)
+def test_akg_transports_a_step_on_one_pair_to_another(kind):
+    """A step on u's loss moves o's log-probabilities as -eta * A K G
+    predicts: pi is o's distribution, G is u's residual, and the error
+    still falls like eta^2."""
+    arch = lm.ArchConfig(vocab_size=48, context_len=24, d_model=12,
+                         n_layers=1, n_heads=2)
+    store = _perturbed_model(arch, 5, 2)
+    u, o = ([1, 2, 3, 4], [5, 6, 7, 1]), ([2, 9, 3], [8, 6, 1])
+    cfg = ob.LossConfig(kind=kind)
+    slope, positions, _ = dy.eta_scaling_slope(store, u, o, cfg)
+    assert abs(slope - 2) <= 0.1
+    [(_, logits_o), (_, logits_u)] = lm.response_logits(store, [o, u])
+    assert np.array_equal([p["pi"] for p in positions],
+                          np.exp(ad.arrays.log_softmax(logits_o)))
+    if kind == "ga":
+        pi_u = np.exp(ad.arrays.log_softmax(logits_u))
+        for p, pi_row, y in zip(positions, pi_u, u[1]):
+            assert np.array_equal(p["G"], dy.residual("ga", pi_row, y))
 
 
 # Squeeze bands ---------------------------------------------------------------
@@ -308,18 +343,19 @@ def test_squeeze_trace_structure(mini_trained):
     for k in second.entries:
         second.entries[k] = second.entries[k] + rng.normal(
             0, 0.01, second.entries[k].shape)
-    traces, agg = dy.squeeze_trace([store, second], prompts, 12,
-                                   max_len=10, eos_id=vocab.eos,
-                                   exclude_responses=refs)
-    for t in traces:
-        hi, mid, lo = t.per_epoch_mean_logprob[0]
+    means, sizes = dy.squeeze_trace([store, second], prompts, 12,
+                                    max_len=10, eos_id=vocab.eos,
+                                    exclude_responses=refs)
+    assert means.shape == (3, 2, 3)
+    assert sizes.shape == (3, 3)
+    for m, n in zip(means, sizes):
+        hi, mid, lo = m[0]
         assert hi > mid > lo
-        assert t.band_sizes["high"] >= 1
-        assert set(t.band_of.values()) <= {"high", "mid", "low"}
-        assert t.per_epoch_mean_logprob.shape == (2, 3)
-    rows = dy.trace_rows(agg)
+        assert n[0] >= 1
+    rows = dy.trace_rows(means.mean(0), sizes.sum(0))
     assert len(rows) == 2 * 3
     assert rows[0][:2] == (0, "high")
+    assert rows[0][3] == sizes[:, 0].sum()
 
 
 def test_squeeze_trace_scores_all_prompts_in_one_call_per_checkpoint(
@@ -347,16 +383,15 @@ def test_squeeze_trace_scores_all_prompts_in_one_call_per_checkpoint(
 
     monkeypatch.setattr(lm, "response_logits", counted)
     kw = dict(beam_width=12, max_len=10, eos_id=corp.vocab.eos)
-    traces, _ = dy.squeeze_trace([store, second], prompts,
-                                 exclude_responses=refs, **kw)
+    means, sizes = dy.squeeze_trace([store, second], prompts,
+                                    exclude_responses=refs, **kw)
     assert len(calls) == 2
-    assert calls[0] == sum(len(t.band_of) for t in traces)
-    for (prompt, ref), t in zip(zip(prompts, refs), traces):
-        [alone], _ = dy.squeeze_trace([store, second], [prompt],
-                                      exclude_responses=[ref], **kw)
-        assert alone.band_of == t.band_of
-        assert np.array_equal(alone.per_epoch_mean_logprob,
-                              t.per_epoch_mean_logprob)
+    assert calls[0] == sizes.sum()
+    for prompt, ref, m, n in zip(prompts, refs, means, sizes):
+        [alone_m], [alone_n] = dy.squeeze_trace(
+            [store, second], [prompt], exclude_responses=[ref], **kw)
+        assert np.array_equal(alone_n, n)
+        assert np.array_equal(alone_m, m)
 
 
 def test_squeeze_trace_needs_five_candidates(mini_trained):

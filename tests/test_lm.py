@@ -732,14 +732,21 @@ def test_checkpoint_missing_field_is_data_error(case, tiny_store, tmp_path):
         lm.load_checkpoint(p)
 
 
+def _assert_names_the_file_once(err, path):
+    """A checkpoint error names its file, so `eval` over several
+    checkpoints can say which one is bad."""
+    assert str(err.value).count(str(path)) == 1
+
+
 def test_non_finite_checkpoint_is_data_error(tiny_store, tmp_path):
     p = tmp_path / "bad.json"
     save_v03_checkpoint(tiny_store, p)
     doc = json.loads(p.read_text())
     doc["params"]["head"]["data"][3] = float("nan")
     p.write_text(json.dumps(doc))
-    with pytest.raises(DataError, match="'head'"):
+    with pytest.raises(DataError, match="'head'") as err:
         lm.load_checkpoint(p)
+    _assert_names_the_file_once(err, p)
 
 
 def test_checkpoint_shape_mismatch_rejected(tiny_store, tmp_path):
@@ -748,8 +755,9 @@ def test_checkpoint_shape_mismatch_rejected(tiny_store, tmp_path):
     doc = json.loads(p.read_text())
     doc["params"]["head"]["shape"] = [1, 1]
     p.write_text(json.dumps(doc))
-    with pytest.raises(DataError, match="shape mismatch for 'head'"):
+    with pytest.raises(DataError, match="shape mismatch for 'head'") as err:
         lm.load_checkpoint(p)
+    _assert_names_the_file_once(err, p)
 
 
 def test_checkpoint_missing_parameter_is_data_error(tiny_store, tmp_path):
@@ -758,8 +766,9 @@ def test_checkpoint_missing_parameter_is_data_error(tiny_store, tmp_path):
     doc = json.loads(p.read_text())
     del doc["params"]["pos_emb"]
     p.write_text(json.dumps(doc))
-    with pytest.raises(DataError, match="missing parameter 'pos_emb'"):
+    with pytest.raises(DataError, match="missing parameter 'pos_emb'") as err:
         lm.load_checkpoint(p)
+    _assert_names_the_file_once(err, p)
 
 
 def _head(doc):
@@ -844,8 +853,9 @@ def test_malformed_checkpoint_is_data_error(case, tiny_store, tmp_path):
     doc = json.loads(p.read_text())
     edit(doc)
     p.write_text(json.dumps(doc))
-    with pytest.raises(DataError, match=match):
+    with pytest.raises(DataError, match=match) as err:
         lm.load_checkpoint(p)
+    _assert_names_the_file_once(err, p)
 
 
 def test_snapshot_is_value_independent(tiny_store):
