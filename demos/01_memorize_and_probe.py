@@ -37,7 +37,7 @@ def main():
 
     vocab = corp.vocab
     prompt, answer = cp.qa_pair_tokens(vocab, rec.question, rec.answer)
-    out, _ = lm.decode(store, prompt, lm.Greedy(), 16, eos_id=vocab.eos)[0]
+    [(out, _)] = lm.decode_batch(store, [prompt], 16, eos_id=vocab.eos)
     print(f"greedy answer: {cp.decode_text(vocab, out)}")
     [scores] = mt.teacher_forced_scores(store, [(prompt, answer)])
     print(f"exact memorization: {scores.exact_mem:.3f}")

@@ -83,10 +83,9 @@ def sample_augmentations(store: lm.ParamStore, prompts, n: int, tau: float,
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
-    strategies = [lm.Temperature(tau=tau, seed=_mix(seed, c, j))
-                  for c in counters for j in range(n)]
+    seeds = [_mix(seed, c, j) for c in counters for j in range(n)]
     outs = lm.decode_batch(store, [p for p in prompts for _ in range(n)],
-                           strategies, max_len, eos_id=eos_id)
+                           max_len, eos_id=eos_id, seeds=seeds, tau=tau)
     toks = [t for t, _ in outs]
     return [toks[i * n:(i + 1) * n] for i in range(len(prompts))]
 

@@ -95,12 +95,12 @@ def akg_check(store: lm.ParamStore, pair_u, pair_o, loss_cfg, etas):
     runs at any model size. Only the step and -eta * (J_o @ g) depend on
     eta, so g, J_o @ g, pi and G are computed once for all etas.
 
-    Returns `(pi, G, predicted, actual)` over pair_o's R scored positions:
-    `pi` [R, V] is the next-token distribution before the step (its A is
-    `softmax_jacobian(pi[i])`), `G` [R, V] is pair_u's loss residual at the
-    same response index (zero past pair_u's response), and `predicted` and
-    `actual` [len(etas), R, V] are the changes of log pi. `loss_cfg` is a
-    LossConfig of kind 'ga' or 'bst'.
+    Returns `(pi, G, predicted, actual)`: `pi` [R_o, V] is the next-token
+    distribution at pair_o's R_o scored positions before the step (its A
+    is `softmax_jacobian(pi[i])`), `G` [R_u, V] is pair_u's loss residual
+    at each of its own R_u scored positions, and `predicted` and `actual`
+    [len(etas), R_o, V] are the changes of pair_o's log pi. `loss_cfg` is
+    a LossConfig of kind 'ga' or 'bst'.
     """
     if any(eta <= 0 for eta in etas):
         raise ConfigError("eta must be > 0")
@@ -121,8 +121,8 @@ def akg_check(store: lm.ParamStore, pair_u, pair_o, loss_cfg, etas):
     lp_before = ad.arrays.log_softmax(scored[0])
     pi = np.exp(lp_before)
     pi_u = np.exp(ad.arrays.log_softmax(scored[1]))
-    G = np.zeros_like(pi)
-    for i, y in enumerate(pair_u[1][:len(pi)]):
+    G = np.empty_like(pi_u)
+    for i, y in enumerate(pair_u[1]):
         bel = (beliefs.topk_belief(pi_u[i], loss_cfg.k,
                                    loss_cfg.belief_smoothing_tau)
                if loss_cfg.kind == "bst" else None)
@@ -144,14 +144,19 @@ def eta_scaling_slope(store: lm.ParamStore, pair_u, pair_o, loss_cfg,
                       etas=(1e-3, 5e-4, 2.5e-4)
                       ) -> tuple[float, list[dict], list[dict]]:
     """Least-squares slope of log(max first-order error) vs log(eta), and
-    `akg_check`'s arrays as JSON-ready dicts: per position its `pi` and
-    `G`, and per eta its max error and each position's predicted and actual
-    change and first-order error, max |actual - predicted|."""
+    `akg_check`'s arrays as JSON-ready dicts: per response index up to the
+    longer of the two responses, pair_o's `pi` where pair_o has that
+    position and pair_u's `G` where pair_u has it, and per eta its max
+    error and each of pair_o's positions' predicted and actual change and
+    first-order error, max |actual - predicted|."""
     pi, G, predicted, actual = akg_check(store, pair_u, pair_o, loss_cfg,
                                          etas)
     errors = np.abs(actual - predicted).max(-1)  # [len(etas), R]
-    positions = [{"position": i, "pi": p.tolist(), "G": g.tolist()}
-                 for i, (p, g) in enumerate(zip(pi, G))]
+    positions = [{"position": i} for i in range(max(len(pi), len(G)))]
+    for entry, p in zip(positions, pi):
+        entry["pi"] = p.tolist()
+    for entry, g in zip(positions, G):
+        entry["G"] = g.tolist()
     per_eta = [{"eta": eta, "max_first_order_error": float(err.max()),
                 "positions": [{"position": i,
                                "predicted_delta_logpi": p.tolist(),
@@ -214,8 +219,8 @@ def squeeze_trace(checkpoints: list[lm.ParamStore], prompts,
     original = checkpoints[0]
     pairs, spans = [], []  # spans[pi]: prompt pi's candidates in `pairs`
     for pi, (prompt_id, prompt) in enumerate(prompts):
-        cands = [tuple(t) for t, _ in lm.decode(
-            original, prompt, lm.Beam(beam_width), max_len, eos_id=eos_id)]
+        cands = [tuple(t) for t, _ in lm.beam_search(
+            original, prompt, beam_width, max_len, eos_id=eos_id)]
         if exclude_responses is not None:
             ref = tuple(exclude_responses[pi])
             cands = [c for c in cands if c != ref]

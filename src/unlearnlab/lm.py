@@ -1,6 +1,7 @@
 """Tiny decoder-only causal LM: pre-norm transformer blocks with learned
-positional embeddings, teacher-forced scoring, and greedy / temperature /
-beam decoding.
+positional embeddings, teacher-forced scoring, and two decoders:
+`decode_batch` (greedy, or temperature sampling with one seed per prompt,
+over many prompts in lock-step) and `beam_search` (one prompt).
 
 The transformer is written once, in `_logits`, over an op set. Run over
 the autodiff ops (`build_logits`) it builds the graph that loss builders and
@@ -54,33 +55,6 @@ class ArchConfig:
             raise ConfigError("n_layers must be >= 0")
         if self.n_heads < 1 or self.d_model % self.n_heads != 0:
             raise ConfigError("n_heads must be >= 1 and divide d_model")
-
-
-# Decoding strategies -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Greedy:
-    pass
-
-
-@dataclass(frozen=True)
-class Temperature:
-    tau: float
-    seed: int
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ConfigError("temperature tau must be > 0")
-
-
-@dataclass(frozen=True)
-class Beam:
-    width: int
-
-    def __post_init__(self):
-        if self.width < 1:
-            raise ConfigError("beam width must be >= 1")
 
 
 # Parameter store ------------------------------------------------------------
@@ -381,74 +355,49 @@ def _last_logits(store: ParamStore, step_in, cache: _Cache) -> np.ndarray:
                    rows)[:, -1]
 
 
-def decode(store: ParamStore, prompt, strategy, max_len: int,
-           eos_id: int | None = None) -> list[tuple[list[int], float]]:
-    """Generate continuations of `prompt`.
-
-    Greedy and temperature decoding return a single (tokens, logprob) pair;
-    beam decoding returns up to `width` deduplicated pairs sorted by total
-    log-probability descending. Sequences end at `eos_id` (when given) or at
-    max_len. Ties break toward the lowest token id.
-    """
-    if isinstance(strategy, Beam):
-        prompt = list(prompt)
-        if not prompt:
-            raise ContractError("prompt must be non-empty")
-        if max_len < 1:
-            raise ConfigError("max_len must be >= 1")
-        return _beam_decode(store, prompt, strategy.width, max_len, eos_id)
-    return decode_batch(store, [prompt], [strategy], max_len, eos_id)
-
-
-def decode_batch(store: ParamStore, prompts, strategies, max_len: int,
-                 eos_id: int | None = None) -> list[tuple[list[int], float]]:
-    """Greedy or temperature continuations of many prompts, one strategy per
-    prompt: for each prompt, the (tokens, logprob) pair a one-prompt decode
-    gives it.
+def decode_batch(store: ParamStore, prompts, max_len: int,
+                 eos_id: int | None = None, seeds=None,
+                 tau: float = 1.0) -> list[tuple[list[int], float]]:
+    """Continuations of many prompts, greedy or, given one seed per prompt,
+    sampled at temperature `tau`: for each prompt, the (tokens, logprob)
+    pair a one-prompt decode gives it.
 
     Prompts of one length decode in lock-step: one forward of the prompts
     fills a key/value cache, then each step forwards only the tokens just
     emitted, and a row that emits `eos_id` leaves the batch with its cache
-    rows. A greedy row takes the log-softmax argmax (lowest id on ties); a
-    temperature row draws from softmax(logits / tau) with its own
-    `default_rng(seed)`, so its draws do not depend on the other rows.
+    rows. A greedy decode takes the log-softmax argmax (lowest id on ties);
+    sampling draws row i from softmax(logits / tau) with its own
+    `default_rng(seeds[i])`, so its draws do not depend on the other rows.
     """
     prompts = [list(p) for p in prompts]
-    if len(strategies) != len(prompts):
-        raise ContractError("need one strategy per prompt")
+    if seeds is not None and len(seeds) != len(prompts):
+        raise ContractError("need one seed per prompt")
     if not all(prompts):
         raise ContractError("prompt must be non-empty")
     if max_len < 1:
         raise ConfigError("max_len must be >= 1")
+    if seeds is not None and tau <= 0:
+        raise ConfigError("temperature tau must be > 0")
     for p in prompts:
         _check_tokens(store.arch, p)
-    rngs, taus = [], np.ones(len(prompts))
-    for i, s in enumerate(strategies):
-        if isinstance(s, Temperature):
-            taus[i] = s.tau
-            rngs.append(np.random.default_rng(s.seed))
-        elif isinstance(s, Greedy):
-            rngs.append(None)
-        else:
-            raise ContractError(f"decode_batch takes Greedy or Temperature, "
-                                f"not {type(s).__name__}")
+    rngs = (None if seeds is None
+            else [np.random.default_rng(s) for s in seeds])
     outs: list[list[int]] = [[] for _ in prompts]
     totals = [0.0] * len(prompts)
     ctx = store.arch.context_len
     for rows in length_groups(prompts):
         live = np.asarray(rows)
-        sampled = np.asarray([rngs[i] is not None for i in rows])
         step_in = np.asarray([prompts[i] for i in rows], dtype=np.int64)
         cache = _Cache()
         for _ in range(min(max_len, ctx - step_in.shape[1])):
             logits = _last_logits(store, step_in, cache)
             lp = ad.arrays.log_softmax(logits)
-            nxt = lp.argmax(axis=-1)
-            if sampled.any():
-                rs = np.flatnonzero(sampled)
-                p = ad.arrays.softmax(logits[rs] / taus[live[rs], None])
-                for r, pr in zip(rs.tolist(), p):
-                    nxt[r] = rngs[live[r]].choice(pr.size, p=pr)
+            if rngs is None:
+                nxt = lp.argmax(axis=-1)
+            else:
+                p = ad.arrays.softmax(logits / tau)
+                nxt = np.asarray([rngs[i].choice(pr.size, p=pr)
+                                  for i, pr in zip(live.tolist(), p)])
             picked = lp[np.arange(live.size), nxt]
             for i, tok, tok_lp in zip(live.tolist(), nxt.tolist(),
                                       picked.tolist()):
@@ -459,17 +408,30 @@ def decode_batch(store: ParamStore, prompts, strategies, max_len: int,
                 keep = nxt != eos_id
                 if not keep.any():
                     break
-                live, sampled, step_in = live[keep], sampled[keep], step_in[keep]
+                live, step_in = live[keep], step_in[keep]
                 cache = cache.take(keep)
     return list(zip(outs, totals))
 
 
-def _beam_decode(store, prompt, width, max_len, eos_id):
-    """Beam search; open beams always share one length. One forward of the
-    prompt fills a key/value cache; each step then gathers every open beam's
-    cache rows from its parent and forwards the beams' last tokens together.
-    A beam's candidates outside its own best `min(width, V)` continuations
-    cannot make the global top `width`, so only those enter the merge."""
+def beam_search(store: ParamStore, prompt, width: int, max_len: int,
+                eos_id: int | None = None) -> list[tuple[list[int], float]]:
+    """Up to `width` deduplicated continuations of `prompt` as (tokens,
+    logprob) pairs, sorted by total log-probability descending, ties toward
+    the lexicographically lowest ids. A beam ends at `eos_id` (when given)
+    or at max_len.
+
+    Open beams always share one length. One forward of the prompt fills a
+    key/value cache; each step then gathers every open beam's cache rows
+    from its parent and forwards the beams' last tokens together. A beam's
+    candidates outside its own best `min(width, V)` continuations cannot
+    make the global top `width`, so only those enter the merge."""
+    prompt = list(prompt)
+    if not prompt:
+        raise ContractError("prompt must be non-empty")
+    if max_len < 1:
+        raise ConfigError("max_len must be >= 1")
+    if width < 1:
+        raise ConfigError("beam width must be >= 1")
     _check_tokens(store.arch, prompt)
     ctx = store.arch.context_len
     cache = _Cache()

@@ -221,8 +221,7 @@ def score_records(store: lm.ParamStore, vocab: cp.Vocabulary, records):
                   for a in rec.perturbed_answers]
     scores = teacher_forced_scores(store, pairs)
     gens = [toks for toks, _ in lm.decode_batch(
-        store, prompts, [lm.Greedy()] * len(prompts), GEN_MAX_LEN,
-        eos_id=vocab.eos)]
+        store, prompts, GEN_MAX_LEN, eos_id=vocab.eos)]
     rows, at = [], 0
     for rec, answer, gen in zip(records, answers, gens):
         main, para = scores[at], scores[at + 1]

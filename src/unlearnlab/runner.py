@@ -440,7 +440,12 @@ def run_dynamics(config: RunConfig, checkpoint=None,
            "etas": list(etas), "slope": slope, "positions": positions,
            "reports": per_eta}
     lm.write_json(doc, out / "dynamics_report.json")
-    print(f"dynamics: slope={slope:.3f} -> {out / 'dynamics_report.json'}")
+    probe = f"loss kind {loss_cfg.kind}"
+    if loss_cfg.kind != config.loss.kind:
+        probe = (f"config loss kind {config.loss.kind} has no closed-form "
+                 f"residual; probing with {loss_cfg.kind}")
+    print(f"dynamics: {probe}, slope={slope:.3f} -> "
+          f"{out / 'dynamics_report.json'}")
     return doc
 
 

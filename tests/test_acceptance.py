@@ -337,8 +337,9 @@ def test_criterion_7_end_to_end(desk_corpus, theta_o, bst_unlearned,
     ratio = retain_np(bst_store) / retain_np(theta_store)
     em_ga = forget_em(ga_store)
     deg_ga = float(np.mean([mt.degeneracy_score(
-        lm.decode(ga_store, cp.qa_pair_tokens(vocab, r.question, r.answer)[0],
-                  lm.Greedy(), 16, eos_id=vocab.eos)[0][0])
+        lm.decode_batch(
+            ga_store, [cp.qa_pair_tokens(vocab, r.question, r.answer)[0]],
+            16, eos_id=vocab.eos)[0][0])
         for r in forget]))
     eval_secs = time.time() - t_eval
     total = (ft_manifest.wall_clock_seconds + bst_manifest.wall_clock_seconds

@@ -170,9 +170,9 @@ def test_augmentation_batch_equals_per_response_decodes(mini_trained):
         counters=[9, 2, 2, 5, 0, 7])
     assert len(sets) == len(prompts)
     for s, prompt, c in zip(sets, prompts, [9, 2, 2, 5, 0, 7]):
-        want = [lm.decode(store, prompt,
-                          lm.Temperature(1.5, beliefs._mix(3, c, j)), 8,
-                          eos_id=vocab.eos)[0][0] for j in range(4)]
+        want = [lm.decode_batch(store, [prompt], 8, eos_id=vocab.eos,
+                                seeds=[beliefs._mix(3, c, j)], tau=1.5)[0][0]
+                for j in range(4)]
         assert s == want
         assert [s] == beliefs.sample_augmentations(
             store, [prompt], n=4, tau=1.5, seed=3, max_len=8,

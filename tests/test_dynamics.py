@@ -300,8 +300,9 @@ def test_akg_bst_reports_carry_residuals(dyn_store):
 @pytest.mark.parametrize("kind", dy.ORACLE_KINDS)
 def test_akg_transports_a_step_on_one_pair_to_another(kind):
     """A step on u's loss moves o's log-probabilities as -eta * A K G
-    predicts: pi is o's distribution, G is u's residual, and the error
-    still falls like eta^2."""
+    predicts: pi is o's distribution, G is u's residual at each of u's own
+    positions, and the error still falls like eta^2. u's response is one
+    token longer than o's, so the last entry has `G` and no `pi`."""
     arch = lm.ArchConfig(vocab_size=48, context_len=24, d_model=12,
                          n_layers=1, n_heads=2)
     store = _perturbed_model(arch, 5, 2)
@@ -310,12 +311,17 @@ def test_akg_transports_a_step_on_one_pair_to_another(kind):
     slope, positions, _ = dy.eta_scaling_slope(store, u, o, cfg)
     assert abs(slope - 2) <= 0.1
     [(_, logits_o), (_, logits_u)] = lm.response_logits(store, [o, u])
-    assert np.array_equal([p["pi"] for p in positions],
+    assert [p["position"] for p in positions] == [0, 1, 2, 3]
+    assert np.array_equal([p["pi"] for p in positions[:3]],
                           np.exp(ad.arrays.log_softmax(logits_o)))
-    if kind == "ga":
-        pi_u = np.exp(ad.arrays.log_softmax(logits_u))
-        for p, pi_row, y in zip(positions, pi_u, u[1]):
-            assert np.array_equal(p["G"], dy.residual("ga", pi_row, y))
+    assert set(positions[3]) == {"position", "G"}
+    pi_u = np.exp(ad.arrays.log_softmax(logits_u))
+    assert len(pi_u) == 4
+    for p, pi_row, y in zip(positions, pi_u, u[1]):
+        bel = (beliefs.topk_belief(pi_row, cfg.k, cfg.belief_smoothing_tau)
+               if kind == "bst" else None)
+        assert np.array_equal(p["G"], dy.residual(kind, pi_row, y, bel,
+                                                  cfg.lambda_bst))
 
 
 # Squeeze bands ---------------------------------------------------------------

@@ -376,24 +376,24 @@ def test_greedy_decode_batch_matches_per_prompt_decode(tiny_store):
                for _ in range(40)]
     prompts += [[1] * 14, [2] * 16]  # two steps of context left, then none
     for eos in (None, 0, 5):
-        got = [t for t, _ in lm.decode_batch(
-            tiny_store, prompts, [lm.Greedy()] * len(prompts), 6, eos_id=eos)]
-        want = [lm.decode(tiny_store, p, lm.Greedy(), 6, eos_id=eos)[0][0]
+        got = [t for t, _ in lm.decode_batch(tiny_store, prompts, 6,
+                                             eos_id=eos)]
+        want = [lm.decode_batch(tiny_store, [p], 6, eos_id=eos)[0][0]
                 for p in prompts]
         assert got == want
     with pytest.raises(ContractError):
-        lm.decode_batch(tiny_store, [[1], []], [lm.Greedy()] * 2, 4)
+        lm.decode_batch(tiny_store, [[1], []], 4)
     with pytest.raises(ConfigError):
-        lm.decode_batch(tiny_store, [[1]], [lm.Greedy()], 0)
+        lm.decode_batch(tiny_store, [[1]], 0)
 
 
-def _decode_one_row(store, prompt, strategy, max_len, eos_id=None):
-    """The one-row decode loop lm.decode ran before lock-step batching:
-    the oracle for greedy and temperature rows."""
+def _decode_one_row(store, prompt, max_len, eos_id=None, tau=1.0,
+                    seed=None):
+    """The one-row decode loop that ran before lock-step batching, greedy
+    when `seed` is None: the oracle for `lm.decode_batch`'s rows."""
     prompt = list(prompt)
     ctx = store.arch.context_len
-    rng = (np.random.default_rng(strategy.seed)
-           if isinstance(strategy, lm.Temperature) else None)
+    rng = None if seed is None else np.random.default_rng(seed)
     out, total = [], 0.0
     while len(out) < max_len and len(prompt) + len(out) < ctx:
         logits = lm.batch_logits(store, [prompt + out])[0][-1]
@@ -401,7 +401,7 @@ def _decode_one_row(store, prompt, strategy, max_len, eos_id=None):
         if rng is None:
             nxt = int(np.argmax(lp))
         else:
-            p = ad.arrays.softmax(logits / strategy.tau)
+            p = ad.arrays.softmax(logits / tau)
             nxt = int(rng.choice(p.size, p=p))
         total += float(lp[nxt])
         out.append(nxt)
@@ -412,7 +412,7 @@ def _decode_one_row(store, prompt, strategy, max_len, eos_id=None):
 
 def _beam_one_row(store, prompt, width, max_len, eos_id):
     """Beam search with one forward per beam and a Python loop over every
-    id: the oracle for the batched lm._beam_decode."""
+    id: the oracle for the batched lm.beam_search."""
     ctx = store.arch.context_len
     beams = [((), 0.0, False)]
     while not all(f for _, _, f in beams):
@@ -454,38 +454,29 @@ def _assert_decodes_agree(got, want):
 def test_decode_matches_one_row_oracle(tiny_store):
     for eos in (None, 0, 5):
         for i, p in enumerate(_mixed_prompts(6)):
-            for strat in (lm.Greedy(), lm.Temperature(0.7, 40 + i)):
-                _assert_decodes_agree(
-                    lm.decode(tiny_store, p, strat, 6, eos_id=eos),
-                    _decode_one_row(tiny_store, p, strat, 6, eos))
+            _assert_decodes_agree(
+                lm.decode_batch(tiny_store, [p], 6, eos_id=eos),
+                _decode_one_row(tiny_store, p, 6, eos))
+            _assert_decodes_agree(
+                lm.decode_batch(tiny_store, [p], 6, eos_id=eos,
+                                seeds=[40 + i], tau=0.7),
+                _decode_one_row(tiny_store, p, 6, eos, 0.7, 40 + i))
 
 
 def test_temperature_batch_rows_equal_per_prompt_decode(tiny_store):
     prompts = _mixed_prompts(7)
+    seeds = [100 + i for i in range(len(prompts))]
     for eos in (None, 0, 5):
         for tau in (0.5, 1.0, 3.0):
-            strats = [lm.Temperature(tau, 100 + i) for i in range(len(prompts))]
-            got = lm.decode_batch(tiny_store, prompts, strats, 7, eos_id=eos)
+            got = lm.decode_batch(tiny_store, prompts, 7, eos_id=eos,
+                                  seeds=seeds, tau=tau)
             _assert_decodes_agree(got, [
-                _decode_one_row(tiny_store, p, s, 7, eos)[0]
-                for p, s in zip(prompts, strats)])
+                _decode_one_row(tiny_store, p, 7, eos, tau, s)[0]
+                for p, s in zip(prompts, seeds)])
             # a batch row is its one-prompt decode, bit for bit
-            assert got == [lm.decode(tiny_store, p, s, 7, eos_id=eos)[0]
-                           for p, s in zip(prompts, strats)]
-    # greedy and temperature rows of one length share the batch
-    strats = [lm.Greedy() if i % 2 else lm.Temperature(1.0, i)
-              for i in range(len(prompts))]
-    got = lm.decode_batch(tiny_store, prompts, strats, 5, eos_id=0)
-    _assert_decodes_agree(got, [_decode_one_row(tiny_store, p, s, 5, 0)[0]
-                                for p, s in zip(prompts, strats)])
-    assert got == [lm.decode(tiny_store, p, s, 5, eos_id=0)[0]
-                   for p, s in zip(prompts, strats)]
-    with pytest.raises(ContractError):
-        lm.decode_batch(tiny_store, prompts, strats[:-1], 5)
-    with pytest.raises(ContractError):
-        lm.decode_batch(tiny_store, [[1]], [lm.Beam(2)], 5)
-    with pytest.raises(ConfigError):
-        lm.decode_batch(tiny_store, [[1]], [lm.Temperature(0.0, 1)], 5)
+            assert got == [lm.decode_batch(tiny_store, [p], 7, eos_id=eos,
+                                           seeds=[s], tau=tau)[0]
+                           for p, s in zip(prompts, seeds)]
 
 
 # 1, 4, V and V + 3 for tiny_store's 12-token vocabulary, and a width
@@ -495,8 +486,8 @@ def test_beam_matches_per_beam_oracle(tiny_store, width):
     for eos in (None, 0, 5):
         for prompt, max_len in (([2, 3], 4), ([7], 3), ([1] * 14, 5)):
             _assert_decodes_agree(
-                lm.decode(tiny_store, prompt, lm.Beam(width), max_len,
-                          eos_id=eos),
+                lm.beam_search(tiny_store, prompt, width, max_len,
+                               eos_id=eos),
                 _beam_one_row(tiny_store, prompt, width, max_len, eos))
 
 
@@ -506,18 +497,18 @@ def test_beam_matches_per_beam_oracle_when_all_logits_tie():
     store = lm.init_model(arch, 0)  # zero head: every logit ties
     for width in (1, 4, 16, 19):
         for eos in (None, 0, 5):
-            got = lm.decode(store, [5, 6], lm.Beam(width), 3, eos_id=eos)
+            got = lm.beam_search(store, [5, 6], width, 3, eos_id=eos)
             assert got == _beam_one_row(store, [5, 6], width, 3, eos)
 
 
 def test_greedy_decode_deterministic(tiny_store):
-    a = lm.decode(tiny_store, [1, 2, 3], lm.Greedy(), 6, eos_id=0)
-    b = lm.decode(tiny_store, [1, 2, 3], lm.Greedy(), 6, eos_id=0)
+    a = lm.decode_batch(tiny_store, [[1, 2, 3]], 6, eos_id=0)
+    b = lm.decode_batch(tiny_store, [[1, 2, 3]], 6, eos_id=0)
     assert a == b
 
 
 def test_greedy_matches_next_token_argmax(tiny_store):
-    out, _ = lm.decode(tiny_store, [1, 2, 3], lm.Greedy(), 1)[0]
+    [(out, _)] = lm.decode_batch(tiny_store, [[1, 2, 3]], 1)
     d = ad.arrays.softmax(lm.batch_logits(tiny_store, [[1, 2, 3]])[0][-1])
     assert out[0] == int(np.argmax(d))
 
@@ -526,19 +517,19 @@ def test_greedy_tie_break_lowest_id():
     arch = lm.ArchConfig(vocab_size=16, context_len=8, d_model=8,
                          n_layers=0, n_heads=1)
     store = lm.init_model(arch, 0)  # zero head: all logits tie
-    out, _ = lm.decode(store, [5], lm.Greedy(), 3)[0]
+    [(out, _)] = lm.decode_batch(store, [[5]], 3)
     assert out[0] == 0
 
 
 def test_beam_width_one_equals_greedy(tiny_store):
-    g = lm.decode(tiny_store, [2, 3], lm.Greedy(), 5, eos_id=0)[0]
-    b = lm.decode(tiny_store, [2, 3], lm.Beam(1), 5, eos_id=0)[0]
+    [g] = lm.decode_batch(tiny_store, [[2, 3]], 5, eos_id=0)
+    [b] = lm.beam_search(tiny_store, [2, 3], 1, 5, eos_id=0)
     assert abs(g[1] - b[1]) < 1e-12
     assert g[0] == b[0]
 
 
 def test_beam_sorted_and_unique(tiny_store):
-    outs = lm.decode(tiny_store, [2, 3], lm.Beam(4), 5, eos_id=0)
+    outs = lm.beam_search(tiny_store, [2, 3], 4, 5, eos_id=0)
     lps = [lp for _, lp in outs]
     assert lps == sorted(lps, reverse=True)
     toks = [tuple(t) for t, _ in outs]
@@ -548,47 +539,72 @@ def test_beam_sorted_and_unique(tiny_store):
 
 
 def test_decode_strategy_validation(tiny_store):
+    """Each decoder's own argument checks: the sampling temperature, one
+    seed per prompt, the beam width and max_len."""
     with pytest.raises(ConfigError):
-        lm.decode(tiny_store, [1], lm.Temperature(0.0, 1), 4)
+        lm.decode_batch(tiny_store, [[1]], 4, seeds=[1], tau=0.0)
     with pytest.raises(ConfigError):
-        lm.decode(tiny_store, [1], lm.Beam(0), 4)
+        lm.decode_batch(tiny_store, [[1]], 4, seeds=[1], tau=-1.0)
+    # tau is read only when sampling
+    assert (lm.decode_batch(tiny_store, [[1]], 4, tau=0.0)
+            == lm.decode_batch(tiny_store, [[1]], 4))
+    with pytest.raises(ContractError):
+        lm.decode_batch(tiny_store, [[1], [2]], 4, seeds=[1])
+    with pytest.raises(ContractError):
+        lm.decode_batch(tiny_store, [[1]], 4, seeds=[1, 2])
     with pytest.raises(ConfigError):
-        lm.decode(tiny_store, [1], lm.Greedy(), 0)
+        lm.decode_batch(tiny_store, [[1]], 0)
+    with pytest.raises(ConfigError):
+        lm.beam_search(tiny_store, [1], 0, 4)
+    with pytest.raises(ConfigError):
+        lm.beam_search(tiny_store, [1], 3, 0)
+    with pytest.raises(ContractError):
+        lm.beam_search(tiny_store, [], 3, 4)
 
 
-@pytest.mark.parametrize("strategy", [lm.Greedy(), lm.Temperature(1.0, 3),
-                                      lm.Beam(3)])
+# greedy, temperature and beam: decode_batch's keywords or beam_search's
+# width
+@pytest.mark.parametrize("strategy", [{}, {"seeds": [3]}, {"width": 3}])
 def test_decode_checks_the_prompt_before_decoding(strategy):
     """A prompt longer than the context, or with an id outside the
     vocabulary, raises even though no step would run; a prompt that fills
     the context exactly decodes to an empty continuation."""
     store = lm.init_model(lm.ArchConfig(vocab_size=12, context_len=8,
                                         d_model=8, n_layers=1, n_heads=2), 0)
+
+    def decode_one(prompt):
+        if "width" in strategy:
+            return lm.beam_search(store, prompt, strategy["width"], 4)
+        return lm.decode_batch(store, [prompt], 4, **strategy)
+
     with pytest.raises(LengthError):
-        lm.decode(store, [1] * 10, strategy, 4)
+        decode_one([1] * 10)
     with pytest.raises(VocabError):
-        lm.decode(store, [1] * 7 + [12], strategy, 4)
-    assert lm.decode(store, [1] * 8, strategy, 4) == [([], 0.0)]
-    if not isinstance(strategy, lm.Beam):
+        decode_one([1] * 7 + [12])
+    assert decode_one([1] * 8) == [([], 0.0)]
+    if "width" not in strategy:
+        seeds = [3, 4] if "seeds" in strategy else None
         with pytest.raises(LengthError):
-            lm.decode_batch(store, [[1], [1] * 9], [strategy] * 2, 4)
+            lm.decode_batch(store, [[1], [1] * 9], 4, seeds=seeds)
 
 
 def test_temperature_deterministic_given_seed(tiny_store):
-    a = lm.decode(tiny_store, [1, 2], lm.Temperature(1.0, 9), 6, eos_id=0)
-    b = lm.decode(tiny_store, [1, 2], lm.Temperature(1.0, 9), 6, eos_id=0)
+    a = lm.decode_batch(tiny_store, [[1, 2]], 6, eos_id=0, seeds=[9])
+    b = lm.decode_batch(tiny_store, [[1, 2]], 6, eos_id=0, seeds=[9])
     assert a == b
 
 
 def test_low_temperature_tracks_greedy(mini_trained):
     corp, store = mini_trained
     vocab = corp.vocab
+    prompts = [cp.qa_pair_tokens(vocab, rec.question, rec.answer)[0]
+               for rec in corp.records[:50]]
+    greedy = lm.decode_batch(store, prompts, 12, eos_id=vocab.eos)
+    sampled = lm.decode_batch(store, prompts, 12, eos_id=vocab.eos,
+                              seeds=[100 + i for i in range(len(prompts))],
+                              tau=0.01)
     agree = total = 0
-    for i, rec in enumerate(corp.records[:50]):
-        prompt, _ = cp.qa_pair_tokens(vocab, rec.question, rec.answer)
-        g, _ = lm.decode(store, prompt, lm.Greedy(), 12, eos_id=vocab.eos)[0]
-        t, _ = lm.decode(store, prompt, lm.Temperature(0.01, 100 + i), 12,
-                         eos_id=vocab.eos)[0]
+    for (g, _), (t, _) in zip(greedy, sampled):
         n = min(len(g), len(t))
         agree += sum(1 for a, b in zip(g[:n], t[:n]) if a == b)
         total += max(len(g), len(t))

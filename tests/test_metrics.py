@@ -281,8 +281,8 @@ def _extraction_strength_by_decode(store, prompt, answer):
     n = len(answer)
     for k in range(n):
         rest = answer[k:]
-        out, _ = lm.decode(store, list(prompt) + answer[:k], lm.Greedy(),
-                           max_len=len(rest))[0]
+        [(out, _)] = lm.decode_batch(store, [list(prompt) + answer[:k]],
+                                     max_len=len(rest))
         if out == rest:
             return 1.0 - k / n
     return 0.0
@@ -290,8 +290,7 @@ def _extraction_strength_by_decode(store, prompt, answer):
 
 def _record_scores(store, vocab, rec, max_len):
     prompt, answer = cp.qa_pair_tokens(vocab, rec.question, rec.answer)
-    out, _ = lm.decode(store, prompt, lm.Greedy(), max_len,
-                       eos_id=vocab.eos)[0]
+    [(out, _)] = lm.decode_batch(store, [prompt], max_len, eos_id=vocab.eos)
     para_prompt, _ = cp.qa_pair_tokens(vocab, rec.paraphrases[0], rec.answer)
     correct = _norm_prob_oracle(store, para_prompt, answer)
     perturbed = [_norm_prob_oracle(store, para_prompt, cp.encode(vocab, a))

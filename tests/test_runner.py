@@ -223,9 +223,10 @@ def test_bss_step_augmentations_equal_per_prompt_loop(small_setup,
         want = []
         for prompt, _ in forget_pairs:
             c = next(counter)
-            want.append([lm.decode(store, prompt, lm.Temperature(
-                loss_cfg.tau, beliefs._mix(cfg.seed, c, j)),
-                cfg.squeeze_max_len)[0][0] for j in range(loss_cfg.n_aug)])
+            want.append([lm.decode_batch(
+                store, [prompt], cfg.squeeze_max_len,
+                seeds=[beliefs._mix(cfg.seed, c, j)], tau=loss_cfg.tau)[0][0]
+                for j in range(loss_cfg.n_aug)])
         steps.append(augmented == want)
         return step_loss(loss_cfg, store, forget_pairs, retain_pairs, ref,
                          augmented)
@@ -267,8 +268,7 @@ def test_eval_judge_reuses_generations_unchanged(small_setup, small_theta_o,
     sims, nats = [], []
     for rec in corp.split("forget"):
         prompt, _ = cp.qa_pair_tokens(vocab, rec.question, rec.answer)
-        out, _ = lm.decode(store, prompt, lm.Greedy(), 16,
-                           eos_id=vocab.eos)[0]
+        [(out, _)] = lm.decode_batch(store, [prompt], 16, eos_id=vocab.eos)
         text = cp.decode_text(vocab, out) or "<empty>"
         sims.append(jd.mock_judge(jd.render_similarity_prompt(
             rec.question, rec.answer, text)).value)
@@ -323,6 +323,27 @@ def test_dynamics_runner_untrained_tiny_arch(small_setup, tmp_path):
                                 "actual_delta_logpi", "first_order_error"}
         assert run["max_first_order_error"] == max(
             p["first_order_error"] for p in run["positions"])
+
+
+def test_dynamics_runner_names_the_loss_kind_it_probes(small_setup, tmp_path,
+                                                      capsys):
+    """A loss kind without a closed-form residual is probed with ga, and
+    the stdout line says so; the report is the ga run's, byte for byte."""
+    root, corp, make = small_setup
+    arch = lm.ArchConfig(vocab_size=400, context_len=32, d_model=8,
+                         n_layers=1, n_heads=2)
+    reports = {}
+    for kind in ("npo", "ga"):
+        cfg = make(tmp_path / kind, arch=arch, loss=LossConfig(kind=kind))
+        doc = runner.run_dynamics(cfg)
+        assert doc["loss_kind"] == "ga"
+        out = capsys.readouterr().out
+        reports[kind] = (tmp_path / kind / "dynamics_report.json").read_bytes()
+        assert out.startswith(
+            "dynamics: config loss kind npo has no closed-form residual; "
+            "probing with ga, slope=" if kind == "npo"
+            else "dynamics: loss kind ga, slope=")
+    assert reports["npo"] == reports["ga"]
 
 
 def test_dynamics_runs_above_the_jacobian_cap(small_setup, tmp_path):
@@ -540,8 +561,6 @@ def test_run_config_roundtrip_and_unknown_keys():
     (SchedulerConfig(), "warmup_fraction", 1.0),
     (cp.GenConfig(), "n_perturbed", 2),
     (runner.desk_arch(), "n_heads", 3),
-    (lm.Temperature(tau=1.0, seed=0), "tau", 0.0),
-    (lm.Beam(width=1), "width", 0),
     (jd.EndpointConfig(url="u", model_name="m"), "max_retries", -1),
     (cli.ConfigFile(), "judge", "mokc"),
 ], ids=lambda v: type(v).__name__ if dataclasses.is_dataclass(v) else None)
