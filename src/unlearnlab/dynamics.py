@@ -6,10 +6,10 @@ residual (G): the predicted change is -eta * A K G per position, and the
 measured deviation from an actual plain-SGD step should shrink like eta^2.
 
 Residual convention: G is the gradient of the loss *actually minimized*
-with respect to the logits. Under that convention G_ga = e_y - pi and
-G_bst = t - pi, and the off-target difference identity
-G_bst[v] - G_ga[v] = lambda * q[v] (v != y) holds exactly; at v = y the
-difference is lambda * (q[y] - 1).
+with respect to the logits, which `akg_check` reads off that loss's graph.
+`residual` is its closed form for G_ga = e_y - pi and G_bst = t - pi, whose
+off-target difference identity G_bst[v] - G_ga[v] = lambda * q[v] (v != y)
+holds exactly; at v = y the difference is lambda * (q[y] - 1).
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ from .errors import CapabilityError, ConfigError, ContractError, DataError
 # The largest model `entk_block` builds explicit Jacobians for: one reverse
 # pass per vocabulary row, each row as long as the parameter vector.
 PARAM_CAP = 20_000
-# The loss kinds with a closed-form residual, so the only ones the one-step
-# oracle can check.
-ORACLE_KINDS = ("ga", "bst")
 
 
 def softmax_jacobian(probs: np.ndarray) -> np.ndarray:
@@ -38,9 +35,9 @@ def softmax_jacobian(probs: np.ndarray) -> np.ndarray:
 def residual(loss_kind: str, probs: np.ndarray, target_id: int,
              belief: np.ndarray | None = None,
              lambda_bst: float | None = None) -> np.ndarray:
-    """Per-position loss gradient with respect to the logits."""
-    if loss_kind not in ORACLE_KINDS:
-        raise ConfigError(f"residual is defined for {ORACLE_KINDS}, "
+    """Closed-form per-position loss gradient with respect to the logits."""
+    if loss_kind not in ("ga", "bst"):
+        raise ConfigError("residual is defined for 'ga' and 'bst', "
                           f"not {loss_kind!r}")
     probs = np.asarray(probs, dtype=np.float64)
     one_hot = np.zeros_like(probs)
@@ -83,7 +80,8 @@ def entk_block(store: lm.ParamStore, pair_a, pair_b,
     return j_a @ j_b.T
 
 
-def akg_check(store: lm.ParamStore, pair_u, pair_o, loss_cfg, etas):
+def akg_check(store: lm.ParamStore, pair_u, pair_o, loss_cfg, etas,
+              ref_store=None, augmented=None):
     """Predicted against actual change of pair_o's log-probabilities under
     one plain-SGD step on pair_u's loss, at each eta in `etas`.
 
@@ -93,22 +91,25 @@ def akg_check(store: lm.ParamStore, pair_u, pair_o, loss_cfg, etas):
     logits along g, taken by one dual forward with the parameters as values
     and g as their tangents, so J_o is never formed either and the check
     runs at any model size. Only the step and -eta * (J_o @ g) depend on
-    eta, so g, J_o @ g, pi and G are computed once for all etas.
+    eta, so g, J_o @ g, pi and G are computed once for all etas; the
+    backward pass that gives g gives G too.
 
     Returns `(pi, G, predicted, actual)`: `pi` [R_o, V] is the next-token
     distribution at pair_o's R_o scored positions before the step (its A
-    is `softmax_jacobian(pi[i])`), `G` [R_u, V] is pair_u's loss residual
-    at each of its own R_u scored positions, and `predicted` and `actual`
-    [len(etas), R_o, V] are the changes of pair_o's log pi. `loss_cfg` is
-    a LossConfig of kind 'ga' or 'bst'.
+    is `softmax_jacobian(pi[i])`), `G` [R_u, V] is the gradient of pair_u's
+    loss with respect to its logits at each of its own R_u scored
+    positions, and `predicted` and `actual` [len(etas), R_o, V] are the
+    changes of pair_o's log pi. `loss_cfg` is a LossConfig of any kind;
+    `ref_store` and `augmented` go to `objectives.forget_loss`.
     """
     if any(eta <= 0 for eta in etas):
         raise ConfigError("eta must be > 0")
-    if loss_cfg.kind not in ORACLE_KINDS:
-        raise ConfigError(f"akg_check supports loss kinds {ORACLE_KINDS}")
-    lv = objectives.forget_loss(loss_cfg, store, [pair_u])
+    lv = objectives.forget_loss(loss_cfg, store, [pair_u], ref_store,
+                                augmented)
     names = sorted(lv.param_tensors)
-    gs = ad.grad(lv.scalar, [lv.param_tensors[n] for n in names])
+    *gs, g_logits = ad.grad(lv.scalar, [*(lv.param_tensors[n] for n in names),
+                                        lv.logits])
+    G = g_logits[0, :len(pair_u[1])]
     g_flat = np.concatenate([g.ravel() for g in gs])
     along_g = {n: ad.Dual(store.entries[n], g) for n, g in zip(names, gs)}
     prompt_o, response_o = pair_o
@@ -117,16 +118,9 @@ def akg_check(store: lm.ParamStore, pair_u, pair_o, loss_cfg, etas):
                     [[*prompt_o, *response_o]]).tangent[
                         0, start:start + len(response_o)]
 
-    scored = dict(lm.response_logits(store, [pair_o, pair_u]))
-    lp_before = ad.arrays.log_softmax(scored[0])
+    [(_, logits_o)] = lm.response_logits(store, [pair_o])
+    lp_before = ad.arrays.log_softmax(logits_o)
     pi = np.exp(lp_before)
-    pi_u = np.exp(ad.arrays.log_softmax(scored[1]))
-    G = np.empty_like(pi_u)
-    for i, y in enumerate(pair_u[1]):
-        bel = (beliefs.topk_belief(pi_u[i], loss_cfg.k,
-                                   loss_cfg.belief_smoothing_tau)
-               if loss_cfg.kind == "bst" else None)
-        G[i] = residual(loss_cfg.kind, pi_u[i], y, bel, loss_cfg.lambda_bst)
 
     predicted = np.empty((len(etas), *pi.shape))
     actual = np.empty_like(predicted)
@@ -141,8 +135,8 @@ def akg_check(store: lm.ParamStore, pair_u, pair_o, loss_cfg, etas):
 
 
 def eta_scaling_slope(store: lm.ParamStore, pair_u, pair_o, loss_cfg,
-                      etas=(1e-3, 5e-4, 2.5e-4)
-                      ) -> tuple[float, list[dict], list[dict]]:
+                      etas=(1e-3, 5e-4, 2.5e-4), ref_store=None,
+                      augmented=None) -> tuple[float, list[dict], list[dict]]:
     """Least-squares slope of log(max first-order error) vs log(eta), and
     `akg_check`'s arrays as JSON-ready dicts: per response index up to the
     longer of the two responses, pair_o's `pi` where pair_o has that
@@ -150,7 +144,7 @@ def eta_scaling_slope(store: lm.ParamStore, pair_u, pair_o, loss_cfg,
     error and each of pair_o's positions' predicted and actual change and
     first-order error, max |actual - predicted|."""
     pi, G, predicted, actual = akg_check(store, pair_u, pair_o, loss_cfg,
-                                         etas)
+                                         etas, ref_store, augmented)
     errors = np.abs(actual - predicted).max(-1)  # [len(etas), R]
     positions = [{"position": i} for i in range(max(len(pi), len(G)))]
     for entry, p in zip(positions, pi):

@@ -69,6 +69,8 @@ class LossValue:
     scalar: ad.Node
     diagnostics: dict[str, float]
     param_tensors: dict[str, ad.Node] = field(repr=False, default_factory=dict)
+    # The forget pairs' logits node; the residual G is d scalar / d logits.
+    logits: ad.Node | None = field(repr=False, default=None)
 
     @property
     def value(self) -> float:
@@ -102,7 +104,7 @@ def _pad_batch(pairs: list[Pair]):
 
 
 def _seq_logprob_graph(store, pairs, tensors):
-    """Per-sequence log-likelihood node [B] plus reusable intermediates."""
+    """Nodes seq_lp [B], lp_rows, lp_y and logits [B, R, V], and the mask."""
     if not pairs:
         raise DataError("batch must be non-empty")
     tokens, tgt_pos, tgt_ids, mask = _pad_batch(pairs)
@@ -112,7 +114,7 @@ def _seq_logprob_graph(store, pairs, tensors):
     lp_y = ad.take_last(lp_rows, tgt_ids)                # [B, R]
     masked = ad.mul(lp_y, ad.constant(mask))
     seq_lp = ad.sum_axis(masked, axis=1)                 # [B]
-    return seq_lp, lp_rows, lp_y, tgt_ids, mask
+    return seq_lp, lp_rows, lp_y, logits, mask
 
 
 # Loss builders ---------------------------------------------------------------
@@ -123,21 +125,22 @@ def _seq_logprob_graph(store, pairs, tensors):
 # was built) and builds its graph on `tensors`.
 
 
-def _value(tensors, forget: ad.Node, aug: ad.Node | None = None) -> LossValue:
+def _value(tensors, logits: ad.Node, forget: ad.Node,
+           aug: ad.Node | None = None) -> LossValue:
     """A forget-side loss: the weighted `forget` term plus, when given, the
-    weighted `aug` term."""
+    weighted `aug` term; `logits` is the forget pairs' logits node."""
     scalar = forget if aug is None else ad.add(forget, aug)
     return LossValue(scalar,
                      {"forget_term": float(forget.value), "retain_term": 0.0,
                       "aug_term": 0.0 if aug is None else float(aug.value)},
-                     tensors)
+                     tensors, logits)
 
 
 def loss_ga(store: lm.ParamStore, forget_batch: list[Pair], cfg: LossConfig,
             tensors, ref_store=None, augmented=None) -> LossValue:
     """Mean sequence log-likelihood; minimizing it is ascent on the NLL."""
-    seq_lp, *_ = _seq_logprob_graph(store, forget_batch, tensors)
-    return _value(tensors, ad.mean_all(seq_lp))
+    seq_lp, _, _, logits, _ = _seq_logprob_graph(store, forget_batch, tensors)
+    return _value(tensors, logits, ad.mean_all(seq_lp))
 
 
 def loss_retain(store: lm.ParamStore, retain_batch: list[Pair],
@@ -162,12 +165,12 @@ def loss_npo(store: lm.ParamStore, forget_batch: list[Pair], cfg: LossConfig,
     """
     if ref_store is None:
         raise ConfigError("npo needs a reference store")
-    seq_lp, *_ = _seq_logprob_graph(store, forget_batch, tensors)
+    seq_lp, _, _, logits, _ = _seq_logprob_graph(store, forget_batch, tensors)
     ref_lp, *_ = _seq_logprob_graph(
         ref_store, forget_batch, lm.param_tensors(ref_store, trainable=False))
     margin = ad.sub(seq_lp, ref_lp)
     per_ex = ad.scale(ad.softplus(ad.scale(margin, cfg.beta)), 2.0 / cfg.beta)
-    return _value(tensors, ad.mean_all(per_ex))
+    return _value(tensors, logits, ad.mean_all(per_ex))
 
 
 def loss_wga(store: lm.ParamStore, forget_batch: list[Pair], cfg: LossConfig,
@@ -177,10 +180,10 @@ def loss_wga(store: lm.ParamStore, forget_batch: list[Pair], cfg: LossConfig,
     The weights are gradient-blocked coefficients taken from the live
     forward pass.
     """
-    _, _, lp_y, _, mask = _seq_logprob_graph(store, forget_batch, tensors)
+    _, _, lp_y, logits, mask = _seq_logprob_graph(store, forget_batch, tensors)
     weights = np.exp(cfg.alpha * lp_y.value) * mask
     weighted = ad.sum_axis(ad.mul(lp_y, ad.constant(weights)), axis=1)
-    return _value(tensors, ad.mean_all(weighted))
+    return _value(tensors, logits, ad.mean_all(weighted))
 
 
 def loss_bst(store: lm.ParamStore, forget_batch: list[Pair], cfg: LossConfig,
@@ -193,8 +196,8 @@ def loss_bst(store: lm.ParamStore, forget_batch: list[Pair], cfg: LossConfig,
     """
     if cfg.k > store.arch.vocab_size:
         raise ConfigError("k out of range")
-    _, lp_rows, lp_y, _, mask = _seq_logprob_graph(store, forget_batch,
-                                                   tensors)
+    _, lp_rows, lp_y, logits, mask = _seq_logprob_graph(store, forget_batch,
+                                                        tensors)
     # pi at the scored positions: exponentiate the log-softmax rows rather
     # than running a second softmax pass.
     q = ad.constant(beliefs.topk_belief(np.exp(lp_rows.value), cfg.k,
@@ -202,7 +205,7 @@ def loss_bst(store: lm.ParamStore, forget_batch: list[Pair], cfg: LossConfig,
     label_term = ad.sum_axis(ad.mul(lp_y, ad.constant(mask)), axis=1)
     belief_inner = ad.sum_axis(ad.mul(q, lp_rows), axis=2)  # [B, R]
     belief_term = ad.sum_axis(ad.mul(belief_inner, ad.constant(mask)), axis=1)
-    return _value(tensors,
+    return _value(tensors, logits,
                   ad.scale(ad.mean_all(label_term), 1.0 - cfg.lambda_bst),
                   ad.scale(ad.mean_all(belief_term), cfg.lambda_bst))
 
@@ -214,7 +217,7 @@ def loss_bss(store: lm.ParamStore, forget_batch: list[Pair], cfg: LossConfig,
     `augmented[i]` holds the sampled responses (token lists) for
     forget_batch[i]'s prompt; the augmented batch pairs each prompt with
     each of its sampled responses. The base is `cfg.base_loss`, built
-    through the loss table.
+    through the loss table. The value's `logits` are the original pairs'.
     """
     if augmented is None or len(augmented) != len(forget_batch):
         raise DataError("bss needs one list of sampled responses per "
@@ -228,7 +231,8 @@ def loss_bss(store: lm.ParamStore, forget_batch: list[Pair], cfg: LossConfig,
     base = globals()[_TABLE[cfg.base_loss]]
     orig = base(store, forget_batch, cfg, tensors, ref_store)
     aug = base(store, aug_pairs, cfg, tensors, ref_store)
-    return _value(tensors, ad.scale(orig.scalar, 1.0 - cfg.lambda_bss),
+    return _value(tensors, orig.logits,
+                  ad.scale(orig.scalar, 1.0 - cfg.lambda_bss),
                   ad.scale(aug.scalar, cfg.lambda_bss))
 
 
@@ -268,4 +272,4 @@ def step_loss(cfg: LossConfig, store: lm.ParamStore,
     scalar = ad.add(lv.scalar, ad.scale(retain.scalar, cfg.lambda_retain))
     diag = dict(lv.diagnostics)
     diag["retain_term"] = cfg.lambda_retain * retain.value
-    return LossValue(scalar, diag, lv.param_tensors)
+    return LossValue(scalar, diag, lv.param_tensors, lv.logits)

@@ -26,7 +26,7 @@ from . import lm, objectives as ob, schema
 from .errors import ConfigError, DataError, JudgeUnavailableError
 from .optim import AdamW, OptimizerConfig, SchedulerConfig, lr_at
 
-ARTIFACT_VERSION = "0.6.0"
+ARTIFACT_VERSION = "0.7.0"
 
 
 @dataclass(frozen=True)
@@ -299,6 +299,18 @@ def run_retrain(config: RunConfig) -> RunManifest:
     return _nll_run(config, ("retain", "holdout"), "retrain")
 
 
+def _augmentations(config: RunConfig, store, pairs, aug_ids):
+    """bss's sampled responses for `pairs`, one list per pair, each drawn
+    with the next counter of `aug_ids`; None for the other loss kinds."""
+    if config.loss.kind != "bss":
+        return None
+    return beliefs.sample_augmentations(
+        store, [prompt for prompt, _ in pairs], n=config.loss.n_aug,
+        tau=config.loss.tau, seed=config.seed,
+        max_len=config.squeeze_max_len, eos_id=None,
+        counters=[next(aug_ids) for _ in pairs])
+
+
 def run_unlearn(config: RunConfig, reference_checkpoint,
                 capture_epochs: bool = False, corp: cp.Corpus | None = None):
     """AdamW steps on the configured unlearning loss, starting from the
@@ -328,14 +340,7 @@ def run_unlearn(config: RunConfig, reference_checkpoint,
     def loss_fn(store, forget_pairs):
         retain_pairs = (next(retain_batches)
                         if retain_batches is not None else None)
-        augmented = None
-        if cfg.kind == "bss":
-            counters = [next(aug_ids) for _ in forget_pairs]
-            augmented = beliefs.sample_augmentations(
-                store, [prompt for prompt, _ in forget_pairs], n=cfg.n_aug,
-                tau=cfg.tau, seed=config.seed,
-                max_len=config.squeeze_max_len, eos_id=None,
-                counters=counters)
+        augmented = _augmentations(config, store, forget_pairs, aug_ids)
         return ob.step_loss(cfg, store, forget_pairs, retain_pairs, ref_store,
                             augmented)
 
@@ -421,8 +426,8 @@ def run_eval(config: RunConfig, checkpoint_paths, ref_checkpoint=None,
 
 def run_dynamics(config: RunConfig, checkpoint=None,
                  etas=(1e-3, 5e-4, 2.5e-4)) -> dict:
-    """Eta-scaling fit of the one-step prediction error, at any model
-    size."""
+    """Eta-scaling fit of the one-step prediction error of the config's
+    loss, at any model size; the model is also npo's reference."""
     corp = load_run_corpus(config)
     forget = corp.split("forget")
     if not forget:
@@ -431,20 +436,15 @@ def run_dynamics(config: RunConfig, checkpoint=None,
              else lm.init_model(config.arch, config.seed))
     rec = forget[0]
     pair = cp.qa_pair_tokens(corp.vocab, rec.question, rec.answer)
-    loss_cfg = config.loss if config.loss.kind in dynamics.ORACLE_KINDS \
-        else ob.LossConfig(kind="ga")
     out = make_out_dir(config.out_dir)
     slope, positions, per_eta = dynamics.eta_scaling_slope(
-        store, pair, pair, loss_cfg, etas)
-    doc = {"record_id": rec.id, "loss_kind": loss_cfg.kind,
+        store, pair, pair, config.loss, etas, store,
+        _augmentations(config, store, [pair], itertools.count()))
+    doc = {"record_id": rec.id, "loss_kind": config.loss.kind,
            "etas": list(etas), "slope": slope, "positions": positions,
            "reports": per_eta}
     lm.write_json(doc, out / "dynamics_report.json")
-    probe = f"loss kind {loss_cfg.kind}"
-    if loss_cfg.kind != config.loss.kind:
-        probe = (f"config loss kind {config.loss.kind} has no closed-form "
-                 f"residual; probing with {loss_cfg.kind}")
-    print(f"dynamics: {probe}, slope={slope:.3f} -> "
+    print(f"dynamics: loss kind {config.loss.kind}, slope={slope:.3f} -> "
           f"{out / 'dynamics_report.json'}")
     return doc
 

@@ -6,7 +6,7 @@ what it writes.
 
 The matrix runs `gen-corpus`, `finetune` and `retrain`; `unlearn` for every
 loss kind, and `bss` over each base kind; `eval` with a reference checkpoint
-and the mock judge; `dynamics` with each oracle loss kind (`bst`, `ga`);
+and the mock judge; `dynamics` with `bst`, `ga`, `npo` and `bss`;
 `squeeze`; and a two-point `sweep`. Every output file is hashed with sha256 after the work directory's path in it is
 replaced by a placeholder, so runs in different directories compare equal
 when their bytes agree.
@@ -83,6 +83,12 @@ def _steps(work: Path, seed: int, loss_kinds, base_kinds):
           "reference_checkpoint": ref}),
         ("dynamics", "dynamics_ga",
          {"run": dict(run, loss=dict(loss, kind="ga")),
+          "reference_checkpoint": ref}),
+        ("dynamics", "dynamics_npo",
+         {"run": dict(run, loss=dict(loss, kind="npo")),
+          "reference_checkpoint": ref}),
+        ("dynamics", "dynamics_bss",
+         {"run": dict(run, loss=dict(loss, kind="bss")),
           "reference_checkpoint": ref}),
         ("squeeze", "squeeze",
          {"run": unlearn_run(kind="bss"), "reference_checkpoint": ref}),

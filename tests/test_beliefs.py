@@ -120,7 +120,7 @@ def test_no_gradient_through_q_in_full_loss(tiny_store):
     g = ad.grad(lv.scalar, [tensors[n] for n in names])
     # rebuild with the belief injected as a plain constant
     t2 = lm.param_tensors(tiny_store)
-    seq_lp, lp_rows, lp_y, tgt_ids, mask = ob._seq_logprob_graph(
+    seq_lp, lp_rows, lp_y, logits, mask = ob._seq_logprob_graph(
         tiny_store, batch, t2)
     q_const = ad.constant(beliefs.topk_belief(np.exp(lp_rows.value), 5))
     label = ad.sum_axis(ad.mul(lp_y, ad.constant(mask)), axis=1)

@@ -18,8 +18,8 @@ def test_byte_matrix_rerun_equal_and_seed_change_detected(tmp_path):
     # Every subcommand wrote its outputs.
     assert {rel.split("/")[0] for rel in first} >= {
         "corpus", "finetune", "retrain", "unlearn_ga", "unlearn_graddiff",
-        "unlearn_bss_npo", "eval", "dynamics", "dynamics_ga", "squeeze",
-        "sweep"}
+        "unlearn_bss_npo", "eval", "dynamics", "dynamics_ga", "dynamics_npo",
+        "dynamics_bss", "squeeze", "sweep"}
     assert "sweep/combo_001/manifest.json" in first
     rerun = bm.compare(first, bm.run_matrix(src, tmp_path / "b"))
     assert set(rerun.values()) == {"equal"}

@@ -297,31 +297,73 @@ def test_akg_bst_reports_carry_residuals(dyn_store):
         assert abs(pi[i] @ predicted[i]) <= 1e-15
 
 
-@pytest.mark.parametrize("kind", dy.ORACLE_KINDS)
+def _closed_form_residual(kind, cfg, store, ref_store, pair):
+    """The loss residual of a one-pair batch in closed form, per scored
+    position: e_y - pi (ga, graddiff), t - pi (bst),
+    2 sigma(beta * margin) (e_y - pi) (npo), pi(y_i)^alpha (e_y - pi) (wga
+    with its weight held constant), and (1 - lambda_bss) times the base
+    kind's (bss, whose augmented pairs have logits of their own)."""
+    if kind == "bss":
+        return (1.0 - cfg.lambda_bss) * _closed_form_residual(
+            cfg.base_loss, cfg, store, ref_store, pair)
+    pi = _response_probs(store, pair)
+    if kind == "bst":
+        return np.stack([dy.residual("bst", p, y, beliefs.topk_belief(
+            p, cfg.k, cfg.belief_smoothing_tau), cfg.lambda_bst)
+            for p, y in zip(pi, pair[1])])
+    ga = np.stack([dy.residual("ga", p, y) for p, y in zip(pi, pair[1])])
+    if kind == "npo":
+        margin = (np.log(_target_probs(store, pair)).sum()
+                  - np.log(_target_probs(ref_store, pair)).sum())
+        return 2.0 / (1.0 + np.exp(-cfg.beta * margin)) * ga
+    if kind == "wga":
+        return _target_probs(store, pair)[:, None] ** cfg.alpha * ga
+    return ga
+
+
+def _response_probs(store, pair):
+    [(_, logits)] = lm.response_logits(store, [pair])
+    return np.exp(ad.arrays.log_softmax(logits))
+
+
+def _target_probs(store, pair):
+    """pi(y_i) at each of the pair's response tokens."""
+    return _response_probs(store, pair)[np.arange(len(pair[1])), pair[1]]
+
+
+@pytest.mark.parametrize("kind", ob.LOSS_KINDS)
 def test_akg_transports_a_step_on_one_pair_to_another(kind):
     """A step on u's loss moves o's log-probabilities as -eta * A K G
-    predicts: pi is o's distribution, G is u's residual at each of u's own
-    positions, and the error still falls like eta^2. u's response is one
-    token longer than o's, so the last entry has `G` and no `pi`."""
+    predicts, for every loss kind: pi is o's distribution, G is u's
+    residual read off the loss graph at each of u's own positions, and the
+    error still falls like eta^2. u's response is one token longer than
+    o's, so the last entry has `G` and no `pi`. G matches its closed form:
+    bit for bit for ga and graddiff, and to 1e-14 for the rest, whose
+    closed forms round differently from the log-softmax backward
+    (g - pi * sum(g)). npo's reference is another model, and bss's two
+    augmentations are fixed."""
     arch = lm.ArchConfig(vocab_size=48, context_len=24, d_model=12,
                          n_layers=1, n_heads=2)
     store = _perturbed_model(arch, 5, 2)
+    ref_store = _perturbed_model(arch, 5, 3)
     u, o = ([1, 2, 3, 4], [5, 6, 7, 1]), ([2, 9, 3], [8, 6, 1])
+    augmented = [[[5, 6, 1], [9, 2, 7, 4, 1]]]
     cfg = ob.LossConfig(kind=kind)
-    slope, positions, _ = dy.eta_scaling_slope(store, u, o, cfg)
+    slope, positions, _ = dy.eta_scaling_slope(store, u, o, cfg,
+                                               ref_store=ref_store,
+                                               augmented=augmented)
     assert abs(slope - 2) <= 0.1
-    [(_, logits_o), (_, logits_u)] = lm.response_logits(store, [o, u])
     assert [p["position"] for p in positions] == [0, 1, 2, 3]
     assert np.array_equal([p["pi"] for p in positions[:3]],
-                          np.exp(ad.arrays.log_softmax(logits_o)))
+                          _response_probs(store, o))
     assert set(positions[3]) == {"position", "G"}
-    pi_u = np.exp(ad.arrays.log_softmax(logits_u))
-    assert len(pi_u) == 4
-    for p, pi_row, y in zip(positions, pi_u, u[1]):
-        bel = (beliefs.topk_belief(pi_row, cfg.k, cfg.belief_smoothing_tau)
-               if kind == "bst" else None)
-        assert np.array_equal(p["G"], dy.residual(kind, pi_row, y, bel,
-                                                  cfg.lambda_bst))
+    G = np.array([p["G"] for p in positions])
+    want = _closed_form_residual(kind, cfg, store, ref_store, u)
+    assert G.shape == want.shape == (4, arch.vocab_size)
+    if kind in ("ga", "graddiff"):
+        assert np.array_equal(G, want)
+    else:
+        assert np.max(np.abs(G - want)) <= 1e-14
 
 
 # Squeeze bands ---------------------------------------------------------------

@@ -335,7 +335,7 @@ def _full_sequence_graph(store, pairs, tensors):
     lp_rows = ad.gather_positions(ad.log_softmax(logits), tgt_pos)
     lp_y = ad.take_last(lp_rows, tgt_ids)
     seq_lp = ad.sum_axis(ad.mul(lp_y, ad.constant(mask)), axis=1)
-    return seq_lp, lp_rows, lp_y, tgt_ids, mask
+    return seq_lp, lp_rows, lp_y, logits, mask
 
 
 def rel_err(a, b):

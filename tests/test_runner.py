@@ -327,23 +327,26 @@ def test_dynamics_runner_untrained_tiny_arch(small_setup, tmp_path):
 
 def test_dynamics_runner_names_the_loss_kind_it_probes(small_setup, tmp_path,
                                                       capsys):
-    """A loss kind without a closed-form residual is probed with ga, and
-    the stdout line says so; the report is the ga run's, byte for byte."""
+    """Every loss kind is probed as itself: its report and its stdout line
+    name the config's kind. The probed model is also npo's reference, where
+    npo's residual is ga's, so the npo report is the ga report but for
+    `loss_kind`."""
     root, corp, make = small_setup
     arch = lm.ArchConfig(vocab_size=400, context_len=32, d_model=8,
                          n_layers=1, n_heads=2)
     reports = {}
-    for kind in ("npo", "ga"):
+    for kind in ("ga", "npo", "wga", "bss"):
         cfg = make(tmp_path / kind, arch=arch, loss=LossConfig(kind=kind))
         doc = runner.run_dynamics(cfg)
-        assert doc["loss_kind"] == "ga"
-        out = capsys.readouterr().out
-        reports[kind] = (tmp_path / kind / "dynamics_report.json").read_bytes()
-        assert out.startswith(
-            "dynamics: config loss kind npo has no closed-form residual; "
-            "probing with ga, slope=" if kind == "npo"
-            else "dynamics: loss kind ga, slope=")
-    assert reports["npo"] == reports["ga"]
+        assert doc["loss_kind"] == kind
+        assert doc["slope"] >= 1.7
+        assert capsys.readouterr().out.startswith(
+            f"dynamics: loss kind {kind}, slope=")
+        reports[kind] = json.loads(
+            (tmp_path / kind / "dynamics_report.json").read_text())
+        assert reports[kind]["loss_kind"] == kind
+    assert reports["npo"] == dict(reports["ga"], loss_kind="npo")
+    assert reports["wga"]["positions"] != reports["ga"]["positions"]
 
 
 def test_dynamics_runs_above_the_jacobian_cap(small_setup, tmp_path):
