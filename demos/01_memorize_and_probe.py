@@ -42,9 +42,10 @@ def main():
     [scores] = mt.teacher_forced_scores(store, [(prompt, answer)])
     print(f"exact memorization: {scores.exact_mem:.3f}")
     print(f"extraction strength: {scores.extraction_strength:.3f}")
-    report = mt.evaluate_model(store, corp)
-    print(f"memorization={report.memorization:.3f} "
-          f"utility={report.utility:.3f} aggregate={report.aggregate:.3f}")
+    report, _ = mt.evaluate_model(store, corp)
+    print(f"memorization={report['memorization']:.3f} "
+          f"utility={report['utility']:.3f} "
+          f"aggregate={report['aggregate']:.3f}")
 
 
 if __name__ == "__main__":

@@ -92,7 +92,8 @@ def akg_check(store: lm.ParamStore, pair_u, pair_o, loss_cfg, etas,
     and g as their tangents, so J_o is never formed either and the check
     runs at any model size. Only the step and -eta * (J_o @ g) depend on
     eta, so g, J_o @ g, pi and G are computed once for all etas; the
-    backward pass that gives g gives G too.
+    backward pass that gives g gives G too, and the dual forward's values
+    give pi.
 
     Returns `(pi, G, predicted, actual)`: `pi` [R_o, V] is the next-token
     distribution at pair_o's R_o scored positions before the step (its A
@@ -113,13 +114,12 @@ def akg_check(store: lm.ParamStore, pair_u, pair_o, loss_cfg, etas,
     g_flat = np.concatenate([g.ravel() for g in gs])
     along_g = {n: ad.Dual(store.entries[n], g) for n, g in zip(names, gs)}
     prompt_o, response_o = pair_o
-    start = len(prompt_o) - 1
-    jg = lm._logits(ad.duals, along_g, store.arch,
-                    [[*prompt_o, *response_o]]).tangent[
-                        0, start:start + len(response_o)]
-
-    [(_, logits_o)] = lm.response_logits(store, [pair_o])
-    lp_before = ad.arrays.log_softmax(logits_o)
+    rows = slice(len(prompt_o) - 1, len(prompt_o) - 1 + len(response_o))
+    dual = lm._logits(ad.duals, along_g, store.arch,
+                      [[*prompt_o, *response_o]])
+    jg = dual.tangent[0, rows]
+    # The dual's values are the scorer's logits of pair_o, bit for bit.
+    lp_before = ad.arrays.log_softmax(dual.value[0, rows])
     pi = np.exp(lp_before)
 
     predicted = np.empty((len(etas), *pi.shape))
@@ -169,21 +169,17 @@ BANDS = ("high", "mid", "low")
 BAND_FRACTIONS = (0.2, 0.6)  # cumulative share of the high and mid bands
 
 
-def _assign_bands(scores: np.ndarray) -> list[str]:
-    """Quantile bands from descending scores: top 20%, next 40%, rest."""
+def _assign_bands(scores: np.ndarray) -> np.ndarray:
+    """Quantile bands from descending scores, as indices into BANDS: top
+    20%, next 40%, rest."""
     fractions = BAND_FRACTIONS
     n = scores.size
     order = np.argsort(-scores, kind="stable")
     n_high = max(1, int(round(fractions[0] * n)))
     n_mid = max(1, int(round((fractions[1] - fractions[0]) * n)))
-    bands = [""] * n
-    for rank, idx in enumerate(order):
-        if rank < n_high:
-            bands[idx] = "high"
-        elif rank < n_high + n_mid:
-            bands[idx] = "mid"
-        else:
-            bands[idx] = "low"
+    bands = np.full(n, 2)
+    bands[order[:n_high]] = 0
+    bands[order[n_high:n_high + n_mid]] = 1
     return bands
 
 
@@ -236,10 +232,10 @@ def squeeze_trace(checkpoints: list[lm.ParamStore], prompts,
     sizes = np.zeros((len(prompts), len(BANDS)), dtype=np.int64)
     for p, span in enumerate(spans):
         scores = all_scores[:, span]
-        band_list = _assign_bands(scores[0])
-        for bi, b in enumerate(BANDS):
-            sel = [j for j, bb in enumerate(band_list) if bb == b]
-            sizes[p, bi] = len(sel)
+        bands = _assign_bands(scores[0])
+        for bi in range(len(BANDS)):
+            sel = bands == bi
+            sizes[p, bi] = sel.sum()
             means[p, :, bi] = scores[:, sel].mean(axis=1)
     return means, sizes
 

@@ -37,6 +37,9 @@ NEG_INF = -1e30
 # hidden states and [rows, R, vocab] logits, so memory does not grow with
 # the number of sequences scored.
 MAX_BATCH_ROWS = 64
+# The most parameters an ArchConfig may have (400 MB per float64 copy, 300x
+# the desk arch's 167k): a larger arch is refused before any allocation.
+MAX_PARAMS = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -55,32 +58,31 @@ class ArchConfig:
             raise ConfigError("n_layers must be >= 0")
         if self.n_heads < 1 or self.d_model % self.n_heads != 0:
             raise ConfigError("n_heads must be >= 1 and divide d_model")
+        # The count of param_shapes(self), without a loop over the blocks.
+        zero, one = (sum(map(math.prod, param_shapes(self, k).values()))
+                     for k in (0, 1))
+        n = zero + self.n_layers * (one - zero)
+        if n > MAX_PARAMS:
+            raise ConfigError(f"arch has {n} parameters, above the cap "
+                              f"{MAX_PARAMS}")
 
 
 # Parameter store ------------------------------------------------------------
 
 
-def param_shapes(arch: ArchConfig) -> dict[str, tuple]:
-    """Names and shapes as a deterministic function of the architecture."""
+def param_shapes(arch: ArchConfig, n_layers: int | None = None
+                 ) -> dict[str, tuple]:
+    """Names and shapes as a deterministic function of the architecture,
+    or of the architecture with `n_layers` blocks when given."""
     d, v = arch.d_model, arch.vocab_size
-    shapes = {
-        "tok_emb": (v, d),
-        "pos_emb": (arch.context_len, d),
-    }
-    for i in range(arch.n_layers):
-        p = f"layers.{i}."
-        shapes[p + "ln1.g"] = (d,)
-        shapes[p + "ln1.b"] = (d,)
-        shapes[p + "attn.wq"] = (d, d)
-        shapes[p + "attn.wk"] = (d, d)
-        shapes[p + "attn.wv"] = (d, d)
-        shapes[p + "attn.wo"] = (d, d)
-        shapes[p + "ln2.g"] = (d,)
-        shapes[p + "ln2.b"] = (d,)
-        shapes[p + "mlp.w1"] = (d, 4 * d)
-        shapes[p + "mlp.b1"] = (4 * d,)
-        shapes[p + "mlp.w2"] = (4 * d, d)
-        shapes[p + "mlp.b2"] = (d,)
+    block = {"ln1.g": (d,), "ln1.b": (d,), "attn.wq": (d, d),
+             "attn.wk": (d, d), "attn.wv": (d, d), "attn.wo": (d, d),
+             "ln2.g": (d,), "ln2.b": (d,), "mlp.w1": (d, 4 * d),
+             "mlp.b1": (4 * d,), "mlp.w2": (4 * d, d), "mlp.b2": (d,)}
+    shapes = {"tok_emb": (v, d), "pos_emb": (arch.context_len, d)}
+    for i in range(arch.n_layers if n_layers is None else n_layers):
+        shapes.update({f"layers.{i}.{k}": shape
+                       for k, shape in block.items()})
     shapes["ln_f.g"] = (d,)
     shapes["ln_f.b"] = (d,)
     if not arch.tie_output_head:

@@ -17,7 +17,6 @@ folded into three harmonic-mean composites:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -31,37 +30,6 @@ SPLITS = ("forget", "retain", "holdout")
 PER_SPLIT_FIELDS = ("rouge_l", "norm_prob", "para_prob", "exact_mem",
                     "extraction_strength", "truth_ratio_inv", "degeneracy")
 GEN_MAX_LEN = 16  # greedy tokens generated per record
-
-
-@dataclass
-class MetricsReport:
-    per_split: dict[str, dict[str, float]]
-    memorization: float
-    utility: float
-    aggregate: float
-    relative_to_ref: dict[str, float] | None = None
-    # Raw greedy tokens per forget record, for the judge; not serialized.
-    forget_generations: list[list[int]] | None = None
-
-    def to_dict(self):
-        doc = {
-            "per_split": self.per_split,
-            "memorization": self.memorization,
-            "utility": self.utility,
-            "aggregate": self.aggregate,
-        }
-        if self.relative_to_ref is not None:
-            doc["relative_to_ref"] = self.relative_to_ref
-        return doc
-
-    def flat_row(self) -> dict[str, float]:
-        row = {"memorization": self.memorization, "utility": self.utility,
-               "aggregate": self.aggregate}
-        for split, vals in self.per_split.items():
-            for k, v in vals.items():
-                row[f"{split}.{k}"] = v
-        row.update(self.relative_to_ref or {})
-        return row
 
 
 def lcs_length(a, b) -> int:
@@ -260,14 +228,16 @@ def reference_norm_probs(ref_store: lm.ParamStore,
 
 def evaluate_model(store: lm.ParamStore, corp: cp.Corpus,
                    ref_norm_probs: dict[str, float] | None = None
-                   ) -> MetricsReport:
+                   ) -> tuple[dict, list[list[int]]]:
     """Full metric sweep over all three splits plus the HM composites.
 
-    With `ref_norm_probs` (from `reference_norm_probs` of the
-    pre-unlearning checkpoint), the report carries the retain/holdout
-    normalized-probability ratios against it, which is what the degradation
-    gates read. The report also keeps the forget-split greedy generations
-    (not serialized) for the judge.
+    Returns `(doc, forget_generations)`: `doc` is the metrics document
+    (`per_split`, `memorization`, `utility`, `aggregate`), and the raw
+    greedy tokens of each forget record are what the judge reads. With
+    `ref_norm_probs` (from `reference_norm_probs` of the pre-unlearning
+    checkpoint), `doc` also carries the retain/holdout normalized-
+    probability ratios against it under `relative_to_ref`, which is what
+    the degradation gates read.
     """
     vocab = corp.vocab
     by_split = _split_records(corp)
@@ -296,19 +266,15 @@ def evaluate_model(store: lm.ParamStore, corp: cp.Corpus,
     }
     utility = harmonic_mean([composites["retain"], composites["holdout"],
                              fluency])
-    report = MetricsReport(
-        per_split=per_split,
-        memorization=float(memorization),
-        utility=float(utility),
-        aggregate=float(harmonic_mean([memorization, utility])),
-        forget_generations=gens[:len(by_split["forget"])],
-    )
+    doc = {"per_split": per_split, "memorization": float(memorization),
+           "utility": float(utility),
+           "aggregate": float(harmonic_mean([memorization, utility]))}
     ref = ref_norm_probs
     if ref is not None:
-        report.relative_to_ref = {
+        doc["relative_to_ref"] = {
             f"{split}_norm_prob_ratio":
                 (per_split[split]["norm_prob"] / ref[split]
                  if ref[split] > 0 else float("inf"))
             for split in ("retain", "holdout")
         }
-    return report
+    return doc, gens[:len(by_split["forget"])]

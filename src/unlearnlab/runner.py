@@ -68,23 +68,6 @@ class RunConfig:
         return schema.read(cls, doc, "run config", ConfigError)
 
 
-@dataclass
-class RunManifest:
-    config: dict
-    checkpoints: list[str]
-    loss_csv: str | None
-    metrics_reports: list[str]
-    artifact_version: str = ARTIFACT_VERSION
-    wall_clock_seconds: float = 0.0  # reported on stdout, never serialized
-
-    def to_dict(self):
-        # wall clock deliberately excluded: output files must be
-        # byte-identical across reruns of the same config+seed.
-        doc = dataclasses.asdict(self)
-        del doc["wall_clock_seconds"]
-        return doc
-
-
 def desk_arch() -> lm.ArchConfig:
     """Desk-scale default: small enough to train on a CPU in minutes, big
     enough to memorize a 200-entity corpus."""
@@ -172,6 +155,10 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _KEEP_FREED_BYTES = 256 << 20
 
+# The most optimizer steps (epochs times batches) one run may take, 700x the
+# desk finetune's 1400: a mistyped `epochs` is refused, not run for ever.
+MAX_TRAIN_STEPS = 1_000_000
+
 
 @functools.cache
 def _keep_freed_blocks():
@@ -207,14 +194,18 @@ def train(store: lm.ParamStore, records, vocab, loss_fn, config: RunConfig,
 
     Calls `on_epoch(epochs_done)` after each epoch and returns the losses.csv
     rows. A non-finite loss or gradient raises ConfigError naming the step,
-    before that step changes the parameters.
+    before that step changes the parameters; so does a run of more than
+    MAX_TRAIN_STEPS steps, before the first.
     """
     if not records:
         raise DataError("no records to train on (empty split?)")
+    total_steps = config.epochs * -(-len(records) // config.batch_size)
+    if total_steps > MAX_TRAIN_STEPS:
+        raise ConfigError(f"epochs={config.epochs} makes {total_steps} "
+                          f"optimizer steps, above the cap {MAX_TRAIN_STEPS}")
     _keep_freed_blocks()
     pairs = _pairs(vocab, records)
     opt = AdamW(store.entries, config.optimizer)
-    total_steps = config.epochs * -(-len(records) // config.batch_size)
     rows = []
     for epoch in range(config.epochs):
         for batch in _shuffled_batches(pairs, config.batch_size,
@@ -240,10 +231,10 @@ def train(store: lm.ParamStore, records, vocab, loss_fn, config: RunConfig,
 
 
 def _train_and_write(config: RunConfig, store, records, vocab, loss_fn,
-                     label: str, snapshots=None) -> RunManifest:
+                     label: str, snapshots=None) -> dict:
     """Run `train`, writing periodic and final checkpoints, losses.csv and
-    the manifest under `config.out_dir`; appends a copy of `store` to
-    `snapshots`, when given, after each epoch."""
+    the manifest under `config.out_dir`, and return the manifest; appends a
+    copy of `store` to `snapshots`, when given, after each epoch."""
     t0 = time.time()
     out = make_out_dir(config.out_dir)
     ckpts = []
@@ -262,39 +253,44 @@ def _train_and_write(config: RunConfig, store, records, vocab, loss_fn,
     _write_csv(out / "losses.csv",
                ["step", "forget_term", "retain_term", "aug_term", "total"],
                rows)
-    manifest = RunManifest(config=config.to_dict(), checkpoints=ckpts,
-                           loss_csv="losses.csv", metrics_reports=[],
-                           wall_clock_seconds=time.time() - t0)
-    _finish_manifest(manifest, out, label)
-    return manifest
+    return _finish_manifest(config, out, label, t0, ckpts, "losses.csv")
 
 
-def _finish_manifest(manifest: RunManifest, out: Path, label: str):
-    for rel in manifest.checkpoints + manifest.metrics_reports:
+def _finish_manifest(config: RunConfig, out: Path, label: str, t0: float,
+                     checkpoints=(), loss_csv=None, metrics_reports=()
+                     ) -> dict:
+    """Write the run's manifest.json under `out` and return it. The wall
+    clock since `t0` goes to stdout only: output files carry no
+    timestamps."""
+    doc = {"artifact_version": ARTIFACT_VERSION, "config": config.to_dict(),
+           "checkpoints": list(checkpoints), "loss_csv": loss_csv,
+           "metrics_reports": list(metrics_reports)}
+    for rel in doc["checkpoints"] + doc["metrics_reports"]:
         if not (out / rel).exists():
             raise DataError(f"manifest references missing file {rel}")
-    if manifest.loss_csv and not (out / manifest.loss_csv).exists():
+    if loss_csv and not (out / loss_csv).exists():
         raise DataError("manifest references missing loss csv")
-    lm.write_json(manifest.to_dict(), out / "manifest.json")
+    lm.write_json(doc, out / "manifest.json")
     print(f"{label}: wrote {out / 'manifest.json'} "
-          f"({manifest.wall_clock_seconds:.1f}s)")
+          f"({time.time() - t0:.1f}s)")
+    return doc
 
 
-def _nll_run(config: RunConfig, splits, label: str) -> RunManifest:
+def _nll_run(config: RunConfig, splits, label: str) -> dict:
     corp = load_run_corpus(config)
     records = [r for split in splits for r in corp.split(split)]
     return _train_and_write(config, lm.init_model(config.arch, config.seed),
                             records, corp.vocab, ob.loss_retain, label)
 
 
-def run_finetune(config: RunConfig) -> RunManifest:
+def run_finetune(config: RunConfig) -> dict:
     """Standard NLL training; its final checkpoint is the unlearning
     reference. Holdout entities are included so they can play the
     world-facts role in the utility probe (unlearning never touches them)."""
     return _nll_run(config, ("forget", "retain", "holdout"), "finetune")
 
 
-def run_retrain(config: RunConfig) -> RunManifest:
+def run_retrain(config: RunConfig) -> dict:
     """Gold-standard comparator: identical training without the forget split."""
     return _nll_run(config, ("retain", "holdout"), "retrain")
 
@@ -312,13 +308,14 @@ def _augmentations(config: RunConfig, store, pairs, aug_ids):
 
 
 def run_unlearn(config: RunConfig, reference_checkpoint,
-                capture_epochs: bool = False, corp: cp.Corpus | None = None):
+                corp: cp.Corpus | None = None, snapshots=None) -> dict:
     """AdamW steps on the configured unlearning loss, starting from the
-    reference checkpoint (which also serves as the frozen NPO reference).
+    reference checkpoint (which also serves as the frozen NPO reference);
+    returns the manifest.
 
-    With capture_epochs=True, returns (manifest, snapshots) where snapshots
-    holds a ParamStore copy at epoch 0 (the reference) and after each epoch;
-    the squeeze tracer consumes these. Pass `corp` when it is loaded already.
+    A list passed as `snapshots` gets a ParamStore copy at epoch 0 (the
+    reference) and after each epoch; the squeeze tracer consumes these.
+    Pass `corp` when it is loaded already.
     """
     if reference_checkpoint is None:
         raise ConfigError("unlearning requires a reference checkpoint")
@@ -345,10 +342,10 @@ def run_unlearn(config: RunConfig, reference_checkpoint,
                             augmented)
 
     store = ref_store.snapshot()
-    snapshots = [store.snapshot()] if capture_epochs else None
-    manifest = _train_and_write(config, store, forget, corp.vocab, loss_fn,
-                                "unlearn", snapshots)
-    return (manifest, snapshots) if capture_epochs else manifest
+    if snapshots is not None:
+        snapshots.append(store.snapshot())
+    return _train_and_write(config, store, forget, corp.vocab, loss_fn,
+                            "unlearn", snapshots)
 
 
 # Evaluation ------------------------------------------------------------------
@@ -356,10 +353,10 @@ def run_unlearn(config: RunConfig, reference_checkpoint,
 
 def _judge_scores(generations, corp, judge_mode, endpoint=None):
     """Mean judge scores over the forget split, judging the greedy
-    generations evaluation already made (`MetricsReport.forget_generations`)
-    through `judge.score_batch`. A record whose similarity or naturalness
-    prompt fails is one error and enters neither mean; the means are left
-    out when no record succeeded."""
+    generations evaluation already made (`metrics.evaluate_model`'s
+    forget generations) through `judge.score_batch`. A record whose
+    similarity or naturalness prompt fails is one error and enters neither
+    mean; the means are left out when no record succeeded."""
     forget = corp.split("forget")
     prompts = []
     for rec, out in zip(forget, generations):
@@ -379,9 +376,22 @@ def _judge_scores(generations, corp, judge_mode, endpoint=None):
     return doc
 
 
+def _flat_row(doc: dict) -> dict:
+    """A metrics document as the metric columns of a sweep.csv row: the
+    composites, each split's fields as `split.field`, then the reference
+    ratios."""
+    row = {k: doc[k] for k in ("memorization", "utility", "aggregate")}
+    for split, vals in doc["per_split"].items():
+        row.update({f"{split}.{k}": v for k, v in vals.items()})
+    row.update(doc.get("relative_to_ref", {}))
+    return row
+
+
 def run_eval(config: RunConfig, checkpoint_paths, ref_checkpoint=None,
              judge_mode: str = "none", endpoint=None) -> list[dict]:
-    """Full MetricsReport per checkpoint plus a flat sweep CSV."""
+    """Writes each checkpoint's metrics document, plus a flat sweep CSV,
+    and returns the documents."""
+    t0 = time.time()
     checkpoint_of = {}  # report file name -> checkpoint path
     for ck in checkpoint_paths:
         fname = f"metrics_{Path(ck).stem}.json"
@@ -396,29 +406,23 @@ def run_eval(config: RunConfig, checkpoint_paths, ref_checkpoint=None,
     ref_store = lm.load_checkpoint(ref_checkpoint) if ref_checkpoint else None
     ref_norm_probs = (mt.reference_norm_probs(ref_store, corp)
                       if ref_store else None)
-    reports, rows = [], []
+    docs, rows = [], []
     for fname, ck in checkpoint_of.items():
         store = (ref_store if ref_store is not None
                  and Path(ck).resolve() == Path(ref_checkpoint).resolve()
                  else lm.load_checkpoint(ck))
-        report = mt.evaluate_model(store, corp, ref_norm_probs)
-        doc = report.to_dict()
+        doc, gens = mt.evaluate_model(store, corp, ref_norm_probs)
         if judge_mode != "none":
-            doc["judge"] = _judge_scores(report.forget_generations, corp,
-                                         judge_mode, endpoint)
+            doc["judge"] = _judge_scores(gens, corp, judge_mode, endpoint)
         lm.write_json(doc, out / fname)
-        row = {"checkpoint": Path(ck).stem}
-        row.update(report.flat_row())
-        rows.append(row)
-        reports.append(doc)
+        rows.append({"checkpoint": Path(ck).stem, **_flat_row(doc)})
+        docs.append(doc)
     header = list(rows[0].keys())
     _write_csv(out / "sweep.csv", header,
                [[r[h] for h in header] for r in rows])
-    manifest = RunManifest(config=config.to_dict(), checkpoints=[],
-                           loss_csv=None,
-                           metrics_reports=list(checkpoint_of))
-    _finish_manifest(manifest, out, "eval")
-    return reports
+    _finish_manifest(config, out, "eval", t0,
+                     metrics_reports=list(checkpoint_of))
+    return docs
 
 
 # Dynamics & squeeze CLI backends ---------------------------------------------
@@ -453,8 +457,8 @@ def run_squeeze(config: RunConfig, reference_checkpoint) -> dict:
     """Unlearn per config while capturing per-epoch snapshots, then trace
     band log-probabilities of beam candidates frozen at epoch 0."""
     corp = load_run_corpus(config)
-    _, snapshots = run_unlearn(config, reference_checkpoint,
-                               capture_epochs=True, corp=corp)
+    snapshots = []
+    run_unlearn(config, reference_checkpoint, corp, snapshots)
     vocab = corp.vocab
     records = corp.split("forget")[:config.squeeze_prompts]
     prompts, refs = [], []
@@ -531,13 +535,11 @@ def run_sweep(config: RunConfig, reference_checkpoint, grid: dict) -> list[dict]
         if ref_norm_probs is None:  # run_unlearn has checked the reference
             ref_norm_probs = mt.reference_norm_probs(
                 lm.load_checkpoint(reference_checkpoint), corp)
-        for ck in manifest.checkpoints:
+        for ck in manifest["checkpoints"]:
             store = lm.load_checkpoint(Path(sub.out_dir) / ck)
-            report = mt.evaluate_model(store, corp, ref_norm_probs)
-            row = {"combo": i, "checkpoint": Path(ck).stem}
-            row.update({k: v for k, v in combo})
-            row.update(report.flat_row())
-            all_rows.append(row)
+            doc, _ = mt.evaluate_model(store, corp, ref_norm_probs)
+            all_rows.append({"combo": i, "checkpoint": Path(ck).stem,
+                             **dict(combo), **_flat_row(doc)})
     header = list(all_rows[0].keys())
     _write_csv(out / "sweep.csv", header,
                [[r.get(h, "") for h in header] for r in all_rows])

@@ -233,14 +233,16 @@ def _diff(a, b, path, drift, other):
 
 
 def describe(rel: str, data_a: bytes, data_b: bytes) -> str:
-    """What changed in a file: the differing non-numeric paths, the largest
-    numeric drift when only numbers moved, or that only the encoding did
-    (a checkpoint's parameters are then equal bit for bit)."""
+    """What changed in a file: the differing non-numeric paths and the
+    largest numeric drift, either alone when the other is empty, or that
+    only the encoding changed (a checkpoint's parameters are then equal bit
+    for bit)."""
     drift, other = [], []
     _diff(_parse(rel, data_a), _parse(rel, data_b), "$", drift, other)
     if other:
         more = f" (+{len(other) - 3} more)" if len(other) > 3 else ""
-        return "changed: " + ", ".join(other[:3]) + more
+        numbers = f"; numbers, max |d| = {max(drift):.3g}" if drift else ""
+        return "changed: " + ", ".join(other[:3]) + more + numbers
     if drift:
         return f"changed: numbers only, max |d| = {max(drift):.3g}"
     if _is_checkpoint(rel):

@@ -2,11 +2,14 @@
 
 Heavy artifacts (the memorizing desk-scale model, its retrain comparator,
 and the unlearned checkpoints) are trained once per session through the
-real runner entry points and reused by the acceptance suite.
+real runner entry points and reused by the acceptance suite. The
+finetune and the two unlearning runs also return the seconds their runner
+call took, which criterion 7 adds up.
 """
 
 import dataclasses
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +50,13 @@ def unlearn_config(corpus_path, vocab_path, out_dir, kind="bst"):
         seed=0, checkpoint_every=500, out_dir=str(out_dir))
 
 
+def timed(run, *args):
+    """`run(*args)` and the seconds it took."""
+    t0 = time.perf_counter()
+    out = run(*args)
+    return out, time.perf_counter() - t0
+
+
 def save_v03_checkpoint(store, path):
     """Write `store` in the checkpoint layout of v0.1-v0.3, the bytes the
     lab wrote then: each parameter's `data` is a list of decimal floats.
@@ -81,9 +91,9 @@ def theta_o(desk_corpus_paths, workdir):
     """Memorizing desk-scale checkpoint (the unlearning reference)."""
     records, vocab = desk_corpus_paths
     cfg = finetune_config(records, vocab, workdir / "finetune")
-    manifest = runner.run_finetune(cfg)
-    path = workdir / "finetune" / manifest.checkpoints[-1]
-    return path, lm.load_checkpoint(path), manifest
+    manifest, secs = timed(runner.run_finetune, cfg)
+    path = workdir / "finetune" / manifest["checkpoints"][-1]
+    return path, lm.load_checkpoint(path), manifest, secs
 
 
 @pytest.fixture(scope="session")
@@ -91,28 +101,28 @@ def retrain_model(desk_corpus_paths, workdir):
     records, vocab = desk_corpus_paths
     cfg = finetune_config(records, vocab, workdir / "retrain")
     manifest = runner.run_retrain(cfg)
-    path = workdir / "retrain" / manifest.checkpoints[-1]
+    path = workdir / "retrain" / manifest["checkpoints"][-1]
     return path, lm.load_checkpoint(path)
 
 
 @pytest.fixture(scope="session")
 def bst_unlearned(desk_corpus_paths, workdir, theta_o):
     records, vocab = desk_corpus_paths
-    ref_path, _, _ = theta_o
+    ref_path, *_ = theta_o
     cfg = unlearn_config(records, vocab, workdir / "unlearn_bst", kind="bst")
-    manifest = runner.run_unlearn(cfg, ref_path)
-    path = workdir / "unlearn_bst" / manifest.checkpoints[-1]
-    return path, lm.load_checkpoint(path), manifest
+    manifest, secs = timed(runner.run_unlearn, cfg, ref_path)
+    path = workdir / "unlearn_bst" / manifest["checkpoints"][-1]
+    return path, lm.load_checkpoint(path), manifest, secs
 
 
 @pytest.fixture(scope="session")
 def ga_unlearned(desk_corpus_paths, workdir, theta_o):
     records, vocab = desk_corpus_paths
-    ref_path, _, _ = theta_o
+    ref_path, *_ = theta_o
     cfg = unlearn_config(records, vocab, workdir / "unlearn_ga", kind="ga")
-    manifest = runner.run_unlearn(cfg, ref_path)
-    path = workdir / "unlearn_ga" / manifest.checkpoints[-1]
-    return path, lm.load_checkpoint(path), manifest
+    manifest, secs = timed(runner.run_unlearn, cfg, ref_path)
+    path = workdir / "unlearn_ga" / manifest["checkpoints"][-1]
+    return path, lm.load_checkpoint(path), manifest, secs
 
 
 # Light fixtures ---------------------------------------------------------------

@@ -299,9 +299,9 @@ def test_criterion_6_metric_oracles():
             store.entries["head"][:, :] = 0.0
             store.entries["head"][0, :] = -30.0
             store.entries["head"][0, 37] = 30.0
-        rep = mt.evaluate_model(store, corus)
-        vals = [rep.memorization, rep.utility, rep.aggregate]
-        vals += [v for s in rep.per_split.values() for v in s.values()]
+        rep, _ = mt.evaluate_model(store, corus)
+        vals = [rep["memorization"], rep["utility"], rep["aggregate"]]
+        vals += [v for s in rep["per_split"].values() for v in s.values()]
         in_range &= all(0.0 <= v <= 1.0 for v in vals)
     ok = exact and in_range
     report(6, ok, "rouge_l_f1 == brute-force LCS on 1000 pairs exactly; "
@@ -316,9 +316,9 @@ def test_criterion_6_metric_oracles():
 def test_criterion_7_end_to_end(desk_corpus, theta_o, bst_unlearned,
                                 ga_unlearned):
     t_eval = time.time()
-    _, theta_store, ft_manifest = theta_o
-    _, bst_store, bst_manifest = bst_unlearned
-    _, ga_store, ga_manifest = ga_unlearned
+    _, theta_store, _, ft_secs = theta_o
+    _, bst_store, _, bst_secs = bst_unlearned
+    _, ga_store, _, ga_secs = ga_unlearned
     vocab = desk_corpus.vocab
     forget = desk_corpus.split("forget")
 
@@ -342,8 +342,7 @@ def test_criterion_7_end_to_end(desk_corpus, theta_o, bst_unlearned,
             16, eos_id=vocab.eos)[0][0])
         for r in forget]))
     eval_secs = time.time() - t_eval
-    total = (ft_manifest.wall_clock_seconds + bst_manifest.wall_clock_seconds
-             + ga_manifest.wall_clock_seconds + eval_secs)
+    total = ft_secs + bst_secs + ga_secs + eval_secs
     ga_ok = em_ga <= 0.3 or deg_ga >= 0.5
     ok = (em_0 >= 0.95 and em_bst <= 0.3 and ratio >= 0.7 and ga_ok
           and total <= 900)
@@ -355,15 +354,15 @@ def test_criterion_7_end_to_end(desk_corpus, theta_o, bst_unlearned,
 
 
 def test_finetune_nll_non_increasing(theta_o, desk_corpus):
-    path, _, manifest = theta_o
+    path, _, manifest, _ = theta_o
     out = Path(path).parent
     with open(out / "losses.csv") as f:
         rows = list(csv.DictReader(f))
-    epochs = manifest.config["epochs"]
+    epochs = manifest["config"]["epochs"]
     # Record-weighted per-epoch NLL: the last partial batch carries its true
     # share, so this is the epoch's mean NLL over the training records.
     n_records = len(desk_corpus.records)
-    bs = manifest.config["batch_size"]
+    bs = manifest["config"]["batch_size"]
     sizes = [bs] * (n_records // bs) + ([n_records % bs]
                                         if n_records % bs else [])
     w = np.array(sizes, float)
@@ -380,10 +379,10 @@ def test_finetune_nll_non_increasing(theta_o, desk_corpus):
 
 def test_original_vs_retrain_memorization_ordering(desk_corpus, theta_o,
                                                    retrain_model):
-    _, theta_store, _ = theta_o
+    _, theta_store, *_ = theta_o
     _, retrain_store = retrain_model
-    mem_o = mt.evaluate_model(theta_store, desk_corpus).memorization
-    mem_r = mt.evaluate_model(retrain_store, desk_corpus).memorization
+    mem_o = mt.evaluate_model(theta_store, desk_corpus)[0]["memorization"]
+    mem_r = mt.evaluate_model(retrain_store, desk_corpus)[0]["memorization"]
     print(f"[INFO] Mem(theta_o)={mem_o:.3f} < Mem(retrain)={mem_r:.3f}")
     assert mem_o < mem_r
     assert mem_o <= 0.1  # fully memorizing checkpoint
@@ -396,7 +395,7 @@ def test_original_vs_retrain_memorization_ordering(desk_corpus, theta_o,
 
 def test_criterion_8_squeezing(desk_corpus_paths, theta_o, tmp_path):
     records, vocab_path = desk_corpus_paths
-    ref_path, _, _ = theta_o
+    ref_path, *_ = theta_o
     rises = 0
     epochs = 10
     bands_csv_found = True

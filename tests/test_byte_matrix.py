@@ -98,3 +98,8 @@ def test_describe_of_other_documents():
     assert (bm.describe("ft/losses.csv", b"step,total\n0,1.5\n",
                         b"step,loss\n0,1.5\n")
             == "changed: $[0][1]")
+    # A changed string does not hide the numbers that moved with it.
+    assert (bm.describe("dynamics/dynamics_report.json",
+                        b'{"G": [0.25, 1.0], "loss_kind": "ga"}',
+                        b'{"G": [0.25, 1.75], "loss_kind": "bss"}')
+            == "changed: $.loss_kind; numbers, max |d| = 0.75")

@@ -200,6 +200,31 @@ def test_dual_jg_above_cap_matches_finite_difference():
     assert np.max(np.abs(dual.tangent - (hi - lo) / (2 * eps))) <= 1e-8 * scale
 
 
+@pytest.mark.parametrize("d_model", [8, 12, 64])
+@pytest.mark.parametrize("n_layers,tied", [(n, tied) for n in (0, 1, 2)
+                                           for tied in (False, True)])
+def test_dual_values_are_the_scorer_rows(n_layers, tied, d_model):
+    """akg_check takes pi from its dual forward of pair_o: the dual's values
+    at the response rows equal `lm.response_logits`' rows bit for bit,
+    one-token prompts and responses included."""
+    arch = lm.ArchConfig(vocab_size=24, context_len=20, d_model=d_model,
+                         n_layers=n_layers, n_heads=2, tie_output_head=tied)
+    store = _perturbed_model(arch, 5, 6)
+    rng = np.random.default_rng(7)
+    g = {k: rng.normal(size=v.shape) for k, v in store.entries.items()}
+    for pair in [([1], [2]), ([1], [2, 3, 4, 5]), ([1, 2, 3], [4]),
+                 ([1, 2, 3, 4, 5], [6, 7, 8])]:
+        prompt, response = pair
+        start = len(prompt) - 1
+        dual = _dual_logits(store, [*prompt, *response], g)
+        [(_, want)] = lm.response_logits(store, [pair])
+        assert np.array_equal(dual.value[0, start:start + len(response)],
+                              want), pair
+        pi, *_ = dy.akg_check(store, pair, pair, ob.LossConfig(kind="ga"),
+                              (1e-3,))
+        assert np.array_equal(pi, np.exp(ad.arrays.log_softmax(want))), pair
+
+
 def test_entk_refuses_above_cap(dyn_store, monkeypatch):
     pair = ([1], [2])
     monkeypatch.setattr(dy, "PARAM_CAP", 10)
@@ -372,7 +397,9 @@ def test_akg_transports_a_step_on_one_pair_to_another(kind):
 def test_band_assignment_quantiles():
     scores = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
     bands = dy._assign_bands(scores)
-    assert bands == ["high", "mid", "mid", "low", "low"]
+    assert bands.tolist() == [0, 1, 1, 2, 2]
+    assert [dy.BANDS[b] for b in bands] == ["high", "mid", "mid", "low",
+                                            "low"]
 
 
 def test_squeeze_trace_structure(mini_trained):

@@ -49,6 +49,35 @@ def test_invalid_arch_raises():
                                     n_layers=1, n_heads=1), 0)
 
 
+@pytest.mark.parametrize("n_layers,tied", [(0, False), (1, True),
+                                           (2, False), (2, True)])
+def test_arch_parameter_cap_counts_what_init_builds(n_layers, tied,
+                                                    monkeypatch):
+    arch = dict(vocab_size=24, context_len=20, d_model=8, n_layers=n_layers,
+                n_heads=2, tie_output_head=tied)
+    n = lm.init_model(lm.ArchConfig(**arch), 0).param_count()
+    monkeypatch.setattr(lm, "MAX_PARAMS", n)
+    lm.ArchConfig(**arch)
+    monkeypatch.setattr(lm, "MAX_PARAMS", n - 1)
+    with pytest.raises(ConfigError, match=f"arch has {n} parameters, above "
+                                          f"the cap {n - 1}"):
+        lm.ArchConfig(**arch)
+
+
+def test_arch_parameter_cap_refuses_huge_sizes_at_once():
+    """No array is built and no loop runs over the blocks: 2**62 layers
+    is refused as quickly as a huge vocabulary."""
+    for arch in (dict(vocab_size=2 ** 40, context_len=32, d_model=64,
+                      n_layers=2, n_heads=4),
+                 dict(vocab_size=512, context_len=32, d_model=64,
+                      n_layers=2 ** 62, n_heads=4)):
+        with pytest.raises(ConfigError, match=f"the cap {lm.MAX_PARAMS}"):
+            lm.ArchConfig(**arch)
+    # The desk arch, the largest the lab runs, is far below the cap.
+    assert 100 * lm.init_model(runner.desk_arch(), 0).param_count() \
+        <= lm.MAX_PARAMS
+
+
 def test_forward_is_causal(tiny_store):
     toks = [1, 2, 3, 4, 5, 6]
     base = lm.batch_logits(tiny_store, [toks])[0]

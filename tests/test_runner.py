@@ -111,10 +111,11 @@ def test_finetune_outputs_and_manifest(small_setup):
     out = Path(cfg.out_dir)
     assert (out / "manifest.json").exists()
     assert (out / "losses.csv").exists()
-    assert manifest.checkpoints[-1] == "ckpt_final.json"
-    for ck in manifest.checkpoints:
+    assert manifest["checkpoints"][-1] == "ckpt_final.json"
+    for ck in manifest["checkpoints"]:
         assert (out / ck).exists()
     doc = json.loads((out / "manifest.json").read_text())
+    assert doc == manifest
     assert "wall_clock" not in json.dumps(doc)
     assert doc["config"]["epochs"] == 8
     with open(out / "losses.csv") as f:
@@ -258,6 +259,36 @@ def test_eval_reports_and_schema(small_setup, small_theta_o, tmp_path):
     assert (out / "sweep.csv").exists()
 
 
+# The metric columns of sweep.csv, in the order the lab has always written
+# them: the composites, each split's fields, then the reference ratios.
+_METRIC_COLUMNS = [
+    "memorization", "utility", "aggregate",
+    *(f"{split}.{k}" for split in ("forget", "retain", "holdout")
+      for k in ("rouge_l", "norm_prob", "para_prob", "exact_mem",
+                "extraction_strength", "truth_ratio_inv", "degeneracy")),
+    "retain_norm_prob_ratio", "holdout_norm_prob_ratio"]
+
+
+def test_eval_returns_the_documents_it_writes(small_setup, small_theta_o,
+                                             tmp_path):
+    root, corp, make = small_setup
+    init = tmp_path / "init.json"
+    lm.save_checkpoint(lm.init_model(make(tmp_path).arch, 0), init)
+    cfg = make(tmp_path / "ev")
+    docs = runner.run_eval(cfg, [init, small_theta_o],
+                           ref_checkpoint=small_theta_o, judge_mode="mock")
+    out = Path(cfg.out_dir)
+    assert docs == [json.loads((out / name).read_text())
+                    for name in ("metrics_init.json",
+                                 "metrics_ckpt_final.json")]
+    with open(out / "sweep.csv") as f:
+        header = f.readline().rstrip("\n").split(",")
+    assert header == ["checkpoint", *_METRIC_COLUMNS]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["metrics_reports"] == ["metrics_init.json",
+                                           "metrics_ckpt_final.json"]
+
+
 def test_eval_judge_reuses_generations_unchanged(small_setup, small_theta_o,
                                                 tmp_path):
     root, corp, make = small_setup
@@ -399,6 +430,8 @@ def test_sweep_over_small_grid(small_setup, small_theta_o, tmp_path):
     with open(tmp_path / "sw" / "sweep.csv") as f:
         written = list(csv.DictReader(f))
     assert len(written) == 2
+    assert list(written[0]) == ["combo", "checkpoint", "loss.lambda_bst",
+                                *_METRIC_COLUMNS]
     for row in written:
         for col in ("retain_norm_prob_ratio", "holdout_norm_prob_ratio"):
             assert math.isfinite(float(row[col])), (col, row[col])
@@ -546,6 +579,64 @@ def test_output_writes_are_atomic(write, tmp_path):
         write(path)
     assert path.read_text() == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_squeeze_snapshots_go_to_the_list_passed_to_unlearn(
+        small_setup, small_theta_o, tmp_path):
+    """run_unlearn returns its manifest and, given a list, appends the
+    reference and each epoch's parameters to it."""
+    root, corp, make = small_setup
+    cfg = make(tmp_path / "un", epochs=2, checkpoint_every=1)
+    snapshots = []
+    manifest = runner.run_unlearn(cfg, small_theta_o, snapshots=snapshots)
+    assert manifest == json.loads(
+        (tmp_path / "un" / "manifest.json").read_text())
+    assert len(snapshots) == 3
+    reference = lm.load_checkpoint(small_theta_o)
+    for snap, want in zip(snapshots, [reference, *(
+            lm.load_checkpoint(tmp_path / "un" / ck)
+            for ck in manifest["checkpoints"][:2])]):
+        for k, v in want.entries.items():
+            assert np.array_equal(snap.entries[k], v), k
+
+
+def test_cli_finetune_refuses_a_run_above_the_step_cap(small_setup, tmp_path,
+                                                       capsys, monkeypatch):
+    """epochs = 2**62 exits 2 before the first step, naming epochs and the
+    cap, and writes no checkpoint."""
+    root, corp, make = small_setup
+    steps = []
+    monkeypatch.setattr(runner, "AdamW", lambda *a: steps.append(a))
+    cfgp = _write_config(tmp_path / "c.json", {
+        "run": make(tmp_path / "out", epochs=2 ** 62).to_dict()})
+    assert cli.main(["finetune", "--config", cfgp]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert f"epochs={2 ** 62}" in err and str(runner.MAX_TRAIN_STEPS) in err
+    assert not steps
+    assert not list((tmp_path / "out").glob("ckpt_*"))
+
+
+def test_arch_above_the_parameter_cap_exits_2_in_a_config_and_3_in_a_checkpoint(
+        small_setup, small_theta_o, tmp_path, capsys):
+    root, corp, make = small_setup
+    huge = {"vocab_size": 400, "context_len": 32, "d_model": 16,
+            "n_layers": 2 ** 40, "n_heads": 2}
+    run = make(tmp_path / "out").to_dict()
+    cfgp = _write_config(tmp_path / "c.json", {"run": dict(run, arch=huge)})
+    assert cli.main(["finetune", "--config", cfgp]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert str(lm.MAX_PARAMS) in err and "'run.arch'" in err
+    doc = json.loads(Path(small_theta_o).read_text())
+    doc["arch"] = huge
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    cfgp = _write_config(tmp_path / "ev.json", {"run": run})
+    assert cli.main(["eval", "--config", cfgp, "--checkpoint", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert str(lm.MAX_PARAMS) in err and str(bad) in err
 
 
 def test_run_config_roundtrip_and_unknown_keys():
