@@ -347,6 +347,8 @@ duals = SimpleNamespace(
     transpose=lambda a, axes: Dual(np.transpose(a.value, axes),
                                    np.transpose(a.tangent, axes)),
     take_rows=lambda table, ids: Dual(table.value[ids], table.tangent[ids]),
+    gather_positions=lambda a, pos: Dual(_gather_positions(a.value, pos),
+                                         _gather_positions(a.tangent, pos)),
     softmax=_dual_softmax, layer_norm=_dual_layer_norm,
     gelu=lambda a: Dual(_gelu(a.value), a.tangent * _gelu_slope(a.value)))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -215,13 +215,17 @@ class GenConfig:
         if self.n_entities > n_names:
             raise ConfigError(f"n_entities must be <= {n_names}, the number "
                               "of name combinations")
-        n_forget = round(self.n_entities * self.forget_fraction)
-        n_retain = (self.n_entities - n_forget
-                    - round(self.n_entities * self.holdout_fraction))
+        n_forget, n_holdout = self._split_sizes()
+        n_retain = self.n_entities - n_forget - n_holdout
         if min(n_forget, n_retain) < 1:
             raise ConfigError(
                 f"n_entities {self.n_entities} rounds to {n_forget} forget "
                 f"and {n_retain} retain entities; each needs at least one")
+
+    def _split_sizes(self) -> tuple[int, int]:
+        """The forget and holdout entity counts."""
+        return (round(self.n_entities * self.forget_fraction),
+                round(self.n_entities * self.holdout_fraction))
 
 
 @dataclass
@@ -318,8 +322,7 @@ def generate_corpus(gen_config: GenConfig, seed: int) -> Corpus:
     names = [f"{FIRST_NAMES[i % len(FIRST_NAMES)]} {LAST_NAMES[i // len(FIRST_NAMES)]}"
              for i in name_idx]
 
-    n_forget = int(round(gen_config.n_entities * gen_config.forget_fraction))
-    n_holdout = int(round(gen_config.n_entities * gen_config.holdout_fraction))
+    n_forget, n_holdout = gen_config._split_sizes()
     order = rng.permutation(gen_config.n_entities)
     split_of = {}
     for rank, ent in enumerate(order):
@@ -345,16 +348,16 @@ def generate_corpus(gen_config: GenConfig, seed: int) -> Corpus:
             others = [v for v in values if v != value]
             pick = rng.choice(len(others), size=gen_config.n_perturbed,
                               replace=False)
-            answer = normalize(tmpl["answer"].format(name=name, value=value))
+            # Templates, names and values are in normal form (tests pin it).
             records.append(QaRecord(
                 id=f"e{ent:04d}_{attr}",
                 split=split_of[ent],
-                question=normalize(tmpl["question"].format(name=name)),
-                answer=answer,
-                paraphrases=[normalize(p.format(name=name))
+                question=tmpl["question"].format(name=name),
+                answer=tmpl["answer"].format(name=name, value=value),
+                paraphrases=[p.format(name=name)
                              for p in tmpl["paraphrases"][:gen_config.n_paraphrases]],
                 perturbed_answers=[
-                    normalize(tmpl["answer"].format(name=name, value=others[j]))
+                    tmpl["answer"].format(name=name, value=others[j])
                     for j in sorted(pick)],
             ))
     vocab = build_vocabulary()
@@ -406,7 +409,7 @@ def qa_pair_tokens(vocab: Vocabulary, question: str,
 def save_corpus(corp: Corpus, records_path, vocab_path):
     with lm.atomic_write(records_path) as f:
         for r in corp.records:
-            f.write(json.dumps(asdict(r), sort_keys=True) + "\n")
+            f.write(json.dumps(vars(r), sort_keys=True) + "\n")
     lm.write_json({"specials": corp.vocab.specials,
                    "tokens": corp.vocab.token_of}, vocab_path)
 

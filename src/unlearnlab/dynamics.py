@@ -105,28 +105,31 @@ def akg_check(store: lm.ParamStore, pair_u, pair_o, loss_cfg, etas,
     """
     if any(eta <= 0 for eta in etas):
         raise ConfigError("eta must be > 0")
+    if len(pair_o[1]) < 1:
+        raise DataError("pair_o's response must be non-empty")
     lv = objectives.forget_loss(loss_cfg, store, [pair_u], ref_store,
                                 augmented)
-    names = sorted(lv.param_tensors)
-    *gs, g_logits = ad.grad(lv.scalar, [*(lv.param_tensors[n] for n in names),
+    *gs, g_logits = ad.grad(lv.scalar, [*lv.param_tensors.values(),
                                         lv.logits])
     G = g_logits[0, :len(pair_u[1])]
-    g_flat = np.concatenate([g.ravel() for g in gs])
-    along_g = {n: ad.Dual(store.entries[n], g) for n, g in zip(names, gs)}
-    prompt_o, response_o = pair_o
-    rows = slice(len(prompt_o) - 1, len(prompt_o) - 1 + len(response_o))
+    g = dict(zip(lv.param_tensors, gs))
+    along_g = {n: ad.Dual(w, g[n]) for n, w in store.entries.items()}
+    # At pair_o's response rows alone, as the scorer forwards it: the
+    # dual's values are the scorer's logits of pair_o, bit for bit.
     dual = lm._logits(ad.duals, along_g, store.arch,
-                      [[*prompt_o, *response_o]])
-    jg = dual.tangent[0, rows]
-    # The dual's values are the scorer's logits of pair_o, bit for bit.
-    lp_before = ad.arrays.log_softmax(dual.value[0, rows])
+                      [[*pair_o[0], *pair_o[1]]], None,
+                      lm.response_rows([pair_o]))
+    jg = dual.tangent[0]
+    lp_before = ad.arrays.log_softmax(dual.value[0])
     pi = np.exp(lp_before)
 
     predicted = np.empty((len(etas), *pi.shape))
     actual = np.empty_like(predicted)
     for e, eta in enumerate(etas):
-        [(_, logits)] = lm.response_logits(store.add_flat(-eta * g_flat),
-                                           [pair_o])
+        stepped = lm.ParamStore({n: w - eta * g[n]
+                                 for n, w in store.entries.items()},
+                                store.arch, store.seed)
+        [(_, logits)] = lm.response_logits(stepped, [pair_o])
         actual[e] = ad.arrays.log_softmax(logits) - lp_before
         for i, p in enumerate(pi):
             dz = -eta * jg[i]  # the first-order change of the logits
@@ -172,11 +175,10 @@ BAND_FRACTIONS = (0.2, 0.6)  # cumulative share of the high and mid bands
 def _assign_bands(scores: np.ndarray) -> np.ndarray:
     """Quantile bands from descending scores, as indices into BANDS: top
     20%, next 40%, rest."""
-    fractions = BAND_FRACTIONS
     n = scores.size
     order = np.argsort(-scores, kind="stable")
-    n_high = max(1, int(round(fractions[0] * n)))
-    n_mid = max(1, int(round((fractions[1] - fractions[0]) * n)))
+    n_high = max(1, int(round(BAND_FRACTIONS[0] * n)))
+    n_mid = max(1, int(round((BAND_FRACTIONS[1] - BAND_FRACTIONS[0]) * n)))
     bands = np.full(n, 2)
     bands[order[:n_high]] = 0
     bands[order[n_high:n_high + n_mid]] = 1
@@ -185,17 +187,16 @@ def _assign_bands(scores: np.ndarray) -> np.ndarray:
 
 def squeeze_trace(checkpoints: list[lm.ParamStore], prompts,
                   beam_width: int = 15, max_len: int = 12,
-                  eos_id: int | None = None,
-                  exclude_responses=None) -> tuple[np.ndarray, np.ndarray]:
+                  eos_id: int | None = None, *,
+                  exclude_responses) -> tuple[np.ndarray, np.ndarray]:
     """Track per-band mean sequence log-probability across checkpoints.
 
     `prompts` holds (prompt_id, prompt) pairs. Candidates are beam-searched
     once from checkpoints[0] and band membership is frozen from
     checkpoint-0 scores, so the trace measures mass movement. Each
     checkpoint scores every prompt's candidates in one `lm.response_logits`
-    call. `exclude_responses`, when given, drops the exact reference
-    response from each prompt's candidate pool (the suppressed target is
-    not a neighbor).
+    call. `exclude_responses[i]`, prompt i's reference response, is dropped
+    from its candidate pool (the suppressed target is not a neighbor).
 
     Returns `(means, sizes)`: `means` [P, E, 3] is each prompt's mean
     candidate log-probability per checkpoint and band (`BANDS` order), and
@@ -211,9 +212,8 @@ def squeeze_trace(checkpoints: list[lm.ParamStore], prompts,
     for pi, (prompt_id, prompt) in enumerate(prompts):
         cands = [tuple(t) for t, _ in lm.beam_search(
             original, prompt, beam_width, max_len, eos_id=eos_id)]
-        if exclude_responses is not None:
-            ref = tuple(exclude_responses[pi])
-            cands = [c for c in cands if c != ref]
+        ref = tuple(exclude_responses[pi])
+        cands = [c for c in cands if c != ref]
         if len(cands) < 5:
             raise DataError(
                 f"prompt {prompt_id}: only {len(cands)} candidates; bands "

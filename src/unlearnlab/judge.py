@@ -51,6 +51,8 @@ Provide exactly one decimal number with four digits after the decimal point (e.g
 """
 
 _NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?")
+# Judge requests in flight at once in `score_batch`.
+MAX_CONCURRENCY = 4
 
 
 @dataclass
@@ -155,13 +157,8 @@ def _extract_text(body: str) -> str:
     def first_str(x):
         if isinstance(x, str):
             return x
-        if isinstance(x, dict):
-            for v in x.values():
-                s = first_str(v)
-                if s is not None:
-                    return s
-        if isinstance(x, list):
-            for v in x:
+        if isinstance(x, (dict, list)):
+            for v in x.values() if isinstance(x, dict) else x:
                 s = first_str(v)
                 if s is not None:
                     return s
@@ -197,11 +194,10 @@ def query_judge(endpoint: EndpointConfig, prompt: JudgePrompt,
 
 
 def score_batch(endpoint: EndpointConfig | None, prompts,
-                mock: bool = False, max_concurrency: int = 4,
-                transport=None) -> list:
-    """Score many prompts; http requests run concurrently, bounded by
-    `max_concurrency`. Failures surface as JudgeUnavailableError entries
-    in the returned list rather than aborting the batch."""
+                mock: bool = False, transport=None) -> list:
+    """Score many prompts; http requests run concurrently, at most
+    MAX_CONCURRENCY at a time. Failures surface as JudgeUnavailableError
+    entries in the returned list rather than aborting the batch."""
     prompts = list(prompts)
     if mock:
         return [mock_judge(p) for p in prompts]
@@ -214,7 +210,7 @@ def score_batch(endpoint: EndpointConfig | None, prompts,
         except JudgeUnavailableError as e:
             return e
 
-    with ThreadPoolExecutor(max_workers=max(1, max_concurrency)) as pool:
+    with ThreadPoolExecutor(max_workers=MAX_CONCURRENCY) as pool:
         return list(pool.map(one, prompts))
 
 

@@ -106,16 +106,6 @@ class ParamStore:
     def param_count(self) -> int:
         return sum(v.size for v in self.entries.values())
 
-    def add_flat(self, delta: np.ndarray) -> "ParamStore":
-        """New store with `delta` (sorted-name flat layout) added."""
-        out = self.snapshot()
-        off = 0
-        for k in sorted(out.entries):
-            n = out.entries[k].size
-            out.entries[k] += delta[off:off + n].reshape(out.entries[k].shape)
-            off += n
-        return out
-
 
 def init_model(arch: ArchConfig, seed: int) -> ParamStore:
     """Scaled-normal init from a seeded PRNG.
@@ -192,7 +182,7 @@ def _logits(ops, params, arch: ArchConfig, tokens, cache=None, rows=None):
     `autodiff.arrays` (`params` holds arrays, the result is an array) or
     `autodiff.duals`. Token ids [B, T] -> logits [B, T, V].
 
-    `rows` [B, R] (autodiff or arrays) picks, per row, the R positions
+    `rows` [B, R] (any of the three op sets) picks, per row, the R positions
     whose logits are wanted, and the result is [B, R, V]. The last block
     still computes keys and values at all T positions (and fills the
     cache), but its queries, attention, output projection, residual,
@@ -308,6 +298,17 @@ def length_groups(seqs) -> list[list[int]]:
             for start in range(0, len(idx), MAX_BATCH_ROWS)]
 
 
+def response_rows(pairs) -> np.ndarray:
+    """The scored positions of (prompt, response) pairs, [B, R] with R the
+    longest response (at least 1): row j of pair i is the logit row that
+    predicts response token j, len(prompt_i) - 1 + j, and a shorter
+    response repeats its last position."""
+    first = np.array([len(p) - 1 for p, _ in pairs], dtype=np.int64)
+    last = np.array([max(len(r) - 1, 0) for _, r in pairs], dtype=np.int64)
+    j = np.arange(last.max() + 1)
+    return first[:, None] + np.minimum(j, last[:, None])
+
+
 def response_logits(store: ParamStore, pairs):
     """The teacher-forced scorer: for each (prompt, response) pair `i`,
     yields `(i, rows)`, where `rows` [|y|, V] are the logits that predict
@@ -315,24 +316,18 @@ def response_logits(store: ParamStore, pairs):
 
     Pairs are forwarded in exact-length groups of at most MAX_BATCH_ROWS
     (`length_groups`), so a pair's rows equal its one-pair forward bit for
-    bit, whatever else is in the call. Each forward passes the response
-    positions as `rows`, so the last block's queries and MLP, the final
-    norm and the head run on those positions only; a pair with a shorter
-    response than its group's longest repeats its last position. Pairs come
-    out group by group, and only one group's logits are held at a time.
+    bit, whatever else is in the call. Each forward passes the group's
+    `response_rows` as `rows`, so the last block's queries and MLP, the
+    final norm and the head run on those positions only. Pairs come out
+    group by group, and only one group's logits are held at a time.
     """
     pairs = [(list(p), list(r)) for p, r in pairs]
     if not all(p for p, _ in pairs):
         raise ContractError("prompt must be non-empty")
     seqs = [p + r for p, r in pairs]
     for group in length_groups(seqs):
-        n_rows = max(1, *(len(pairs[i][1]) for i in group))
-        rows = []
-        for i in group:
-            first = len(pairs[i][0]) - 1
-            last = first + max(len(pairs[i][1]) - 1, 0)
-            rows.append(np.minimum(np.arange(first, first + n_rows), last))
-        logits = batch_logits(store, [seqs[i] for i in group], rows)
+        logits = batch_logits(store, [seqs[i] for i in group],
+                              response_rows([pairs[i] for i in group]))
         for r, i in enumerate(group):
             yield i, logits[r, :len(pairs[i][1])]
 

@@ -26,7 +26,6 @@ from . import corpus as cp
 from . import lm
 from .errors import ContractError, DataError
 
-SPLITS = ("forget", "retain", "holdout")
 PER_SPLIT_FIELDS = ("rouge_l", "norm_prob", "para_prob", "exact_mem",
                     "extraction_strength", "truth_ratio_inv", "degeneracy")
 GEN_MAX_LEN = 16  # greedy tokens generated per record
@@ -159,7 +158,7 @@ def _strip_specials(vocab: cp.Vocabulary, tokens):
     return [t for t in tokens if t not in special]
 
 
-def _split_records(corp: cp.Corpus, splits=SPLITS):
+def _split_records(corp: cp.Corpus, splits=cp.SPLITS):
     records = {split: corp.split(split) for split in splits}
     for split, recs in records.items():
         if not recs:
@@ -269,12 +268,11 @@ def evaluate_model(store: lm.ParamStore, corp: cp.Corpus,
     doc = {"per_split": per_split, "memorization": float(memorization),
            "utility": float(utility),
            "aggregate": float(harmonic_mean([memorization, utility]))}
-    ref = ref_norm_probs
-    if ref is not None:
+    if ref_norm_probs is not None:
         doc["relative_to_ref"] = {
             f"{split}_norm_prob_ratio":
-                (per_split[split]["norm_prob"] / ref[split]
-                 if ref[split] > 0 else float("inf"))
+                (per_split[split]["norm_prob"] / ref_norm_probs[split]
+                 if ref_norm_probs[split] > 0 else float("inf"))
             for split in ("retain", "holdout")
         }
     return doc, gens[:len(by_split["forget"])]

@@ -81,25 +81,19 @@ def _pad_batch(pairs: list[Pair]):
     """Pad prompt+response sequences and index the response positions.
 
     Returns (tokens [B, T], tgt_pos [B, R], tgt_ids [B, R], mask [B, R]):
-    row tgt_pos[b, i] is the logit row predicting response token i, which is
-    tgt_ids[b, i]; mask flags real (unpadded) response slots.
+    row tgt_pos[b, i] (`lm.response_rows`) predicts response token i, which
+    is tgt_ids[b, i]; mask flags real (unpadded) response slots.
     """
-    b = len(pairs)
-    t = max(len(p) + len(r) for p, r in pairs)
-    r_max = max(len(r) for _, r in pairs)
-    tokens = np.zeros((b, t), dtype=np.int64)
-    tgt_pos = np.zeros((b, max(r_max, 1)), dtype=np.int64)
-    tgt_ids = np.zeros((b, max(r_max, 1)), dtype=np.int64)
-    mask = np.zeros((b, max(r_max, 1)))
+    tgt_pos = lm.response_rows(pairs)
+    tokens = np.zeros((len(pairs), max(len(p) + len(r) for p, r in pairs)),
+                      dtype=np.int64)
+    tgt_ids, mask = np.zeros_like(tgt_pos), np.zeros(tgt_pos.shape)
     for i, (p, r) in enumerate(pairs):
         if not p:
             raise DataError("prompt must be non-empty")
-        seq = list(p) + list(r)
-        tokens[i, :len(seq)] = seq
-        for j, y in enumerate(r):
-            tgt_pos[i, j] = len(p) - 1 + j
-            tgt_ids[i, j] = y
-            mask[i, j] = 1.0
+        tokens[i, :len(p) + len(r)] = [*p, *r]
+        tgt_ids[i, :len(r)] = r
+        mask[i, :len(r)] = 1.0
     return tokens, tgt_pos, tgt_ids, mask
 
 

@@ -27,6 +27,10 @@ from .errors import ConfigError, DataError, JudgeUnavailableError
 from .optim import AdamW, OptimizerConfig, SchedulerConfig, lr_at
 
 ARTIFACT_VERSION = "0.7.0"
+# The most logits one decode step may hold: `beam_width` rows of a squeeze
+# trace's beam, or `batch_size * loss.n_aug` rows of bss sampling, times the
+# vocab. 80 MB; 122x the repo's largest (batch 32 x n_aug 5 x vocab 512).
+MAX_DECODE_LOGITS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -59,6 +63,14 @@ class RunConfig:
         for name in ("squeeze_prompts", "beam_width", "squeeze_max_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        logits = (max(self.beam_width, self.batch_size * self.loss.n_aug)
+                  * self.arch.vocab_size)
+        if logits > MAX_DECODE_LOGITS:
+            raise ConfigError(
+                f"beam_width={self.beam_width}, batch_size={self.batch_size} "
+                f"and loss.n_aug={self.loss.n_aug} at arch.vocab_size="
+                f"{self.arch.vocab_size} make {logits} logits per decode "
+                f"step, above the cap {MAX_DECODE_LOGITS}")
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -121,10 +133,9 @@ def _check_corpus_fits(corp: cp.Corpus, arch: lm.ArchConfig):
         raise DataError(
             f"corpus vocabulary ({len(corp.vocab)}) exceeds model vocab "
             f"({arch.vocab_size})")
-    longest = 0
-    for r in corp.records:
-        p, a = cp.qa_pair_tokens(corp.vocab, r.question, r.answer)
-        longest = max(longest, len(p) + len(a))
+    longest = max((len(p) + len(a) for p, a in _pairs(corp.vocab,
+                                                      corp.records)),
+                  default=0)
     if longest > arch.context_len:
         raise DataError(
             f"longest prompt+answer ({longest}) exceeds context "

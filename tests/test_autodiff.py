@@ -414,6 +414,8 @@ DUAL_CASES = {
     "transpose": ([(2, 3, 4)], lambda ops, a: ops.transpose(a, (0, 2, 1))),
     "take_rows": ([(4, 3)],
                   lambda ops, a: ops.take_rows(a, np.array([[0, 2], [3, 2]]))),
+    "gather_positions": ([(2, 4, 3)], lambda ops, a: ops.gather_positions(
+        a, np.array([[3, 1, 1], [0, 2, 0]]))),
     "softmax": ([(2, 4)], lambda ops, a: ops.softmax(a)),
     "softmax:scale_mask": ([(2, 2, 3, 4)],
                            lambda ops, a: ops.softmax(a, -0.7, _MASK)),

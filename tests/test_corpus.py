@@ -39,6 +39,22 @@ def test_record_structure(corp):
         assert len(r.perturbed_answers) >= 3
 
 
+def test_generation_fills_are_in_normal_form(corp):
+    """`generate_corpus` fills templates without `normalize`: every template,
+    name and attribute value is in normal form already, and so is every
+    text a fill makes (names are joined with one space)."""
+    texts = [*cp.FIRST_NAMES, *cp.LAST_NAMES]
+    texts += [v for values in cp.ATTRIBUTES.values() for v in values]
+    texts += [t for tmpl in cp.TEMPLATES.values()
+              for t in (tmpl["question"], tmpl["answer"],
+                        *tmpl["paraphrases"])]
+    assert [t for t in texts if t != cp.normalize(t)] == []
+    for r in corp.records:
+        for t in (r.question, r.answer, *r.paraphrases,
+                  *r.perturbed_answers):
+            assert t == cp.normalize(t), r.id
+
+
 def test_generation_is_byte_deterministic(tmp_path, corp):
     again = cp.generate_corpus(cp.GenConfig(n_entities=200), seed=11)
     a1, v1 = tmp_path / "a.jsonl", tmp_path / "a.vocab"

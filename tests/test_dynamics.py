@@ -186,15 +186,15 @@ def test_dual_jg_above_cap_matches_finite_difference():
     assert store.param_count() > dy.PARAM_CAP
     rng = np.random.default_rng(4)
     g = {k: rng.normal(size=v.shape) for k, v in store.entries.items()}
-    g_flat = np.concatenate([g[k].ravel() for k in sorted(g)])
     tokens = list(range(1, 13))
     dual = _dual_logits(store, tokens, g)
     assert np.array_equal(dual.value, lm.batch_logits(store, [tokens]))
     # The truncation error of the central difference is about 2e-8 at this
     # step (it falls 100-fold per 10-fold smaller step down to 1e-6).
     eps = 1e-6
-    hi = lm.batch_logits(store.add_flat(eps * g_flat), [tokens])
-    lo = lm.batch_logits(store.add_flat(-eps * g_flat), [tokens])
+    hi, lo = (lm.batch_logits(lm.ParamStore(
+        {k: w + step * g[k] for k, w in store.entries.items()}, arch,
+        store.seed), [tokens]) for step in (eps, -eps))
     scale = np.max(np.abs(dual.tangent))
     assert scale > 1.0
     assert np.max(np.abs(dual.tangent - (hi - lo) / (2 * eps))) <= 1e-8 * scale
@@ -203,15 +203,26 @@ def test_dual_jg_above_cap_matches_finite_difference():
 @pytest.mark.parametrize("d_model", [8, 12, 64])
 @pytest.mark.parametrize("n_layers,tied", [(n, tied) for n in (0, 1, 2)
                                            for tied in (False, True)])
-def test_dual_values_are_the_scorer_rows(n_layers, tied, d_model):
-    """akg_check takes pi from its dual forward of pair_o: the dual's values
-    at the response rows equal `lm.response_logits`' rows bit for bit,
-    one-token prompts and responses included."""
+def test_dual_values_are_the_scorer_rows(n_layers, tied, d_model,
+                                        monkeypatch):
+    """akg_check takes pi and J_o @ g from one dual forward of pair_o at its
+    response rows: the dual's values at those rows equal
+    `lm.response_logits`' rows bit for bit, and its tangents equal the
+    full-length dual forward's tangent rows bit for bit, one-token prompts
+    and responses included."""
     arch = lm.ArchConfig(vocab_size=24, context_len=20, d_model=d_model,
                          n_layers=n_layers, n_heads=2, tie_output_head=tied)
     store = _perturbed_model(arch, 5, 6)
     rng = np.random.default_rng(7)
     g = {k: rng.normal(size=v.shape) for k, v in store.entries.items()}
+    logits, forwards = lm._logits, []
+
+    def recorded(ops, *args):
+        out = logits(ops, *args)
+        if ops is ad.duals:
+            forwards.append((args, out))
+        return out
+
     for pair in [([1], [2]), ([1], [2, 3, 4, 5]), ([1, 2, 3], [4]),
                  ([1, 2, 3, 4, 5], [6, 7, 8])]:
         prompt, response = pair
@@ -220,9 +231,18 @@ def test_dual_values_are_the_scorer_rows(n_layers, tied, d_model):
         [(_, want)] = lm.response_logits(store, [pair])
         assert np.array_equal(dual.value[0, start:start + len(response)],
                               want), pair
+        forwards.clear()
+        monkeypatch.setattr(lm, "_logits", recorded)
         pi, *_ = dy.akg_check(store, pair, pair, ob.LossConfig(kind="ga"),
                               (1e-3,))
+        monkeypatch.undo()
         assert np.array_equal(pi, np.exp(ad.arrays.log_softmax(want))), pair
+        [((along_g, _, tokens, _, rows), at_rows)] = forwards
+        assert rows.tolist() == [list(range(start, start + len(response)))]
+        full = logits(ad.duals, along_g, arch, tokens)
+        assert np.array_equal(at_rows.tangent[0],
+                              full.tangent[0, start:start + len(response)]
+                              ), pair
 
 
 def test_entk_refuses_above_cap(dyn_store, monkeypatch):
@@ -302,6 +322,9 @@ def test_eta_scaling_slope_computes_each_jacobian_once(dyn_store,
                              for i, (p, g) in enumerate(zip(pi, G))]
     with pytest.raises(ConfigError):
         dy.eta_scaling_slope(dyn_store, pair, pair, cfg, (1e-3, 0.0))
+    # pair_o's response has no position to predict.
+    with pytest.raises(DataError):
+        dy.akg_check(dyn_store, pair, (pair[0], []), cfg, etas)
 
 
 def test_akg_bst_reports_carry_residuals(dyn_store):
@@ -472,4 +495,5 @@ def test_squeeze_trace_scores_all_prompts_in_one_call_per_checkpoint(
 def test_squeeze_trace_needs_five_candidates(mini_trained):
     corp, store = mini_trained
     with pytest.raises(DataError):
-        dy.squeeze_trace([store], [("p0", [1, 2, 3])], beam_width=4)
+        dy.squeeze_trace([store], [("p0", [1, 2, 3])], beam_width=4,
+                         exclude_responses=[[4, 5]])

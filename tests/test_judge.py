@@ -201,8 +201,7 @@ def test_score_batch_mock_and_bounded_http():
         calls.append(1)
         return _chat_body("2.0")
 
-    scores = jd.score_batch(_endpoint(), prompts, transport=transport,
-                            max_concurrency=3)
+    scores = jd.score_batch(_endpoint(), prompts, transport=transport)
     assert len(scores) == 6 and all(s.value == 2.0 for s in scores)
     assert len(calls) == 6
 

@@ -399,6 +399,32 @@ def test_response_logits_are_batch_invariant(tiny_store):
         assert score == lm.token_logprobs(tiny_store, prompt, resp).sum()
 
 
+def test_response_rows_are_the_scored_rows_of_training_and_scoring(
+        tiny_store, monkeypatch):
+    """Row j of pair i is len(prompt_i) - 1 + j and a shorter response
+    repeats its last position; `_pad_batch`'s tgt_pos and the rows
+    `response_logits` passes per length group are that array."""
+    from unlearnlab import objectives as ob
+    pairs = [([1, 2, 3], [4, 5]), ([1], [2, 3, 4, 5]),
+             ([1, 2, 3, 4, 5], [6]), ([7, 8], [9, 10, 11])]
+    want = [[2, 3, 3, 3], [0, 1, 2, 3], [4, 4, 4, 4], [1, 2, 3, 3]]
+    rows = lm.response_rows(pairs)
+    assert rows.dtype == np.int64 and rows.tolist() == want
+    assert lm.response_rows([([1, 2], [])]).tolist() == [[1]]
+    assert ob._pad_batch(pairs)[1].tolist() == want
+
+    batch_logits, passed = lm.batch_logits, []
+
+    def recorded(store, tokens, rows=None):
+        passed.append(np.asarray(rows).tolist())
+        return batch_logits(store, tokens, rows)
+
+    monkeypatch.setattr(lm, "batch_logits", recorded)
+    list(lm.response_logits(tiny_store, pairs))
+    # Length groups: pairs 0, 1 and 3 are five tokens long, pair 2 six.
+    assert passed == [[want[0], want[1], want[3]], [[4]]]
+
+
 def test_greedy_decode_batch_matches_per_prompt_decode(tiny_store):
     rng = np.random.default_rng(4)
     prompts = [list(rng.integers(0, 12, rng.integers(1, 6)))

@@ -617,6 +617,46 @@ def test_cli_finetune_refuses_a_run_above_the_step_cap(small_setup, tmp_path,
     assert not list((tmp_path / "out").glob("ckpt_*"))
 
 
+def test_run_config_refuses_decode_sizes_above_the_cap():
+    """The largest decode step in the repo (desk batch 32 x sweep preset
+    n_aug 5 x vocab 512) sits at least 100x below the cap; a beam or a bss
+    sample batch above it is refused by name when the config is built."""
+    vocab = runner.desk_arch().vocab_size
+    largest = 32 * max(runner.PRESET_GRIDS["bss"]["loss.n_aug"]) * vocab
+    assert 100 * largest <= runner.MAX_DECODE_LOGITS
+    rows = runner.MAX_DECODE_LOGITS // vocab
+    runner.RunConfig(beam_width=rows)
+    runner.RunConfig(batch_size=rows // 4, loss=LossConfig(n_aug=4))
+    for kw in (dict(beam_width=rows + 1), dict(beam_width=2 ** 62),
+               dict(batch_size=rows // 4 + 1, loss=LossConfig(n_aug=4)),
+               dict(loss=LossConfig(kind="bss", n_aug=2 ** 62))):
+        with pytest.raises(ConfigError) as e:
+            runner.RunConfig(**kw)
+        msg = str(e.value)
+        for name in ("beam_width=", "batch_size=", "loss.n_aug=",
+                     "arch.vocab_size=", str(runner.MAX_DECODE_LOGITS)):
+            assert name in msg, (kw, msg)
+
+
+@pytest.mark.parametrize("command,run", [
+    ("squeeze", {"beam_width": 2 ** 40}),
+    ("unlearn", {"loss": {"kind": "bss", "n_aug": 2 ** 40}}),
+])
+def test_cli_refuses_decode_sizes_above_the_cap(command, run, small_setup,
+                                                tmp_path, capsys):
+    """Exit 2 with one stderr line naming the keys and the cap, and no
+    output written."""
+    root, corp, make = small_setup
+    doc = dict(make(tmp_path / "out").to_dict(), **run)
+    cfgp = _write_config(tmp_path / "c.json", {"run": doc})
+    assert cli.main([command, "--config", cfgp]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "beam_width=" in err and "loss.n_aug=" in err
+    assert str(runner.MAX_DECODE_LOGITS) in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_arch_above_the_parameter_cap_exits_2_in_a_config_and_3_in_a_checkpoint(
         small_setup, small_theta_o, tmp_path, capsys):
     root, corp, make = small_setup
